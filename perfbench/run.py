@@ -1,6 +1,6 @@
 """Benchmark of sparsedom's exact verification pipeline.
 
-    python3 perfbench/run.py [--workload NAME|all] [--seed N] [--seconds S]
+    python3 perfbench/run.py --seconds S [--workload NAME|all] [--seed N]
                              [--trace 0|1]
 
 Run from the root of a source tree (the directory holding ``src/``).  One
@@ -10,9 +10,11 @@ its outputs are then checked here, independently of the program
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0``
 the metrics are the end-to-end ones, with ``--trace 1`` the per-layer ones.
 
-``--workload all`` (the default) runs every workload in turn and prints a
-table; with ``--trace 1`` it runs each workload untraced and traced and
-also prints the per-layer figures and the tracing overhead.
+``--seconds`` is the length of one run's timed phase, a whole number from 1
+to 60; ``run_seconds`` in ``BENCHMARK.json`` gives the value runs are
+compared at.  ``--workload all`` (the default) runs every workload in turn
+and prints a table; with ``--trace 1`` it runs each workload untraced and
+traced and also prints the per-layer figures and the tracing overhead.
 """
 
 import argparse
@@ -27,11 +29,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 from checks import check_workload  # noqa: E402
-from tracing import run_seconds  # noqa: E402
+from speed import CAL_REF_S  # noqa: E402
+from tracing import COUNTERS, run_seconds  # noqa: E402
 
 WORKLOADS = ("sparse-1d", "maximal", "weighted", "rational-1d")
-IMPORT_PROBES = 3
-WORKER_TIMEOUT_S = 150
+IMPORT_PROBES = 5
+IMPORT_CALS = 3        # calibration passes before, and again after, each import
+WORKER_SLACK_S = 90    # set-up, the last round's overrun and the pickle
 
 END_TO_END = (("setup_s", "s"), ("run_s", "s"), ("cpu_s", "s"),
               ("peak_rss_mb", "MB"))
@@ -44,10 +48,6 @@ RUN_LAYERS = ("sparse.cz_sparse", "stepfn.dyadic_maximal",
               "stepfn.hl_maximal", "weights.a2_constant",
               "weights.operator_norm_weighted", "czo.maximal_truncated",
               "czo.dominate", "geometry.cover_cube")
-COUNTS = ("sparse.cz_sparse.cubes", "sparse.oscillation_decompose.cubes",
-          "stepfn.hl_maximal.calls", "weights.a2_constant.candidates",
-          "weights.operator_norm_weighted.iterations", "czo.dominate.cubes",
-          "geometry.cover_cube.calls")
 
 
 def fail(msg: str):
@@ -66,13 +66,17 @@ def worker_env(src: str) -> dict:
 
 def import_seconds(src: str) -> float:
     """Median time of `import sparsedom` in fresh interpreters, in
-    reference seconds.  Each interpreter calibrates right before and right
-    after its import (which loads `fractions` first)."""
-    probe = ("import sys, time; sys.path.insert(0, %r); "
-             "from speed import calibrate, factor; a = calibrate(); "
+    reference seconds.  Each interpreter calibrates IMPORT_CALS times right
+    before and right after its import (which loads `fractions` first), and
+    scales by the median of those passes: one pass in a fresh interpreter
+    is as noisy as the drift it corrects."""
+    probe = ("import sys, time, statistics; sys.path.insert(0, %r); "
+             "from speed import calibrate; "
+             "cal = lambda: [calibrate()[0] for _ in range(%d)]; a = cal(); "
              "t = time.perf_counter(); import sparsedom; "
-             "t = time.perf_counter() - t; print(t * factor(a[0], calibrate()[0]))"
-             % HERE)
+             "t = time.perf_counter() - t; "
+             "print(t * %r / statistics.median(a + cal()))"
+             % (HERE, IMPORT_CALS, CAL_REF_S))
     times = []
     for _ in range(IMPORT_PROBES):
         out = subprocess.run([sys.executable, "-c", probe], env=worker_env(src),
@@ -84,6 +88,9 @@ def import_seconds(src: str) -> float:
 
 
 def run_one(args, root: str) -> dict:
+    """One workload in a worker process, checked here.  Prints its figures
+    and, last, the result JSON; returns the result with the run's untraced
+    or traced run_s added."""
     src = os.path.join(root, "src")
     if not os.path.isfile(os.path.join(src, "sparsedom", "__init__.py")):
         fail("no src/sparsedom under %s: run from the root of the source tree"
@@ -99,11 +106,12 @@ def run_one(args, root: str) -> dict:
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--out", pkl]
+    timeout = args.seconds + WORKER_SLACK_S
     try:
         proc = subprocess.run(cmd, env=worker_env(src), cwd=root,
-                              timeout=WORKER_TIMEOUT_S)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
-        fail("worker exceeded %d s" % WORKER_TIMEOUT_S)
+        fail("worker exceeded %d s" % timeout)
     if proc.returncode != 0 or not os.path.exists(pkl):
         fail("worker failed with exit code %d" % proc.returncode)
     with open(pkl, "rb") as fh:
@@ -133,7 +141,7 @@ def run_one(args, root: str) -> dict:
             metrics[name + ".s"] = statistics.median(
                 r["layers"].get(name, 0.0) for r in rounds)
         metrics = {k: {"value": v, "unit": "s"} for k, v in metrics.items()}
-        for name in COUNTS:
+        for name in COUNTERS:
             metrics[name] = {"value": counts0[name], "unit": "count"}
     else:
         values = {
@@ -146,16 +154,13 @@ def run_one(args, root: str) -> dict:
               "attempted": len(res["ops"]) * len(rounds),
               "failed": res["failed"],
               "metrics": metrics}
-    with open(os.path.join(outdir, "result-%s.json" % stem), "w") as fh:
-        json.dump(dict(result, rounds=len(rounds), run_s=run_s,
-                       ops=res["ops"]), fh, indent=1)
     print("%s seed %d: %d rounds of %d operations, %s"
           % (args.workload, args.seed, len(rounds), len(res["ops"]),
              "checks passed" if not problems else "CHECKS FAILED"))
     for k, m in metrics.items():
         print("  %-45s %14.6f %s" % (k, m["value"], m["unit"]))
     print(json.dumps(result))
-    return result
+    return dict(result, run_s=run_s)
 
 
 def run_all(args, root: str):
@@ -164,16 +169,10 @@ def run_all(args, root: str):
     modes = (0, 1) if args.trace else (0,)
     for wl in WORKLOADS:
         for trace in modes:
-            cmd = [sys.executable, os.path.abspath(__file__), "--workload", wl,
-                   "--seed", str(args.seed), "--seconds", str(args.seconds),
-                   "--trace", str(trace)]
-            proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-            if proc.returncode != 0:
-                fail("workload %s failed:\n%s" % (wl, proc.stderr))
-            path = os.path.join(HERE, "out", "result-%s-seed%d-trace%d.json"
-                                % (wl, args.seed, trace))
-            with open(path) as fh:
-                summary[(wl, trace)] = json.load(fh)
+            one = argparse.Namespace(workload=wl, seed=args.seed,
+                                     seconds=args.seconds, trace=trace)
+            summary[(wl, trace)] = run_one(one, root)
+    print()
     print("%-12s %9s %6s %7s" % ("workload", "attempted", "failed", "correct")
           + "".join(" %16s" % ("%s [%s]" % kv) for kv in END_TO_END))
     for wl in WORKLOADS:
@@ -203,11 +202,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
+    ap.add_argument("--seconds", type=int, choices=range(1, 61), required=True,
+                    metavar="1..60")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
-    if args.seconds <= 0:
-        fail("--seconds must be positive")
     root = os.getcwd()
     if args.workload == "all":
         run_all(args, root)

@@ -17,7 +17,7 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import checks  # noqa: E402
 import workloads  # noqa: E402
-from tracing import Trace  # noqa: E402
+from tracing import COUNTERS, Trace  # noqa: E402
 
 SEED = 3
 
@@ -25,7 +25,7 @@ SEED = 3
 def produce(wl, tmpdir):
     tr = Trace(False)
     inputs = wl.build(SEED, tr, str(tmpdir))
-    counts = dict.fromkeys(workloads.COUNTERS, 0)
+    counts = dict.fromkeys(COUNTERS, 0)
     outs = [wl.plain_output(i, fn(tr), counts)
             for i, (_, fn) in enumerate(wl.ops(inputs))]
     return wl.plain_inputs(inputs), outs
@@ -137,15 +137,31 @@ def test_maximal_corruptions(data):
     assert corrupted(data, "maximal", lower_dyadic)
 
 
-def test_maximal_sandwich_fails_on_low_hl(data):
+def unsampled(o, op):
+    """The cells of operation op's hl output that the brute force skips."""
+    hl = o[op]["hl"]
+    keep = set(checks.sample_cells(SEED * 100 + op, 8 if op == 0 else 16,
+                                   len(hl)))
+    return [c for c in range(len(hl)) if c not in keep]
+
+
+@pytest.mark.parametrize("op", [0, 2])
+def test_maximal_sandwich_fails_on_low_hl(data, op):
     # hl below the standard-grid maximal function everywhere but the samples
     def edit(i, o):
-        keep = set(checks.sample_cells(SEED * 100 + 2, 16, len(o[2]["hl"])))
-        for c in range(len(o[2]["hl"])):
-            if c not in keep:
-                o[2]["hl"][c] = Fraction(0)
+        for c in unsampled(o, op):
+            o[op]["hl"][c] = Fraction(0)
     found = corrupted(data, "maximal", edit)
     assert found and "M^D f > M f" in found[0]
+
+
+@pytest.mark.parametrize("op", [0, 2])
+def test_maximal_sandwich_fails_on_high_hl(data, op):
+    # one unsampled cell far above 6^n times the dyadic maximal functions
+    def edit(i, o):
+        o[op]["hl"][unsampled(o, op)[len(o[op]["hl"]) // 2]] = Fraction(10 ** 9)
+    found = corrupted(data, "maximal", edit)
+    assert found and "M f > 6^n" in found[0]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -170,14 +186,14 @@ def test_weighted_corruptions(data, edit, message):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda i, o: bump(i[0]["values"], 100), "CSV round trip"),
-    (lambda i, o: o[1].__setitem__(0, (o[1][0][0], o[1][0][1],
-                                       tuple(j + 1 for j in o[1][0][2]),
-                                       o[1][0][3])), "off its grid"),
-    (lambda i, o: o[1].__setitem__(0, o[1][0][:3] + (
-        tuple(c + Fraction(1, 3) for c in o[1][0][3]),)), "off its grid"),
-    (lambda i, o: o[1].pop(), "boxes"),
-    (lambda i, o: bump(o[0]["grids"][0]["dyadic"],
-                       peak_cell(o[0]["grids"][0]["dyadic"])), "brute force"),
+    (lambda i, o: o[-1].__setitem__(0, (o[-1][0][0], o[-1][0][1],
+                                        tuple(j + 1 for j in o[-1][0][2]),
+                                        o[-1][0][3])), "off its grid"),
+    (lambda i, o: o[-1].__setitem__(0, o[-1][0][:3] + (
+        tuple(c + Fraction(1, 3) for c in o[-1][0][3]),)), "off its grid"),
+    (lambda i, o: o[-1].pop(), "boxes"),
+    (lambda i, o: bump(o[1]["grids"][0]["dyadic"],
+                       peak_cell(o[1]["grids"][0]["dyadic"])), "brute force"),
 ])
 def test_rational_corruptions(data, edit, message):
     found = corrupted(data, "rational-1d", edit)

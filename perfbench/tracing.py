@@ -24,6 +24,12 @@ from speed import calibrate, factor
 # calibration: often enough to follow the drift, rarely enough to be cheap
 CAL_EVERY_S = 0.05
 
+# work counts per round, read from the program's outputs (workloads.py)
+COUNTERS = ("sparse.cz_sparse.cubes", "sparse.oscillation_decompose.cubes",
+            "stepfn.hl_maximal.calls", "weights.a2_constant.candidates",
+            "weights.operator_norm_weighted.iterations", "czo.dominate.cubes",
+            "geometry.cover_cube.calls")
+
 
 def run_seconds(rounds: list, key: str) -> float:
     """Time of one round: the sum over operations of each operation's

@@ -13,10 +13,10 @@ import pickle
 import resource
 import time
 
-from tracing import Trace, run_seconds
-from workloads import COUNTERS, WORKLOADS
+from tracing import COUNTERS, Trace, run_seconds
+from workloads import WORKLOADS
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 MIN_ROUNDS = 3   # a median needs a few rounds even on a slow machine
 
 
@@ -24,7 +24,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seconds", type=int, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()

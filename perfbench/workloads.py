@@ -130,26 +130,33 @@ class Sparse1D:
 
 
 class Rational1D:
-    """The sparse-1d pipeline on one function of rationals with unrelated
-    denominators, read back from CSV, plus cover_cube on a batch of
-    rational boxes."""
+    """The sparse-1d pipeline on two functions whose cells on [0, 1/2) are
+    rationals with unrelated denominators, read back from CSV, plus
+    cover_cube on a batch of rational boxes."""
 
     name = "rational-1d"
     level = 10
+    functions = 2
     boxes_1d = 4000
     boxes_2d = 1000
 
     def build(self, seed: int, tr, workdir: str) -> dict:
         mesh = Mesh(1, self.level)
         rng = random.Random("rational-1d:%d" % seed)
-        vals = [Fraction(0)] * mesh.size
-        # the core [0, 1) is cells n/3 .. 2n/3 of the domain [-1, 2)
-        for i in range(mesh.size // 3, 2 * mesh.size // 3):
-            vals[i] = Fraction(rng.randrange(-800, 801), rng.randrange(1, 97))
-        path = os.path.join(workdir, "rational-seed%d.csv" % seed)
-        with open(path, "w") as fh:
-            fh.writelines("%d/%d\n" % (v.numerator, v.denominator) for v in vals)
-        f = tr.call("stepfn.from_csv", StepFunction.from_csv, path, 1, self.level)
+        written, read = [], []
+        for fn in range(self.functions):
+            vals = [Fraction(0)] * mesh.size
+            # the domain [-1, 2) has [0, 1/2) at cells n/3 .. n/2
+            for i in range(mesh.size // 3, mesh.size // 2):
+                vals[i] = Fraction(rng.randrange(-800, 801), rng.randrange(1, 97))
+            path = os.path.join(workdir, "rational-seed%d-%d.csv" % (seed, fn))
+            with open(path, "w") as fh:
+                fh.writelines("%d/%d\n" % (v.numerator, v.denominator)
+                              for v in vals)
+            f = tr.call("stepfn.from_csv", StepFunction.from_csv, path, 1,
+                        self.level)
+            written.append(vals)
+            read.append(f.values)
         boxes = []
         for dim, count in ((1, self.boxes_1d), (2, self.boxes_2d)):
             for _ in range(count):
@@ -157,20 +164,24 @@ class Rational1D:
                                     rng.randrange(1, 64)) for _ in range(dim))
                 side = Fraction(rng.randrange(1, 4000), rng.randrange(1, 64))
                 boxes.append((lo, tuple(x + side for x in lo)))
-        return {"mesh": mesh, "written": vals, "read": f.values, "boxes": boxes}
+        return {"mesh": mesh, "written": written, "read": read, "boxes": boxes}
 
     def ops(self, inputs: dict) -> list:
-        return [("function:rational",
-                 lambda tr: _pipeline(inputs["read"], inputs["mesh"], tr)),
-                ("cover-batch", lambda tr: _cover_batch(inputs["boxes"], tr))]
+        mesh = inputs["mesh"]
+        ops = [("function:rational-%d" % fn,
+                lambda tr, v=vals: _pipeline(v, mesh, tr))
+               for fn, vals in enumerate(inputs["read"])]
+        ops.append(("cover-batch", lambda tr: _cover_batch(inputs["boxes"], tr)))
+        return ops
 
     def plain_inputs(self, inputs: dict) -> list:
-        return [{"dim": 1, "level": self.level, "values": inputs["read"],
-                 "written": inputs["written"]},
-                {"boxes": inputs["boxes"]}]
+        out = [{"dim": 1, "level": self.level, "values": r, "written": w}
+               for r, w in zip(inputs["read"], inputs["written"])]
+        out.append({"boxes": inputs["boxes"]})
+        return out
 
     def plain_output(self, op: int, out, counts: dict):
-        if op == 0:
+        if op < self.functions:
             return _pipeline_plain(out, counts)
         counts["geometry.cover_cube.calls"] += len(out)
         return [(_shift(grid), q.k, tuple(q.j), q.corner) for grid, q in out]
@@ -324,8 +335,3 @@ class Weighted:
 
 
 WORKLOADS = {w.name: w for w in (Sparse1D(), Maximal(), Weighted(), Rational1D())}
-
-COUNTERS = ("sparse.cz_sparse.cubes", "sparse.oscillation_decompose.cubes",
-            "stepfn.hl_maximal.calls", "weights.a2_constant.candidates",
-            "weights.operator_norm_weighted.iterations", "czo.dominate.cubes",
-            "geometry.cover_cube.calls")
