@@ -66,7 +66,6 @@ from .weights import (
     a2_scan,
     amalgam_pair_operator,
     hilbert_full_operator,
-    identity_operator,
     operator_norm_weighted,
     sparse_family_operator,
     tower_family,
@@ -102,7 +101,7 @@ __all__ = [
     "oscillation_estimate_report",
     "A2Report", "CellOperator", "NormEstimate", "ScanTable", "Weight",
     "a2_constant", "a2_scan", "amalgam_pair_operator",
-    "hilbert_full_operator", "identity_operator", "operator_norm_weighted",
+    "hilbert_full_operator", "operator_norm_weighted",
     "sparse_family_operator", "tower_family", "weighted_norm",
     "CRITERION_IDS", "ExperimentConfig", "Verdict", "default_config",
     "generate_function", "run_all", "run_criterion",

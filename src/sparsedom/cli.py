@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .rational import parse_scalar, rat_str
 from .geometry import Box, Cube, GridId
-from .stepfn import Mesh, StepFunction, dyadic_maximal
+from .stepfn import StepFunction, dyadic_maximal
 from .sparse import (
     cz_pointwise_gap,
     cz_sparse,
@@ -98,26 +98,10 @@ def _gather_config(args, defaults: ExperimentConfig = None) -> tuple:
     return ExperimentConfig(**merged), extras
 
 
-def _load_function(path: str, mesh: Mesh) -> StepFunction:
-    """One rational or decimal per CSV cell, row-major over the mesh."""
-    values = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            for item in row:
-                if item.strip():
-                    values.append(parse_scalar(item))
-    if len(values) != mesh.size:
-        raise ValueError("expected %d cell values for dim=%d level=%d, "
-                         "got %d" % (mesh.size, mesh.dim, mesh.level,
-                                     len(values)))
-    return StepFunction(mesh, values)
-
-
 def _input_function(args, cfg: ExperimentConfig) -> StepFunction:
-    mesh = cfg.mesh()
     if getattr(args, "input", None):
-        return _load_function(args.input, mesh)
-    return generate_function(cfg.seed, cfg.kind, mesh)
+        return StepFunction.from_csv(args.input, cfg.dim, cfg.level)
+    return generate_function(cfg.seed, cfg.kind, cfg.mesh())
 
 
 def _flatten(prefix: str, obj, rows: list):
@@ -131,8 +115,12 @@ def _flatten(prefix: str, obj, rows: list):
         rows.append((prefix, obj))
 
 
-def _emit(report: dict, cfg: ExperimentConfig) -> None:
-    if cfg.fmt == "csv":
+def _emit(report: dict, cfg: ExperimentConfig, text: str = None) -> None:
+    """Write the report as JSON, or in CSV as ``text`` when given and as
+    flattened key,value rows otherwise."""
+    if cfg.fmt != "csv":
+        text = json.dumps(report, indent=2) + "\n"
+    elif text is None:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
@@ -141,8 +129,6 @@ def _emit(report: dict, cfg: ExperimentConfig) -> None:
         for key, value in rows:
             writer.writerow([key, value])
         text = buf.getvalue()
-    else:
-        text = json.dumps(report, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -229,17 +215,10 @@ def _cmd_osc_estimate(args) -> int:
 def _cmd_a2_scan(args) -> int:
     cfg, extras = _gather_config(args)
     exponents = extras.get("exponents", (0, 0.3, 0.6, 0.8, 0.9, 0.95))
-    table = a2_scan(cfg.operator, exponents, level=cfg.level, seed=cfg.seed)
-    if cfg.fmt == "csv":
-        text = table.to_csv()
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(_stamp({"scan": table.to_json(), "config": cfg.to_json()}),
-              cfg)
+    table, = a2_scan([cfg.operator], exponents, level=cfg.level,
+                     seed=cfg.seed)
+    _emit(_stamp({"scan": table.to_json(), "config": cfg.to_json()}), cfg,
+          table.to_csv())
     return 0
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from .rational import (
     THIRD,
     ZERO,
-    Rat,
     floor_log2,
     floor_log2_ratio,
     pow2,
@@ -246,9 +245,6 @@ class Cube:
             shift = s if a == THIRD else 0
             idx.append((ji + shift) // 2 if a == THIRD else ji // 2)
         return Cube(self.grid, self.k - 1, tuple(idx))
-
-    def contains_cube(self, other: "Cube") -> bool:
-        return self.box.contains_box(other.box)
 
     def contains_point(self, x) -> bool:
         return self.box.contains_point(x)

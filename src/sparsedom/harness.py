@@ -616,12 +616,11 @@ def _crit_a2_scan(cfg: ExperimentConfig) -> Verdict:
     """Power-family scan: A2 span >= 20x while opnorm/A2 stays within 10x
     for the sparse operator and the full-truncation Hilbert matrix."""
     exps = [0, 0.3, 0.6, 0.8, 0.9, 0.95]
-    tables = {}
     witness = None
     measured = {}
-    for kind in ("sparse", "hilbert"):
-        tab = a2_scan(kind, exps, level=cfg.level, seed=cfg.seed, iters=80)
-        tables[kind] = tab
+    for tab in a2_scan(("sparse", "hilbert"), exps, level=cfg.level,
+                       seed=cfg.seed, iters=80):
+        kind = tab.kind
         a2s = [r.a2 for r in tab.rows]
         rats = [r.ratio for r in tab.rows]
         span = max(a2s) / min(a2s)

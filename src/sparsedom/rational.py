@@ -8,13 +8,9 @@ decimal strings, both converted exactly.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-Rat = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 THIRD = Fraction(1, 3)
 
 
@@ -86,14 +82,3 @@ def pow2(t: int) -> Fraction:
 def parse_scalar(text: str) -> Fraction:
     """Parse a scalar from CSV/CLI input: "num/den", integer or decimal."""
     return Fraction(text.strip())
-
-
-def float_of(q) -> float:
-    return q.numerator / q.denominator if isinstance(q, Fraction) else float(q)
-
-
-def isqrt_upper(q: Fraction) -> float:
-    """Float square root of a nonnegative rational (for reporting only)."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    return math.sqrt(q.numerator / q.denominator)

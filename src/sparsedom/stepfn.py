@@ -17,7 +17,7 @@ full box measure, so zero extension outside the domain is automatic.
 
 from __future__ import annotations
 
-import json
+import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,9 +261,6 @@ class StepFunction:
             raise ValueError("mesh mismatch")
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def cellwise_max(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, max)
-
     # -- integration --------------------------------------------------------
 
     def integral(self, box: Box | None = None) -> Fraction:
@@ -367,12 +364,6 @@ class StepFunction:
     def norm_l2(self) -> float:
         return float(np.sqrt(float(self.norm_l2_sq())))
 
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
-
-    def support_measure(self) -> Fraction:
-        return self.mesh.h**self.mesh.dim * sum(1 for v in self.values if v != 0)
-
     # -- reshaping ----------------------------------------------------------
 
     def refine(self, delta: int) -> "StepFunction":
@@ -396,10 +387,6 @@ class StepFunction:
                 vals.append(self.values[src + j // r])
         return StepFunction(mesh, vals)
 
-    def floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values],
-                        dtype=np.float64).reshape(self.mesh.shape)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -420,13 +407,12 @@ class StepFunction:
 
     @staticmethod
     def from_csv(path, dim: int, level: int) -> "StepFunction":
-        with open(path) as fh:
-            vals = [parse_scalar(line) for line in fh if line.strip()]
+        """Cell values in row-major order from a CSV file of any layout:
+        one rational or decimal per non-empty field."""
+        with open(path, newline="") as fh:
+            vals = [parse_scalar(item) for row in csv.reader(fh)
+                    for item in row if item.strip()]
         return StepFunction(Mesh(dim, level), vals)
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +428,6 @@ class DistributionProfile:
     @property
     def total_measure(self) -> Fraction:
         return sum((m for _, m in self.entries), Fraction(0))
-
-    def check(self):
-        for (v1, m1), (v2, _) in zip(self.entries, self.entries[1:]):
-            assert v1 > v2
-        assert all(m > 0 for _, m in self.entries)
 
     @staticmethod
     def build(f: StepFunction, box: Box) -> "DistributionProfile":
@@ -523,9 +504,10 @@ def median(f: StepFunction, q: Box) -> Fraction:
     half = q.measure / 2
     items = sorted(masses.items(), key=lambda kv: kv[0])  # ascending values
     below = Fraction(0)
+    above = sum(m for _, m in items)
     best = None
-    for idx, (v, m) in enumerate(items):
-        above = sum(mm for _, mm in items[idx + 1:])
+    for v, m in items:
+        above -= m
         if below <= half and above <= half:
             best = v  # keep climbing: the largest qualifying value wins
         below += m

@@ -6,12 +6,43 @@ constant on the desk model is the exact maximum of
     (1/|R|) ∫_R w  ·  (1/|R|) ∫_R w⁻¹
 
 over a finite search family: every mesh-corner-aligned cube plus every
-grid cube of every shifted grid (clipped to the domain).  The maximum is
-certified exactly: a float64 prescreen over all mesh-aligned windows
-narrows the field to candidates within a relative band that provably
-covers the rounding error, and those candidates — together with the
-per-size float argmaxes and all clipped grid cubes — are re-evaluated in
-rational arithmetic.
+grid cube of every shifted grid, clipped to the domain.
+
+Every region of the family is an integer window [lo, hi) per axis on the
+h/3 lattice counted from the domain's lower corner: mesh cubes have
+corners at multiples of 3, and a grid cube of scale k <= level has corners
+(3j + b)·2^(level-k), b in {-1, 0, 1}, clipped to [0, 3n) for n cells per
+axis.  The prescreen keeps one long-double summed-area table per factor
+on the lattice (cumulative sums over the cells, then linear interpolation
+along each axis with coefficients 1, 2, 3, so entries are prefix integrals
+in lattice units).  Mesh cubes of side d are scored by differencing its
+cell-corner entries along each axis in turn, grid windows by one gather
+over the 2^D corners; a score is the product of the two window sums over
+the squared measure.
+
+The band.  With u the long-double unit roundoff, γ_k = ku/(1 - ku) and v̂
+the float64 images of one factor's cell values (relative error 2⁻⁵³),
+every table entry is a nonnegative integer combination of the v̂ formed in
+chains of at most D(n+1) roundings (n per axis of cumulative sums, one per
+axis of refinement).  A window sum adds 2^D signed entries, each at most
+3^D·Σv̂, in 2^D - 1 more roundings, so its error is at most 6^D·γ_K·Σv̂,
+K = D(n+1) + 2^D; the window, at least one lattice cell, holds at least
+min v̂.  Each window sum is thus within a relative
+e = 6^D·γ_K·Σv̂/min v̂ + 2⁻⁵³ and each score within r = e_w + e_v + O(e²)
++ 2u of the exact value, so every maximiser of the exact product M scores
+at least M(1 - r) >= top·(1 - 2r).  The band used,
+4·6^D·K·u·(Σŵ/min ŵ + Σv̂/min v̂) + 16·2⁻⁵³, is twice the first-order 2r;
+the spare half covers the second-order terms and the rounded threshold.
+A weight whose band exceeds 1e-4 is rejected.
+
+Every region scoring at least top·(1 - band) is confirmed exactly, mesh
+cubes by side d and row-major position first, then grid windows by grid,
+scale (fine to coarse) and row-major index.  An exact window sum weights
+each cell by the lattice cells it holds and adds the terms pairwise in a
+balanced tree of unreduced numerator/denominator pairs.  Products are
+compared by cross-multiplication and replace the best only when strictly
+larger, so the witness is the first maximiser in that order.  The Fraction
+constant and the witness Box are built once.
 
 Operator norms in L²(w) are estimated from below by power iteration on
 the w-normal operator T*_w T, where T*_w = w⁻¹ Tᵗ w is the exact adjoint
@@ -23,14 +54,13 @@ run spot-checks the duality identity ⟨Tf, g⟩_w = ⟨f, T*_w g⟩_w.
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 
 import numpy as np
 
-from .rational import rat, rat_str, pow2
+from .rational import pow2, rat, rat_floor, rat_str
 from .geometry import Box, Cube, GridId
 from .stepfn import Mesh, StepFunction, _top_scale
 from .sparse import SparseFamily, verify_sparse_family
@@ -41,7 +71,6 @@ __all__ = [
     "a2_constant",
     "weighted_norm",
     "CellOperator",
-    "identity_operator",
     "sparse_family_operator",
     "amalgam_pair_operator",
     "hilbert_full_operator",
@@ -77,18 +106,11 @@ class Weight:
 
     @staticmethod
     def power(mesh: Mesh, a: float, center=Fraction(1, 2)) -> "Weight":
-        """w(x) = |x - center|^a sampled at cell centers (n=1) or
-        w(x,y) = max(|x-cx|,|y-cy|)^a (n=2), frozen to exact rationals."""
-        if mesh.dim == 1:
-            c = rat(center)
-            centers = [mesh.cell_box((i,)).center[0] for i in range(mesh.size)]
-            dists = [abs(x - c) for x in centers]
-        else:
-            c = (rat(center), rat(center))
-            dists = []
-            for flat in range(mesh.size):
-                pt = mesh.cell_box(mesh.unflat(flat)).center
-                dists.append(max(abs(pt[0] - c[0]), abs(pt[1] - c[1])))
+        """w(x) = max_i |x_i - center|^a sampled at cell centers, frozen to
+        exact rationals (|x - center|^a in one dimension)."""
+        c = rat(center)
+        dists = [max(abs(x - c) for x in mesh.cell_box(mesh.unflat(i)).center)
+                 for i in range(mesh.size)]
         if any(d == 0 for d in dists):
             raise ValueError("power-weight center hits a cell center")
         vals = [rat(float(d) ** a) for d in dists]
@@ -130,226 +152,106 @@ class A2Report:
         }
 
 
-def _grid_cube_regions(mesh: Mesh):
-    """All (cube, clipped box) pairs over every grid and every scale from
-    the mesh up to the domain cover."""
-    dom = mesh.domain
+def _grid_windows(mesh: Mesh):
+    """Every grid cube of every shifted grid, clipped to the domain, as
+    integer windows [lo, hi) on the h/3 lattice (two (count, dim) arrays),
+    ordered by grid, scale from the mesh up to the domain cover, and
+    row-major index."""
+    n3 = 3 * mesh.cells_axis
+    origin = [3 * rat_floor(a / mesh.h) for a in mesh.domain.lo]
+    los, his = [], []
     for grid in GridId.all_grids(mesh.dim):
         for k in range(mesh.level, _top_scale(mesh) - 1, -1):
-            s = pow2(-k)
-            off = grid.offset_at(k)
-            ranges = []
-            for a in range(mesh.dim):
-                j0 = math.floor((dom.lo[a] - off[a]) / s)
-                j1 = math.ceil((dom.hi[a] - off[a]) / s)
-                ranges.append(range(j0, j1))
-            for j in iter_product(*ranges):
-                cube = Cube(grid, k, j)
-                region = cube.box.intersect(dom)
-                if region is not None and region.measure > 0:
-                    yield cube, region
+            g = 1 << (mesh.level - k)
+            axes = []
+            for alpha, x0 in zip(grid.alpha, origin):
+                b = (1 if k % 2 == 0 else -1) if alpha else 0
+                j = np.arange((x0 - b * g) // (3 * g) - 1,
+                              (x0 + n3 - b * g) // (3 * g) + 1)
+                lo = np.maximum((3 * j + b) * g - x0, 0)
+                hi = np.minimum((3 * j + b + 3) * g - x0, n3)
+                axes.append((lo[lo < hi], hi[lo < hi]))
+            for out, ends in ((los, [lo for lo, _ in axes]),
+                              (his, [hi for _, hi in axes])):
+                out.append(np.stack(np.meshgrid(*ends, indexing="ij"),
+                                    -1).reshape(-1, mesh.dim))
+    return np.concatenate(los), np.concatenate(his)
 
 
-def _window_sum_exact(vals, i, j) -> Fraction:
-    """Exact Σ vals[i:j].
-
-    Uses a common-denominator integer sum while the lcm of the cell
-    denominators stays small (simple rational weights), and otherwise a
-    gcd-free numerator/denominator accumulation where every step is a
-    big×small multiply with one normalization at the end (float-frozen
-    weights, whose reciprocals have unrelated 53-bit denominators).
-    """
-    lcm = 1
-    for v in vals[i:j]:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        if lcm.bit_length() > 64:
-            break
-    else:
-        return Fraction(
-            sum(v.numerator * (lcm // v.denominator) for v in vals[i:j]), lcm)
-    num, den = 0, 1
-    for v in vals[i:j]:
-        num = num * v.denominator + v.numerator * den
-        den *= v.denominator
-    return Fraction(num, den)
+def _lattice_prefix(f: np.ndarray) -> np.ndarray:
+    """Long-double summed-area table of the cell values f on the h/3
+    lattice: cumulative sums over the cells, then linear interpolation
+    along each axis, scaled so that every coefficient is 1, 2 or 3."""
+    s = np.pad(f.astype(np.longdouble), (1, 0))
+    for axis in range(s.ndim):
+        s = s.cumsum(axis)
+    for axis in range(s.ndim):
+        a = np.moveaxis(s, axis, 0)
+        t = np.empty((3 * len(a) - 2,) + a.shape[1:], dtype=a.dtype)
+        t[0:-1:3] = 3 * a[:-1]
+        t[1::3] = 2 * a[:-1] + a[1:]
+        t[2::3] = a[:-1] + 2 * a[1:]
+        t[-1] = 3 * a[-1]
+        s = np.moveaxis(t, 0, axis)
+    return s
 
 
-def _certified_band(w: Weight, eps: float) -> float:
-    """Relative error bound for floating prescreen window sums.
+def _cube_sums(s: np.ndarray, d: int) -> np.ndarray:
+    """Sums over every mesh cube of side d, differencing along each axis."""
+    for axis in range(s.ndim):
+        head = (slice(None),) * axis
+        s = s[head + (slice(d, None),)] - s[head + (slice(None, -d),)]
+    return s
 
-    A cumulative sum of N nonnegative values has absolute error at most
-    N·eps·total, and every window mass is at least the smallest single
-    cell value, so the relative error of any window sum is at most
-    N·eps·total/min.  The band doubles that for the two factors and adds
-    an order-of-magnitude safety factor.
-    """
-    n = w.mesh.size
-    bound = 0.0
-    for g in (w.fn, w.reciprocal):
-        fl = [float(v) for v in g.values]
-        bound += 4.0 * n * eps * sum(fl) / min(fl)
-    band = 16.0 * bound + 1e-14
+
+def _window_sums(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums over the windows [lo, hi) from a lattice table, by
+    inclusion-exclusion over the 2^D corners in one gather each."""
+    dim = lo.shape[1]
+    total = np.zeros(len(lo), dtype=t.dtype)
+    for corner in iter_product((0, 1), repeat=dim):
+        idx = tuple((hi if c else lo)[:, a] for a, c in enumerate(corner))
+        total += t[idx] if (dim - sum(corner)) % 2 == 0 else -t[idx]
+    return total
+
+
+def _certified_band(dim: int, cells_axis: int, factors) -> float:
+    """Relative band of the prescreen scores (derivation in the module
+    docstring); ``factors`` are the float images of w and w⁻¹."""
+    u = float(np.finfo(np.longdouble).eps) / 2
+    k = dim * (cells_axis + 1) + 2 ** dim
+    cond = sum(math.fsum(f.flat) / f.min() for f in factors)
+    band = 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
     if band > 1e-4:
         raise ValueError("weight too ill-conditioned for a certified search")
     return band
 
 
-def _mesh_max_1d(w: Weight):
-    """Exact max of avg(w)·avg(w⁻¹) over mesh intervals.
-
-    Extended-precision prescreen over every window, then exact rational
-    confirmation of all candidates within the certified error band."""
-    n = w.mesh.size
-    band = _certified_band(w, float(np.finfo(np.longdouble).eps))
-    fw = np.cumsum(np.concatenate(
-        [[0.0], [float(v) for v in w.fn.values]]).astype(np.longdouble))
-    fv = np.cumsum(np.concatenate(
-        [[0.0], [float(v) for v in w.reciprocal.values]]).astype(np.longdouble))
-
-    def prods(d):
-        return (fw[d:] - fw[:-d]) * (fv[d:] - fv[:-d]) / np.longdouble(d * d)
-
-    per_d_max = np.zeros(n + 1, dtype=np.longdouble)
-    for d in range(1, n + 1):
-        per_d_max[d] = prods(d).max()
-    best = float(per_d_max.max())
-    thresh = best * (1.0 - band)
-
-    best_exact = Fraction(0)
-    best_win = (0, 1)
-    confirmed = 0
-    for d in range(1, n + 1):
-        if float(per_d_max[d]) < thresh:
-            continue
-        p = prods(d)
-        for i in np.nonzero(p >= thresh)[0]:
-            i = int(i)
-            sw = _window_sum_exact(w.fn.values, i, i + d)
-            sv = _window_sum_exact(w.reciprocal.values, i, i + d)
-            exact = sw * sv / (d * d)
-            confirmed += 1
-            if exact > best_exact:
-                best_exact, best_win = exact, (i, i + d)
-    h = w.mesh.h
-    lo = w.mesh.domain.lo[0]
-    box = Box.interval(lo + best_win[0] * h, lo + best_win[1] * h)
-    return best_exact, box, confirmed
-
-
-def _mesh_max_2d(w: Weight):
-    """Exact max over mesh-corner-aligned squares via float summed-area
-    prescreen plus exact confirmation."""
-    mesh = w.mesh
-    band = _certified_band(w, float(np.finfo(np.float64).eps))
-    n = mesh.cells_axis
-    aw = np.array([float(v) for v in w.fn.values]).reshape(n, n)
-    av = np.array([float(v) for v in w.reciprocal.values]).reshape(n, n)
-    sw = np.zeros((n + 1, n + 1))
-    sv = np.zeros((n + 1, n + 1))
-    sw[1:, 1:] = aw.cumsum(0).cumsum(1)
-    sv[1:, 1:] = av.cumsum(0).cumsum(1)
-
-    def windows(s, d):
-        return (s[d:, d:] - s[:-d, d:] - s[d:, :-d] + s[:-d, :-d])
-
-    per_d = []
-    best = 0.0
-    for d in range(1, n + 1):
-        prod = windows(sw, d) * windows(sv, d) / float(d) ** 4
-        flat = int(np.argmax(prod))
-        i, j = divmod(flat, prod.shape[1])
-        per_d.append((d, i, j, float(prod[i, j])))
-        best = max(best, float(prod[i, j]))
-    thresh = best * (1.0 - band)
-
-    rows = w.fn._rows(False)
-    rows_v = w.reciprocal._rows(False)
-
-    def exact_window(i, j, d):
-        tw = sum(rows[r][j + d] - rows[r][j] for r in range(i, i + d))
-        tv = sum(rows_v[r][j + d] - rows_v[r][j] for r in range(i, i + d))
-        return tw * tv / Fraction(d) ** 4
-
-    best_exact = Fraction(0)
-    best_win = (0, 0, 1)
-    confirmed = 0
-    for d, ai, aj, dmax in per_d:
-        exact = exact_window(ai, aj, d)
-        confirmed += 1
-        if exact > best_exact:
-            best_exact, best_win = exact, (ai, aj, d)
-        if dmax >= thresh:
-            prod = windows(sw, d) * windows(sv, d) / float(d) ** 4
-            for i, j in zip(*np.nonzero(prod >= thresh)):
-                exact = exact_window(int(i), int(j), d)
-                confirmed += 1
-                if exact > best_exact:
-                    best_exact, best_win = exact, (int(i), int(j), d)
-    h = mesh.h
-    lo = mesh.domain.lo
-    i, j, d = best_win
-    box = Box((lo[0] + i * h, lo[1] + j * h),
-              (lo[0] + (i + d) * h, lo[1] + (j + d) * h))
-    return best_exact, box, confirmed
-
-
-def _region_integral_exact(g: StepFunction, region: Box) -> Fraction:
-    """Exact ∫_region g for a 1-d region, gcd-free inner summation."""
-    mesh = g.mesh
-    ia, ib, partials = mesh.axis_pieces(0, region.lo[0], region.hi[0])
-    total = mesh.h * _window_sum_exact(g.values, ia, ib)
-    for i, width in partials:
-        total += width * g.values[i]
-    return total
-
-
-def _grid_max_1d(w: Weight, band: float):
-    """Max of the A2 product over clipped grid cubes: extended-precision
-    prescreen, exact confirmation of the banded candidates."""
-    mesh = w.mesh
-    h = np.longdouble(float(mesh.h))
-    fw = np.cumsum(np.concatenate(
-        [[0.0], [float(v) for v in w.fn.values]]).astype(np.longdouble)) * h
-    fv = np.cumsum(np.concatenate(
-        [[0.0], [float(v) for v in w.reciprocal.values]]).astype(np.longdouble)) * h
-
-    def approx_integral(pref, vals, pieces):
-        ia, ib, partials = pieces
-        s = pref[ib] - pref[ia]
-        for i, width in partials:
-            s += np.longdouble(float(width)) * np.longdouble(float(vals[i]))
-        return s
-
-    scored = []
-    for cube, region in _grid_cube_regions(mesh):
-        pieces = mesh.axis_pieces(0, region.lo[0], region.hi[0])
-        m = np.longdouble(float(region.measure))
-        val = (approx_integral(fw, w.fn.values, pieces)
-               * approx_integral(fv, w.reciprocal.values, pieces)) / (m * m)
-        scored.append((float(val), region))
-    if not scored:
-        return Fraction(0), None, 0
-    top = max(s for s, _ in scored)
-    thresh = top * (1.0 - band)
-    best_exact = Fraction(0)
-    best_region = None
-    confirmed = 0
-    for s, region in scored:
-        if s < thresh:
-            continue
-        m = region.measure
-        val = (_region_integral_exact(w.fn, region) / m) \
-            * (_region_integral_exact(w.reciprocal, region) / m)
-        confirmed += 1
-        if val > best_exact:
-            best_exact, best_region = val, region
-    return best_exact, best_region, confirmed
+def _window_sum_exact(terms, n: int, lo, hi) -> tuple[int, int]:
+    """Exact Σ over the lattice window [lo, hi) in lattice units, as an
+    unreduced pair (num, den), from the cells' (num, den) ``terms``.  Each
+    cell is weighted by the lattice cells it holds; the terms are added
+    pairwise in a balanced tree, so operand sizes stay matched."""
+    axes = [[(c, min(b, 3 * c + 3) - max(a, 3 * c))
+             for c in range(a // 3, (b + 2) // 3)] for a, b in zip(lo, hi)]
+    pairs = []
+    for cells in iter_product(*axes):
+        flat, wt = 0, 1
+        for c, x in cells:
+            flat, wt = flat * n + c, wt * x
+        num, den = terms[flat]
+        pairs.append((wt * num, den))
+    while len(pairs) > 1:
+        pairs = [(a + c, b) if b == d else (a * d + c * b, b * d)
+                 for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])] \
+            + pairs[len(pairs) - len(pairs) % 2:]
+    return pairs[0]
 
 
 def a2_constant(w: Weight) -> A2Report:
     """Exact max of avg(w,R)·avg(w⁻¹,R) over the search family: all
     mesh-corner-aligned cubes and all grid cubes of all 2ⁿ shifted grids
-    (clipped to the domain)."""
+    (clipped to the domain).  See the module docstring for the search."""
     mesh = w.mesh
     if all(v == w.fn.values[0] for v in w.fn.values):
         # every average is the cell value, so every product is exactly 1
@@ -360,31 +262,60 @@ def a2_constant(w: Weight) -> A2Report:
             search="constant weight: every region gives exactly 1",
             candidates_confirmed=1,
         )
-    if mesh.dim == 1:
-        best, box, confirmed = _mesh_max_1d(w)
-        kind = "mesh-aligned"
-        band = _certified_band(w, float(np.finfo(np.longdouble).eps))
-        gbest, gbox, gcount = _grid_max_1d(w, band)
-        confirmed += gcount
-        if gbest > best:
-            best, box, kind = gbest, gbox, "grid-cube"
-    else:
-        best, box, confirmed = _mesh_max_2d(w)
-        kind = "mesh-aligned"
-        for cube, region in _grid_cube_regions(mesh):
-            m = region.measure
-            val = (w.fn.integral(region) / m) \
-                * (w.reciprocal.integral(region) / m)
-            confirmed += 1
-            if val > best:
-                best, box, kind = val, region, "grid-cube"
+    dim, n = mesh.dim, mesh.cells_axis
+    factors = [np.array([float(v) for v in g.values]).reshape(mesh.shape)
+               for g in (w.fn, w.reciprocal)]
+    keep = 1 - np.longdouble(_certified_band(dim, n, factors))
+    tw, tv = (_lattice_prefix(f) for f in factors)
+
+    glo, ghi = _grid_windows(mesh)
+    area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
+    gscore = (_window_sums(tw, glo, ghi) * _window_sums(tv, glo, ghi)
+              / (area * area))
+    best = gscore.max()
+    # one pass over the sides: keep every cube within the band of the
+    # running best, a superset of the final candidates
+    nodes = (slice(None, None, 3),) * dim  # table entries at cell corners
+    kept = []
+    for d in range(1, n + 1):
+        raw = (_cube_sums(tw[nodes], d) * _cube_sums(tv[nodes], d)).ravel()
+        norm = np.longdouble(3 * d) ** (2 * dim)
+        best = max(best, raw.max() / norm)
+        idx = np.flatnonzero(raw >= best * keep * norm)
+        if idx.size:
+            kept.append((d, idx, raw[idx]))
+    thresh = best * keep
+
+    windows = []
+    for d, idx, raw in kept:
+        for i in idx[raw >= thresh * np.longdouble(3 * d) ** (2 * dim)]:
+            lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
+            windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
+    for i in np.flatnonzero(gscore >= thresh):
+        windows.append((glo[i].tolist(), ghi[i].tolist(), "grid-cube"))
+
+    terms = [[(v.numerator, v.denominator) for v in g.values]
+             for g in (w.fn, w.reciprocal)]
+    best_num, best_den, best_win = 0, 1, None
+    for lo, hi, kind in windows:
+        (nw, dw), (nv, dv) = (_window_sum_exact(t, n, lo, hi) for t in terms)
+        area = math.prod(b - a for a, b in zip(lo, hi))
+        num, den = nw * nv, dw * dv * area * area
+        if num * best_den > best_num * den:
+            best_num, best_den, best_win = num, den, (lo, hi, kind)
+    lo, hi, kind = best_win
+    corner, third = mesh.domain.lo, mesh.h / 3
+    # strip the common power of two before the gcd: for float-frozen
+    # weights it is about half the bits of each operand
+    two = ((best_num | best_den) & -(best_num | best_den)).bit_length() - 1
     return A2Report(
-        constant=best,
-        witness=box,
+        constant=Fraction(best_num >> two, best_den >> two),
+        witness=Box(tuple(c + a * third for c, a in zip(corner, lo)),
+                    tuple(c + b * third for c, b in zip(corner, hi))),
         witness_kind=kind,
         search="search-family constant: mesh-corner-aligned cubes + "
                "all shifted-grid cubes clipped to the domain",
-        candidates_confirmed=confirmed,
+        candidates_confirmed=len(windows),
     )
 
 
@@ -410,17 +341,6 @@ class CellOperator:
 
     def apply_t(self, v: np.ndarray) -> np.ndarray:
         return self._apply_t(np.asarray(v, dtype=float))
-
-    def dense(self) -> np.ndarray:
-        if self.size > 4096:
-            raise ValueError("dense matrix only for small instances")
-        cols = [self.apply(np.eye(self.size)[:, i]) for i in range(self.size)]
-        return np.stack(cols, axis=1)
-
-
-def identity_operator(mesh: Mesh) -> CellOperator:
-    return CellOperator("identity", mesh.size, lambda v: v.copy(),
-                        lambda v: v.copy())
 
 
 def _atom_range(mesh: Mesh, box: Box) -> tuple[int, int]:
@@ -644,12 +564,6 @@ class ScanTable:
                              repr(r.ratio)])
         return buf.getvalue()
 
-    def to_gnuplot(self) -> str:
-        lines = ["# A2 opnorm"]
-        for r in self.rows:
-            lines.append("%r %r" % (r.a2, r.opnorm))
-        return "\n".join(lines) + "\n"
-
 
 def _scan_operator(kind: str, mesh: Mesh, center) -> CellOperator:
     if kind == "sparse":
@@ -659,15 +573,14 @@ def _scan_operator(kind: str, mesh: Mesh, center) -> CellOperator:
     raise ValueError("unknown operator kind: %r" % kind)
 
 
-def a2_scan(kind: str, exponents, level: int, seed: int = 0,
-            center=Fraction(1, 2), iters: int = 80,
-            workers: int = 1) -> ScanTable:
-    """Scan ‖op‖_{L²(w_a)} against the A₂ constant of w_a(x) = |x−c|^a.
+def a2_scan(kinds, exponents, level: int, seed: int = 0,
+            center=Fraction(1, 2), iters: int = 80) -> list[ScanTable]:
+    """Scan ‖op‖_{L²(w_a)} against the A₂ constant of w_a(x) = |x−c|^a,
+    one table per operator kind in ``kinds``.
 
     Each exponent must lie in (−1, 1) (the weight is A₂ in the continuum).
-    Rows are independent pure computations with derived seeds; ``workers``
-    > 1 runs them in a thread pool, ordering is by exponent index either
-    way.
+    Each weight and its A₂ constant are computed once and shared by every
+    operator; row idx runs power iteration with seed ``seed ^ idx``.
     """
     exponents = list(exponents)
     for a in exponents:
@@ -675,30 +588,26 @@ def a2_scan(kind: str, exponents, level: int, seed: int = 0,
             raise ValueError("exponent %r outside (-1, 1)" % a)
     mesh = Mesh(dim=1, level=level)
     center = rat(center)
-    op = _scan_operator(kind, mesh, center)
-
-    def row(idx_a):
-        idx, a = idx_a
+    ops = [_scan_operator(kind, mesh, center) for kind in kinds]
+    rows = [[] for _ in ops]
+    for idx, a in enumerate(exponents):
         w = (Weight.constant(mesh, 1) if a == 0
              else Weight.power(mesh, a, center))
         rep = a2_constant(w)
-        est = operator_norm_weighted(op, w, iters=iters, seed=seed ^ idx)
         a2 = float(rep.constant)
-        return ScanRow(a=float(a), a2=a2, opnorm=est.value,
-                       ratio=est.value / a2, a2_exact=rep.constant,
-                       converged=est.converged)
+        for op, out in zip(ops, rows):
+            est = operator_norm_weighted(op, w, iters=iters, seed=seed ^ idx)
+            out.append(ScanRow(a=float(a), a2=a2, opnorm=est.value,
+                               ratio=est.value / a2, a2_exact=rep.constant,
+                               converged=est.converged))
 
-    jobs = list(enumerate(exponents))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, jobs))
-    else:
-        rows = [row(j) for j in jobs]
-
-    table = ScanTable(kind=kind, level=level, center=center, rows=rows)
-    if len(rows) >= 2:
-        xs = np.array([r.a2 for r in rows])
-        ys = np.array([r.opnorm for r in rows])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        table.slope, table.intercept = float(slope), float(intercept)
-    return table
+    tables = []
+    for kind, out in zip(kinds, rows):
+        table = ScanTable(kind=kind, level=level, center=center, rows=out)
+        if len(out) >= 2:
+            xs = np.array([r.a2 for r in out])
+            ys = np.array([r.opnorm for r in out])
+            slope, intercept = np.polyfit(xs, ys, 1)
+            table.slope, table.intercept = float(slope), float(intercept)
+        tables.append(table)
+    return tables

@@ -1,5 +1,6 @@
 """Tests for A2 constants, weighted norms, and operator-norm estimation."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,20 +12,22 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from sparsedom.geometry import Box, Cube, GridId
-from sparsedom.stepfn import Mesh, StepFunction, average
+from sparsedom.rational import pow2
+from sparsedom.stepfn import Mesh, StepFunction, average, _top_scale
 from sparsedom.sparse import SparseFamily
 from sparsedom.weights import (
+    CellOperator,
     Weight,
     a2_constant,
     a2_scan,
     amalgam_pair_operator,
     hilbert_full_operator,
-    identity_operator,
     operator_norm_weighted,
     sparse_family_operator,
     tower_family,
     weighted_norm,
-    _grid_cube_regions,
+    _certified_band,
+    _grid_windows,
 )
 from sparsedom.czo import hilbert_apply
 
@@ -34,6 +37,33 @@ def mk_weight(mesh, seed, hi=9):
     return Weight(StepFunction(
         mesh, [Fraction(rng.randrange(1, hi), rng.randrange(1, 4))
                for _ in range(mesh.size)]))
+
+
+def identity_operator(mesh):
+    return CellOperator("identity", mesh.size, lambda v: v.copy(),
+                        lambda v: v.copy())
+
+
+def dense(op):
+    return np.stack([op.apply(np.eye(op.size)[:, i]) for i in range(op.size)],
+                    axis=1)
+
+
+def grid_cube_regions(mesh):
+    """Every grid cube of every shifted grid from the mesh scale up to the
+    domain cover, clipped to the domain, enumerated in Fractions."""
+    dom = mesh.domain
+    for grid in GridId.all_grids(mesh.dim):
+        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
+            s = pow2(-k)
+            off = grid.offset_at(k)
+            ranges = [range(math.floor(dom.lo[a] / s - off[a]),
+                            math.ceil(dom.hi[a] / s - off[a]))
+                      for a in range(mesh.dim)]
+            for j in itertools.product(*ranges):
+                region = Cube(grid, k, j).box.intersect(dom)
+                if region is not None:
+                    yield region
 
 
 def brute_a2(w):
@@ -59,7 +89,7 @@ def brute_a2(w):
                             (lo[0] + (i + d) * h, lo[1] + (j + d) * h))
                     best = max(best,
                                average(w.fn, b) * average(w.reciprocal, b))
-    for _, region in _grid_cube_regions(mesh):
+    for region in grid_cube_regions(mesh):
         m = region.measure
         val = (w.fn.integral(region) / m) * (w.reciprocal.integral(region) / m)
         best = max(best, val)
@@ -223,6 +253,57 @@ def test_a2_2d_constant_and_brute():
     assert a2_constant(w.scaled(5)).constant == rep.constant
 
 
+def test_a2_2d_level2_matches_brute_with_grid_cube_witness():
+    w = mk_weight(Mesh(dim=2, level=2), 0)
+    rep = a2_constant(w)
+    assert rep.witness_kind == "grid-cube"
+    assert rep.constant == brute_a2(w)
+    b = rep.witness
+    assert average(w.fn, b) * average(w.reciprocal, b) == rep.constant
+
+
+def test_a2_1d_grid_cube_witness():
+    # a shifted-grid cube clipped at the domain's lower end beats every
+    # mesh interval
+    mesh = Mesh(dim=1, level=1)
+    w = Weight(StepFunction(mesh, [1, 2, 3, 4, 4, Fraction(5, 2)]))
+    rep = a2_constant(w)
+    assert rep.witness_kind == "grid-cube"
+    assert rep.witness == Box.interval(-1, Fraction(4, 3))
+    assert rep.constant == Fraction(513, 392) == brute_a2(w)
+
+
+def test_grid_windows_match_fraction_enumeration():
+    for mesh in (Mesh(dim=1, level=4), Mesh(dim=2, level=2)):
+        lo, hi = _grid_windows(mesh)
+        origin, third = mesh.domain.lo, mesh.h / 3
+        got = [Box(tuple(c + int(a) * third for c, a in zip(origin, l)),
+                   tuple(c + int(b) * third for c, b in zip(origin, u)))
+               for l, u in zip(lo, hi)]
+        assert got == list(grid_cube_regions(mesh))
+
+
+def _band_before(w):
+    """The prescreen band of the four-search implementation: 16 times the
+    long-double cumulative-sum bound 4·N·eps·Σ/min of each factor."""
+    eps = float(np.finfo(np.longdouble).eps)
+    bound = 0.0
+    for g in (w.fn, w.reciprocal):
+        fl = [float(v) for v in g.values]
+        bound += 4.0 * w.mesh.size * eps * sum(fl) / min(fl)
+    return 16.0 * bound + 1e-14
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.8, 0.9, 0.95])
+def test_band_of_a2_scan_weights(a):
+    w = Weight.power(Mesh(dim=1, level=12), a)
+    factors = [np.array([float(v) for v in g.values])
+               for g in (w.fn, w.reciprocal)]
+    band = _certified_band(1, w.mesh.cells_axis, factors)
+    assert band < 1e-4
+    assert band <= _band_before(w)
+
+
 def test_a2_report_json():
     rep = a2_constant(mk_weight(Mesh(dim=1, level=2), 4))
     data = rep.to_json()
@@ -261,7 +342,7 @@ def test_power_iteration_never_exceeds_svd():
     for a, seed in ((0.0, 0), (0.6, 1), (0.9, 2)):
         w = (Weight.constant(mesh, 1) if a == 0 else Weight.power(mesh, a))
         wf = np.array([float(v) for v in w.fn.values])
-        m = np.diag(np.sqrt(wf)) @ op.dense() @ np.diag(1 / np.sqrt(wf))
+        m = np.diag(np.sqrt(wf)) @ dense(op) @ np.diag(1 / np.sqrt(wf))
         sigma = np.linalg.svd(m, compute_uv=False)[0]
         est = operator_norm_weighted(op, w, iters=300, seed=seed)
         assert est.value <= sigma + 1e-9
@@ -344,7 +425,7 @@ def test_tower_family_structure():
 # ---------------------------------------------------------------------------
 
 def test_a2_scan_small():
-    tab = a2_scan("sparse", [0, 0.5], level=5, seed=1, iters=20)
+    tab, = a2_scan(["sparse"], [0, 0.5], level=5, seed=1, iters=20)
     assert len(tab.rows) == 2
     assert tab.rows[0].a2_exact == 1
     assert tab.rows[1].a2 > 1
@@ -353,24 +434,23 @@ def test_a2_scan_small():
     csv_text = tab.to_csv()
     assert csv_text.splitlines()[0] == "a,A2,opnorm,ratio"
     assert len(csv_text.splitlines()) == 3
-    gp = tab.to_gnuplot()
-    assert gp.startswith("# A2 opnorm")
     data = tab.to_json()
     assert data["kind"] == "sparse" and len(data["rows"]) == 2
 
 
 def test_a2_scan_rejects_bad_exponent_and_kind():
     with pytest.raises(ValueError):
-        a2_scan("sparse", [0, 1.0], level=4)
+        a2_scan(["sparse"], [0, 1.0], level=4)
     with pytest.raises(ValueError):
-        a2_scan("sparse", [-1.0], level=4)
+        a2_scan(["sparse"], [-1.0], level=4)
     with pytest.raises(ValueError):
-        a2_scan("banach", [0.5], level=4)
+        a2_scan(["sparse", "banach"], [0.5], level=4)
 
 
-def test_a2_scan_workers_deterministic():
-    one = a2_scan("hilbert", [0.2, 0.4, 0.6], level=4, seed=3, iters=15)
-    two = a2_scan("hilbert", [0.2, 0.4, 0.6], level=4, seed=3, iters=15,
-                  workers=3)
-    for r1, r2 in zip(one.rows, two.rows):
-        assert r1.a == r2.a and r1.a2 == r2.a2 and r1.opnorm == r2.opnorm
+def test_a2_scan_shares_weights_across_kinds():
+    both = a2_scan(["hilbert", "sparse"], [0.2, 0.6], level=4, seed=3,
+                   iters=15)
+    assert [t.kind for t in both] == ["hilbert", "sparse"]
+    for tab in both:
+        one, = a2_scan([tab.kind], [0.2, 0.6], level=4, seed=3, iters=15)
+        assert tab.to_json() == one.to_json()
