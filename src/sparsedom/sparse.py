@@ -41,6 +41,7 @@ from .stepfn import (
     median,
     sharp_maximal,
     _aligned_cell_range,
+    _grid_cube_sums,
     _top_scale,
 )
 
@@ -135,30 +136,15 @@ def verify_sparse_family(fam: SparseFamily):
 # Calderon-Zygmund construction on the grid maximal function
 # ---------------------------------------------------------------------------
 
-def _scale_averages(g: StepFunction, grid: GridId, k: int) -> dict[tuple, Fraction]:
-    """Nonzero geometric averages of ``g`` over the grid cubes of scale k
-    that meet the mesh, keyed by cube index."""
-    mesh = g.mesh
-    side = pow2(-k)
-    offs = grid.offset_at(k)
-    ranges = []
-    for axis in range(mesh.dim):
-        lo = (mesh.domain.lo[axis] + mesh.h / 2) / side - offs[axis]
-        hi = (mesh.domain.hi[axis] - mesh.h / 2) / side - offs[axis]
-        ranges.append(range(int(np.floor(float(lo))) - 1,
-                            int(np.floor(float(hi))) + 2))
-    level_avgs = {}
-    denom = side**mesh.dim
-    if mesh.dim == 1:
-        for j, val in g.cube_integrals(grid, k, ranges[0]).items():
-            level_avgs[(j,)] = val / denom
-    else:
-        for jx in ranges[0]:
-            for jy in ranges[1]:
-                val = g.integral(Cube(grid, k, (jx, jy)).box)
-                if val:
-                    level_avgs[(jx, jy)] = val / denom
-    return level_avgs
+def _scale_averages(f: StepFunction, grid: GridId, k: int) -> dict[tuple, Fraction]:
+    """Nonzero geometric averages of |f| over the grid cubes of scale k
+    that meet the mesh, keyed by cube index in row-major order, from the
+    integer cube sums of ``_grid_cube_sums``."""
+    mesh = f.mesh
+    sums, first, _ = _grid_cube_sums(f, grid, k)
+    den = f._abs_numerators()[1] * (3 << (mesh.level - k)) ** mesh.dim
+    return {tuple(i + j for i, j in zip(idx, first)): Fraction(v, den)
+            for idx, v in np.ndenumerate(sums) if v}
 
 
 def _subtree_maxima(avg: dict[int, dict[tuple, Fraction]], grid: GridId,
@@ -196,8 +182,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     mesh = f.mesh
     n = mesh.dim
     top = _top_scale(mesh)
-    g = abs(f)
-    avg = {k: _scale_averages(g, grid, k) for k in range(top, mesh.level + 1)}
+    avg = {k: _scale_averages(f, grid, k) for k in range(top, mesh.level + 1)}
     m0 = min(v for level in avg.values() for v in level.values())
     vmax = max(v for level in avg.values() for v in level.values())
 
@@ -215,7 +200,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     l1 = f.norm_l1()
     while l1 * pow2(top * n) > t_bot:
         top -= 1
-        avg[top] = _scale_averages(g, grid, top)
+        avg[top] = _scale_averages(f, grid, top)
     submax = _subtree_maxima(avg, grid, top, mesh.level)
 
     def select(threshold: Fraction) -> list[Cube]:

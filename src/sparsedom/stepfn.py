@@ -13,11 +13,22 @@ and the maximal operators
 All averages are exact: numerators integrate the step function
 geometrically (partial cells weighted by overlap), denominators use the
 full box measure, so zero extension outside the domain is automatic.
+
+``dyadic_maximal`` and ``hl_maximal`` work on integers.  |f| is carried as
+integer numerators over one common denominator D, the lcm of the cell
+denominators, and lengths on the h/3 lattice counted from the domain's
+lower corner lo.  There every grid-cube corner at a scale k <= level is an
+integer, (3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1}.  Averages are
+compared as integers over a shared denominator or by cross-multiplication,
+and Fractions are built only for the output, one per distinct value.
+``dyadic_maximal`` costs one gather per scale; ``hl_maximal`` is
+O(N log² N) in 1-D and O(n³) in 2-D, for n cells per axis.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,8 +166,7 @@ class StepFunction:
         self.values = values
         self._prefix = None
         self._row_prefix = None
-        self._abs_prefix = None
-        self._abs_row_prefix = None
+        self._abs_num = None
 
     # -- constructors -------------------------------------------------------
 
@@ -189,38 +199,41 @@ class StepFunction:
 
     # -- caches -------------------------------------------------------------
 
-    def _pref(self, absolute: bool):
+    def _pref(self):
         if self.mesh.dim != 1:
             raise RuntimeError("1-d prefix requested on a 2-d mesh")
-        attr = "_abs_prefix" if absolute else "_prefix"
-        cached = getattr(self, attr)
-        if cached is None:
+        if self._prefix is None:
             acc = Fraction(0)
-            cached = [acc]
+            self._prefix = [acc]
             for v in self.values:
-                acc += abs(v) if absolute else v
-                cached.append(acc)
-            setattr(self, attr, cached)
-        return cached
+                acc += v
+                self._prefix.append(acc)
+        return self._prefix
 
-    def _rows(self, absolute: bool):
+    def _rows(self):
         if self.mesh.dim != 2:
             raise RuntimeError("row prefixes requested on a 1-d mesh")
-        attr = "_abs_row_prefix" if absolute else "_row_prefix"
-        cached = getattr(self, attr)
-        if cached is None:
+        if self._row_prefix is None:
             n = self.mesh.cells_axis
-            cached = []
+            self._row_prefix = []
             for i in range(n):
                 acc = Fraction(0)
                 row = [acc]
-                for j in range(n):
-                    v = self.values[i * n + j]
-                    acc += abs(v) if absolute else v
+                for v in self.values[i * n:(i + 1) * n]:
+                    acc += v
                     row.append(acc)
-                cached.append(row)
-            setattr(self, attr, cached)
-        return cached
+                self._row_prefix.append(row)
+        return self._row_prefix
+
+    def _abs_numerators(self) -> tuple[np.ndarray, int]:
+        """|f| as integers over one common denominator D: an object array
+        of Python ints shaped like the mesh, and D."""
+        if self._abs_num is None:
+            den = math.lcm(*(v.denominator for v in self.values))
+            nums = [abs(v.numerator) * (den // v.denominator) for v in self.values]
+            self._abs_num = (np.array(nums, dtype=object).reshape(self.mesh.shape),
+                              den)
+        return self._abs_num
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -270,14 +283,14 @@ class StepFunction:
             return mesh.h**mesh.dim * sum(self.values)
         if mesh.dim == 1:
             ia, ib, partials = mesh.axis_pieces(0, box.lo[0], box.hi[0])
-            pref = self._pref(False)
+            pref = self._pref()
             total = mesh.h * (pref[ib] - pref[ia])
             for i, w in partials:
                 total += w * self.values[i]
             return total
         xa, xb, xpart = mesh.axis_pieces(0, box.lo[0], box.hi[0])
         ya, yb, ypart = mesh.axis_pieces(1, box.lo[1], box.hi[1])
-        rows = self._rows(False)
+        rows = self._rows()
         n = mesh.cells_axis
 
         def row_sum(i):
@@ -293,70 +306,25 @@ class StepFunction:
             total += w * row_sum(i)
         return total
 
-    def atom_sum(self, box: Box, absolute: bool = False) -> Fraction:
+    def atom_sum(self, box: Box) -> Fraction:
         """h^n times the sum of values over cells whose centers lie in box."""
         mesh = self.mesh
         scale = mesh.h**mesh.dim
         if mesh.dim == 1:
             i0, i1 = mesh.axis_atoms(0, box.lo[0], box.hi[0])
-            pref = self._pref(absolute)
+            pref = self._pref()
             return scale * (pref[i1] - pref[i0])
         i0, i1 = mesh.axis_atoms(0, box.lo[0], box.hi[0])
         j0, j1 = mesh.axis_atoms(1, box.lo[1], box.hi[1])
-        rows = self._rows(absolute)
+        rows = self._rows()
         total = Fraction(0)
         for i in range(i0, i1):
             total += rows[i][j1] - rows[i][j0]
         return scale * total
 
-    def cube_integrals(self, grid: GridId, k: int, jrange) -> dict[int, Fraction]:
-        """Exact integrals over the grid cubes (k, (j,)) for j in jrange,
-        keyed by j, omitting zeros.
-
-        Matches integral(Cube(grid, k, (j,)).box) but shares one alignment
-        computation per scale, so sweeping a whole scale is cheap.  One
-        dimension only, scales no finer than the mesh.
-        """
-        mesh = self.mesh
-        if mesh.dim != 1:
-            raise ValueError("cube_integrals is one-dimensional")
-        if k > mesh.level:
-            raise ValueError("scale finer than the mesh")
-        pref = self._pref(False)
-        vals = self.values
-        n = mesh.cells_axis
-        h = mesh.h
-        stride = 1 << (mesh.level - k)
-        t0 = grid.offset_at(k)[0] * stride - mesh.domain.lo[0] / h
-        base = rat_floor(t0)
-        frac = t0 - base
-        out: dict[int, Fraction] = {}
-        if frac == 0:
-            for j in jrange:
-                a = base + j * stride
-                lo, hi = max(a, 0), min(a + stride, n)
-                if lo < hi:
-                    v = h * (pref[hi] - pref[lo])
-                    if v:
-                        out[j] = v
-        else:
-            # every cube at this scale splits cells with the same fractions
-            w_left = (1 - frac) * h
-            w_right = frac * h
-            for j in jrange:
-                a = base + j * stride
-                lo, hi = max(a + 1, 0), min(a + stride, n)
-                v = h * (pref[hi] - pref[lo]) if lo < hi else Fraction(0)
-                if 0 <= a < n and vals[a]:
-                    v += w_left * vals[a]
-                if 0 <= a + stride < n and vals[a + stride]:
-                    v += w_right * vals[a + stride]
-                if v:
-                    out[j] = v
-        return out
-
     def norm_l1(self) -> Fraction:
-        return self.mesh.h**self.mesh.dim * sum(abs(v) for v in self.values)
+        nums, den = self._abs_numerators()
+        return self.mesh.h**self.mesh.dim * Fraction(nums.sum(), den)
 
     def norm_l2_sq(self) -> Fraction:
         return self.mesh.h**self.mesh.dim * sum(v * v for v in self.values)
@@ -675,55 +643,76 @@ def _top_scale(mesh: Mesh) -> int:
     return -(floor_log2(3 * side) + 1)
 
 
+def _shared_fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
+    """Fraction(num, den) per (num, den) pair, one object per distinct pair:
+    outputs repeat few values over many cells."""
+    made = {p: Fraction(*p) for p in set(pairs)}
+    return [made[p] for p in pairs]
+
+
+def _grid_cube_sums(f: StepFunction, grid: GridId, k: int):
+    """Integer sums of |f| over every cube of ``grid`` at scale k <= level
+    that meets the domain, in units of (h/3)^n / D (see the module
+    docstring).
+
+    Returns the sums (one array axis per space axis), the index j of the
+    first cube on each axis, and per axis the array position of the cube
+    holding each cell center.  Per axis the cumulative sum P over the
+    cells is refined to the lattice at the clipped cube corners x,
+    3·P[x//3] + (x%3)·v[x//3], and differenced.
+    """
+    mesh = f.mesh
+    n = mesh.cells_axis
+    g = 1 << (mesh.level - k)
+    s = f._abs_numerators()[0]
+    first, cells = [], []
+    for axis, (off, lo) in enumerate(zip(grid.offset_at(k), mesh.domain.lo)):
+        # cube j spans [3jg + c, 3jg + 3g + c) on this axis
+        c = int(3 * off) * g - 3 * int(lo / mesh.h)
+        j0 = -c // (3 * g)
+        j1 = (3 * n - 1 - c) // (3 * g) + 1
+        q, r = np.divmod(np.clip(3 * g * np.arange(j0, j1 + 1) + c, 0, 3 * n), 3)
+        first.append(j0)
+        cells.append((3 * np.arange(n) + 1 - c) // (3 * g) - j0)
+        a = np.moveaxis(s, axis, 0)
+        p = np.concatenate([np.zeros((1,) + a.shape[1:], dtype=object),
+                            a.cumsum(0)])
+        r = r.reshape((-1,) + (1,) * (a.ndim - 1))
+        t = 3 * p[q] + r * a[np.minimum(q, n - 1)]
+        s = np.moveaxis(np.diff(t, axis=0), 0, axis)
+    return s, first, cells
+
+
 def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     """M^{grid} f: max over grid cubes containing each cell center of the
-    exact average of |f| (full cube measure in the denominator)."""
+    exact average of |f| (full cube measure in the denominator).
+
+    Scale k's integer cube sums times 2^(n(k-top)) share the denominator
+    D·(3·2^(level-top))^n, so the maximum over scales is an integer
+    maximum, one gather per scale; Fractions are built only for the output.
+    """
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
-    out = [Fraction(0)] * mesh.size
-    g = abs(f)
-    for k in range(_top_scale(mesh), mesh.level + 1):
-        side = pow2(-k)
-        denom = side**mesh.dim
-        offs = grid.offset_at(k)
-        jranges = []
-        for axis in range(mesh.dim):
-            lo = (mesh.domain.lo[axis] + mesh.h / 2) / side - offs[axis]
-            hi = (mesh.domain.hi[axis] - mesh.h / 2) / side - offs[axis]
-            jranges.append(range(rat_floor(lo), rat_floor(hi) + 1))
-        if mesh.dim == 1:
-            stride = 1 << (mesh.level - k)
-            t0 = offs[0] * stride - mesh.domain.lo[0] / mesh.h
-            base = rat_floor(t0)
-            shift = 0 if t0 - base <= Fraction(1, 2) else 1
-            for j, raw in g.cube_integrals(grid, k, jranges[0]).items():
-                val = raw / denom
-                a = base + j * stride + shift
-                for i in range(max(a, 0), min(a + stride, mesh.size)):
-                    if val > out[i]:
-                        out[i] = val
-        else:
-            for jx in jranges[0]:
-                for jy in jranges[1]:
-                    box = Cube(grid, k, (jx, jy)).box
-                    val = g.integral(box) / denom
-                    i0, i1 = mesh.axis_atoms(0, box.lo[0], box.hi[0])
-                    j0, j1 = mesh.axis_atoms(1, box.lo[1], box.hi[1])
-                    for i in range(i0, i1):
-                        row = i * mesh.cells_axis
-                        for jj in range(j0, j1):
-                            if val > out[row + jj]:
-                                out[row + jj] = val
-    return StepFunction(mesh, out)
+    top, dim = _top_scale(mesh), mesh.dim
+    best = np.zeros(mesh.shape, dtype=object)
+    for k in range(top, mesh.level + 1):
+        sums, _, cells = _grid_cube_sums(f, grid, k)
+        best = np.maximum(best, (sums * (1 << dim * (k - top)))[np.ix_(*cells)])
+    den = f._abs_numerators()[1] * (3 << (mesh.level - top)) ** dim
+    return StepFunction(mesh, _shared_fractions([(v, den) for v in best.flat]))
 
 
 # -- Hardy-Littlewood surrogate ---------------------------------------------
+#
+# Averages of |f| are integer pairs (sum, length) over the common
+# denominator D, compared by cross-multiplication.
 
 def _tangent_from_point(px, py, hull):
-    """Max slope from (px,py) to a static convex hull, by binary search on
-    the unimodal slope sequence along the hull.  Works for both query
-    sides: the sign flips of numerator and denominator cancel."""
+    """Max slope from (px,py) to a static convex hull of integer points, by
+    binary search on the unimodal slope sequence along the hull, as a pair
+    (rise, run) with run > 0.  Works for both query sides: the sign flips
+    of numerator and denominator cancel."""
     lo, hi = 0, len(hull) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -734,7 +723,7 @@ def _tangent_from_point(px, py, hull):
         else:
             hi = mid
     x1, y1 = hull[lo]
-    return (y1 - py) / Fraction(x1 - px)
+    return (y1 - py, x1 - px) if x1 > px else (py - y1, px - x1)
 
 
 def _upper_hull(points):
@@ -763,14 +752,19 @@ def _lower_hull(points):
     return hull
 
 
-def _hl_1d(values: list[Fraction]) -> list[Fraction]:
-    """For every cell the exact max average of |values| over cell-aligned
-    intervals containing it; divide and conquer over crossing intervals."""
-    n = len(values)
-    pref = [Fraction(0)]
-    for v in values:
-        pref.append(pref[-1] + abs(v))
-    out = [abs(v) for v in values]  # the single-cell interval
+def _hl_1d(nums: list[int]) -> list[tuple[int, int]]:
+    """For every cell the max average of the nonnegative integers ``nums``
+    over cell-aligned intervals containing it, as a pair (sum, length);
+    divide and conquer over crossing intervals."""
+    n = len(nums)
+    pref = [0]
+    for v in nums:
+        pref.append(pref[-1] + v)
+    out = [(v, 1) for v in nums]  # the single-cell interval
+
+    def raise_to(c, s):
+        if s[0] * out[c][1] > out[c][0] * s[1]:
+            out[c] = s
 
     def solve(lo, hi):
         if hi - lo <= 1:
@@ -779,60 +773,76 @@ def _hl_1d(values: list[Fraction]) -> list[Fraction]:
         solve(lo, mid)
         solve(mid, hi)
         # crossing intervals [a, b) with a <= mid-1 and b >= mid+1
-        right_pts = [(b, pref[b]) for b in range(mid + 1, hi + 1)]
-        upper = _upper_hull(right_pts)
-        best = None
+        upper = _upper_hull([(b, pref[b]) for b in range(mid + 1, hi + 1)])
+        best = (0, 1)
         for a in range(lo, mid):
             s = _tangent_from_point(a, pref[a], upper)
-            if best is None or s > best:
+            if s[0] * best[1] > best[0] * s[1]:
                 best = s
-            if best > out[a]:
-                out[a] = best
-        left_pts = [(a, pref[a]) for a in range(lo, mid)]
-        lower = _lower_hull(left_pts)
-        best = None
+            raise_to(a, best)
+        lower = _lower_hull([(a, pref[a]) for a in range(lo, mid)])
+        best = (0, 1)
         for b in range(hi, mid, -1):  # suffix maxima over b >= c+1
             s = _tangent_from_point(b, pref[b], lower)
-            if best is None or s > best:
+            if s[0] * best[1] > best[0] * s[1]:
                 best = s
-            c = b - 1
-            if c >= mid and best > out[c]:
-                out[c] = best
+            raise_to(b - 1, best)
     solve(0, n)
     return out
 
 
-def hl_maximal(f: StepFunction, stride: int = 1) -> StepFunction:
-    """Hardy-Littlewood surrogate: max average of |f| over mesh-corner
-    aligned cubes containing each cell.
+def _sliding_max(w: np.ndarray, d: int, axis: int) -> np.ndarray:
+    """Along ``axis``, out[i] = max w[i-d+1 .. i] over the indices inside
+    w, for len(w) + d - 1 outputs; w >= 0.  Van Herk / Gil-Werman: pad
+    with d - 1 zeros each side, cut into blocks of d, and take the larger
+    of a suffix maximum and a prefix maximum, whatever d."""
+    a = np.moveaxis(w, axis, 0)
+    m = len(a)
+    blocks = -(-(m + 2 * d - 2) // d)
+    e = np.zeros((blocks * d,) + a.shape[1:], dtype=object)
+    e[d - 1:d - 1 + m] = a
+    e = e.reshape((blocks, d) + a.shape[1:])
+    pre = np.maximum.accumulate(e, axis=1).reshape((-1,) + a.shape[1:])
+    suf = np.maximum.accumulate(e[:, ::-1], axis=1)[:, ::-1].reshape(pre.shape)
+    out = np.maximum(suf[:m + d - 1], pre[d - 1:m + 2 * d - 2])
+    return np.moveaxis(out, 0, axis)
 
-    n=1 sweeps every interval exactly (divide and conquer, O(N log^2 N)).
-    n=2 sweeps every square whose corner indices are multiples of
-    ``stride`` (stride 1 = exhaustive), always including single cells.
+
+def _hl_2d(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell the max average of the nonnegative integers ``v`` (n x n)
+    over the squares inside the array that hold it, as (sum, area) arrays.
+
+    For each side d the window sums come from one summed-area table, their
+    maximum over the windows holding each cell is a separable sliding max,
+    and sizes are compared by cross-multiplication: O(n³) in all."""
+    n = len(v)
+    sat = np.zeros((n + 1, n + 1), dtype=object)
+    sat[1:, 1:] = v.cumsum(0).cumsum(1)
+    num, den = v.copy(), np.ones((n, n), dtype=object)
+    for d in range(2, n + 1):
+        w = sat[d:, d:] - sat[:-d, d:] - sat[d:, :-d] + sat[:-d, :-d]
+        m = _sliding_max(_sliding_max(w, d, 0), d, 1)
+        better = m * den > num * (d * d)
+        num = np.where(better, m, num)
+        den = np.where(better, d * d, den)
+    return num, den
+
+
+def hl_maximal(f: StepFunction) -> StepFunction:
+    """Hardy-Littlewood surrogate: max average of |f| over mesh-corner
+    aligned cubes inside the domain containing each cell.
+
+    Runs on integer sums over the common denominator D and builds
+    Fractions only for the output.  1-D sweeps every interval by divide
+    and conquer over convex hulls, O(N log² N); 2-D sweeps every square by
+    per-side summed-area window sums and a sliding max, O(n³) for n cells
+    per axis.
     """
     mesh = f.mesh
+    nums, D = f._abs_numerators()
     if mesh.dim == 1:
-        return StepFunction(mesh, _hl_1d(f.values))
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    n = mesh.cells_axis
-    rows = f._rows(True)
-    out = [abs(v) for v in f.values]
-
-    def block_sum(i0, j0, size):
-        s = Fraction(0)
-        for i in range(i0, i0 + size):
-            s += rows[i][j0 + size] - rows[i][j0]
-        return s
-
-    for size in range(2, n + 1):
-        denom = Fraction(size * size)
-        for i0 in range(0, n - size + 1, stride):
-            for j0 in range(0, n - size + 1, stride):
-                avg = block_sum(i0, j0, size) / denom
-                for i in range(i0, i0 + size):
-                    row = i * n
-                    for j in range(j0, j0 + size):
-                        if avg > out[row + j]:
-                            out[row + j] = avg
-    return StepFunction(mesh, out)
+        out = _hl_1d(list(nums))
+    else:
+        num, den = _hl_2d(nums)
+        out = zip(num.flat, den.flat)
+    return StepFunction(mesh, _shared_fractions([(s, l * D) for s, l in out]))

@@ -6,6 +6,7 @@ the decomposition against its own exactly-evaluated inequality, pairings
 by direct rational summation on both sides.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedom.geometry import Box, Cube, GridId
+from sparsedom.geometry import Box, Cube, GridId, cube_at
 from sparsedom.stepfn import (
     Mesh,
     StepFunction,
@@ -23,6 +24,7 @@ from sparsedom.stepfn import (
     local_mean_oscillation,
     median,
     sharp_maximal,
+    _top_scale,
 )
 from sparsedom.sparse import (
     DecompositionResult,
@@ -41,6 +43,7 @@ from sparsedom.sparse import (
     verify_sparse_family,
     weak_norm,
     _atoms_in_box,
+    _scale_averages,
 )
 
 STD = GridId.standard(1)
@@ -141,6 +144,34 @@ def test_cz_sparse_postconditions_2d():
         fam = cz_sparse(f, grid)
         verify_sparse_family(fam)
         assert cz_pointwise_gap(f, fam, dyadic_maximal(f, grid)) >= 0
+
+
+@pytest.mark.parametrize("mesh", [
+    Mesh(1, 4), Mesh(1, 3, Box.interval(Fraction(1, 2), Fraction(5, 2))),
+    Mesh(2, 2), Mesh(2, 2, Box.square(Fraction(-1, 4), Fraction(7, 4))),
+], ids=["1d", "1d-offset", "2d", "2d-offset"])
+def test_scale_averages_match_cube_integrals(mesh):
+    # unrelated denominators, negatives and zeros
+    rng = random.Random(mesh.size)
+    f = StepFunction(mesh, [
+        Fraction(rng.randint(-50, 50), rng.choice([1, 3, 7, 96, 97]))
+        if rng.random() < 0.7 else Fraction(0) for _ in range(mesh.size)])
+    g = abs(f)
+    for grid in GridId.all_grids(mesh.dim):
+        for k in range(_top_scale(mesh) - 2, mesh.level + 1):
+            got = _scale_averages(f, grid, k)
+            # every cube meeting the domain, from the cubes at its corners
+            ranges = [range(a - 1, b + 2) for a, b in
+                      zip(cube_at(grid, k, mesh.domain.lo).j,
+                          cube_at(grid, k, mesh.domain.hi).j)]
+            want = {}
+            for j in itertools.product(*ranges):
+                q = Cube(grid, k, j)
+                avg = g.integral(q.box) / q.measure
+                if avg:
+                    want[j] = avg
+            assert got == want
+            assert list(got) == sorted(got)
 
 
 @settings(max_examples=25, deadline=None)

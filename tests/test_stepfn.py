@@ -34,12 +34,25 @@ cell_values = st.builds(
 )
 
 
-def step_functions(level=2, dim=1):
-    mesh = Mesh(dim, level)
+# unrelated denominators, negatives and zeros: the maximal operators carry
+# |f| over the lcm of the cell denominators
+rational_values = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-200, 200), st.sampled_from([3, 7, 96, 97])),
+)
+
+
+def step_functions(level=2, dim=1, values=cell_values, domain=None):
+    mesh = Mesh(dim, level, domain)
     return st.builds(
         lambda vals: StepFunction(mesh, vals),
-        st.lists(cell_values, min_size=mesh.size, max_size=mesh.size),
+        st.lists(values, min_size=mesh.size, max_size=mesh.size),
     )
+
+
+# meshes whose domain's lower corner is not -1
+OFFSET_1D = Box.interval(rat("-3/4"), rat("9/4"))
+OFFSET_2D = Box.square(rat("1/2"), rat("5/2"))
 
 
 UNIT = Box.interval(0, 1)
@@ -91,6 +104,23 @@ def oracle_oscillation(f, q, lam):
         star = next(s for s in scand if d_at(s) <= t)
         if best is None or star < best:
             best = star
+    return best
+
+
+def oracle_hl_2d(f):
+    """All mesh-aligned squares inside the domain."""
+    n = f.mesh.cells_axis
+    best = [abs(v) for v in f.values]
+    for size in range(2, n + 1):
+        for i0 in range(n - size + 1):
+            for j0 in range(n - size + 1):
+                s = sum(abs(f.values[i * n + j])
+                        for i in range(i0, i0 + size)
+                        for j in range(j0, j0 + size))
+                avg = s / (size * size)
+                for i in range(i0, i0 + size):
+                    for j in range(j0, j0 + size):
+                        best[i * n + j] = max(best[i * n + j], avg)
     return best
 
 
@@ -458,6 +488,29 @@ def test_dyadic_maximal_sublinear(f, g):
     assert lhs.le(rhs)
 
 
+@given(step_functions(level=3, values=rational_values), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_dyadic_maximal_rational_values(f, shifted):
+    grid = GridId.shifted(1) if shifted else GridId.standard(1)
+    assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
+
+
+@given(step_functions(level=2, dim=2, values=rational_values))
+@settings(max_examples=5, deadline=None)
+def test_dyadic_maximal_2d_all_grids(f):
+    for grid in GridId.all_grids(2):
+        assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
+
+
+@given(step_functions(level=3, values=rational_values, domain=OFFSET_1D),
+       step_functions(level=2, dim=2, values=rational_values, domain=OFFSET_2D))
+@settings(max_examples=5, deadline=None)
+def test_dyadic_maximal_offset_domain(f1, f2):
+    for f in (f1, f2):
+        for grid in GridId.all_grids(f.mesh.dim):
+            assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
+
+
 def test_dyadic_maximal_2d_shifted_small():
     mesh = Mesh(2, 1, Box.square(-1, 1))
     rng = np.random.default_rng(3)
@@ -498,6 +551,26 @@ def test_hl_matches_bruteforce_L4(vals):
     assert hl_maximal(f).values == oracle_hl_1d(f)
 
 
+@given(step_functions(level=3, values=rational_values))
+@settings(max_examples=30, deadline=None)
+def test_hl_matches_bruteforce_rational_values(f):
+    assert hl_maximal(f).values == oracle_hl_1d(f)
+
+
+@given(step_functions(level=2, dim=2, values=rational_values))
+@settings(max_examples=10, deadline=None)
+def test_hl_2d_matches_bruteforce(f):
+    assert hl_maximal(f).values == oracle_hl_2d(f)
+
+
+@given(step_functions(level=3, values=rational_values, domain=OFFSET_1D),
+       step_functions(level=2, dim=2, values=rational_values, domain=OFFSET_2D))
+@settings(max_examples=5, deadline=None)
+def test_hl_offset_domain(f1, f2):
+    assert hl_maximal(f1).values == oracle_hl_1d(f1)
+    assert hl_maximal(f2).values == oracle_hl_2d(f2)
+
+
 @given(step_functions(level=2), step_functions(level=2))
 @settings(max_examples=30)
 def test_hl_sublinear(f, g):
@@ -520,18 +593,4 @@ def test_hl_2d_exhaustive_small():
     rng = np.random.default_rng(11)
     f = StepFunction(mesh, [Fraction(int(x), 2) for x in
                             rng.integers(0, 5, mesh.size)])
-    out = hl_maximal(f, stride=1)
-    n = mesh.cells_axis
-    # brute force over all squares
-    best = [abs(v) for v in f.values]
-    for size in range(2, n + 1):
-        for i0 in range(n - size + 1):
-            for j0 in range(n - size + 1):
-                s = sum(abs(f.values[i * n + j])
-                        for i in range(i0, i0 + size)
-                        for j in range(j0, j0 + size))
-                avg = Fraction(s, size * size)
-                for i in range(i0, i0 + size):
-                    for j in range(j0, j0 + size):
-                        best[i * n + j] = max(best[i * n + j], avg)
-    assert out.values == best
+    assert hl_maximal(f).values == oracle_hl_2d(f)
