@@ -214,6 +214,8 @@ def _cmd_osc_estimate(args) -> int:
 
 def _cmd_a2_scan(args) -> int:
     cfg, extras = _gather_config(args)
+    if cfg.dim != 1:
+        raise ValueError("a2-scan is one-dimensional")
     exponents = extras.get("exponents", (0, 0.3, 0.6, 0.8, 0.9, 0.95))
     table, = a2_scan([cfg.operator], exponents, level=cfg.level,
                      seed=cfg.seed)

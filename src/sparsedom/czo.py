@@ -27,6 +27,7 @@ import numpy as np
 
 from .geometry import Box, Cube, GridId, dilate
 from .rational import pow2, rat
+from .sparse import _accumulate, oscillation_decompose, verify_decomposition
 from .stepfn import (
     Mesh,
     StepFunction,
@@ -268,36 +269,30 @@ def dominate(f: StepFunction, kernel: Kernel = HILBERT) -> DominationReport:
     cell of q0.  The median term is the compact-domain stand-in for the
     vanishing median over growing cubes.
     """
-    from .sparse import oscillation_decompose, verify_decomposition, _atoms_in_box
-
     if any(v < 0 for v in f.values):
         raise ValueError("domination requires f >= 0")
     mesh = f.mesh
     q0 = Cube(GridId.standard(1), 0, (0,))
+    cells = mesh.cells(q0.box)
     if all(v == 0 for v in f.values):
         return DominationReport(0.0, Fraction(0), Fraction(0),
-                                len(list(_atoms_in_box(mesh, q0.box))), 0, 0)
+                                f._cell_array()[cells].size, 0, 0)
     g = maximal_truncated(f)
     res = oscillation_decompose(g, q0)
     gap = verify_decomposition(g, res)
-    majorant = [Fraction(0)] * mesh.size
-    mf = hl_maximal(f)
-    for i in range(mesh.size):
-        majorant[i] = mf.values[i]
-    for _, qc in res.family.pairs():
-        series, _, _, _ = _dilate_series(f, qc.box, kernel.delta)
-        for i in _atoms_in_box(mesh, qc.box):
-            majorant[i] += series
+    series, den = _accumulate(mesh, (
+        (mesh.cells(qc.box), _dilate_series(f, qc.box, kernel.delta)[0])
+        for _, qc in res.family.pairs()))
     med = res.base_median
     c = Fraction(0)
     violations = 0
-    atoms = list(_atoms_in_box(mesh, q0.box))
-    for i in atoms:
-        lhs = abs(g.values[i] - med)
-        if majorant[i] == 0:
-            if lhs != 0:
+    lhs = abs(g._cell_array()[cells] - med)
+    majorant = hl_maximal(f)._cell_array()[cells] + series[cells] * Fraction(1, den)
+    for d, m in zip(lhs.flat, majorant.flat):
+        if m == 0:
+            if d != 0:
                 violations += 1
             continue
-        c = max(c, lhs / majorant[i])
-    return DominationReport(float(c), med, gap, len(atoms), violations,
+        c = max(c, d / m)
+    return DominationReport(float(c), med, gap, lhs.size, violations,
                             res.family.cube_count())

@@ -357,8 +357,6 @@ def whitney_decompose(mask: np.ndarray, domain: Box, level: int) -> list[Cube]:
     """
     mask = np.asarray(mask, dtype=bool)
     dim = mask.ndim
-    if dim not in (1, 2):
-        raise ValueError("only dimensions 1 and 2 are supported")
     for a, b in zip(domain.lo, domain.hi):
         if a.denominator != 1 or b.denominator != 1:
             raise ValueError("whitney_decompose requires integer domain corners")
@@ -372,19 +370,8 @@ def whitney_decompose(mask: np.ndarray, domain: Box, level: int) -> list[Cube]:
     grid = GridId.standard(dim)
     lo_int = [a.numerator for a in domain.lo]
 
-    if dim == 1:
-        pref = np.concatenate(([0], np.cumsum(mask.astype(np.int64))))
-
-        def count(rng):
-            (a, b), = rng
-            return int(pref[b] - pref[a])
-    else:
-        sat = np.zeros((n_axis + 1,) * 2, dtype=np.int64)
-        sat[1:, 1:] = mask.astype(np.int64).cumsum(0).cumsum(1)
-
-        def count(rng):
-            (r0, r1), (c0, c1) = rng
-            return int(sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0])
+    def count(rng):
+        return int(mask[tuple(slice(a, b) for a, b in rng)].sum())
 
     def cells(rng):
         total = 1

@@ -7,6 +7,7 @@ order.  Failing verdicts carry a replayable witness (criterion id, seed,
 config, and the offending instance descriptor).
 """
 
+import itertools
 import math
 import random
 import time
@@ -128,16 +129,6 @@ class Verdict:
 # instance generation
 # ---------------------------------------------------------------------------
 
-def _core_cells(mesh: Mesh):
-    core = mesh.core
-    if mesh.dim == 1:
-        a, b = mesh.axis_atoms(0, core.lo[0], core.hi[0])
-        return [(i,) for i in range(a, b)]
-    a0, b0 = mesh.axis_atoms(0, core.lo[0], core.hi[0])
-    a1, b1 = mesh.axis_atoms(1, core.lo[1], core.hi[1])
-    return [(i, j) for i in range(a0, b0) for j in range(a1, b1)]
-
-
 def generate_function(seed: int, spec: str, mesh: Mesh) -> StepFunction:
     """Deterministic core-supported test function with small rational
     values.
@@ -149,36 +140,32 @@ def generate_function(seed: int, spec: str, mesh: Mesh) -> StepFunction:
     if spec not in GENERATOR_KINDS:
         raise ValueError("unknown generator spec: %r" % spec)
     rng = random.Random("%d:%s" % (seed, spec))
-    cells = _core_cells(mesh)
-    vals = [Fraction(0)] * mesh.size
+    core = mesh.cells(mesh.core)
+    cells = list(itertools.product(*(range(s.start, s.stop) for s in core)))
+    vals = np.full(mesh.shape, Fraction(0), dtype=object)
 
     if spec == "spike":
-        vals[mesh.flat(rng.choice(cells))] = Fraction(rng.randrange(1, 9))
+        vals[rng.choice(cells)] = Fraction(rng.randrange(1, 9))
     elif spec == "indicator-sums":
-        core = mesh.core
         for _ in range(3):
             k = rng.randrange(1, min(mesh.level, 6) + 1)
             side = pow2(-k)
             corner = tuple(
-                core.lo[a] + rng.randrange(0, 2 ** k) * side
+                mesh.core.lo[a] + rng.randrange(0, 2 ** k) * side
                 for a in range(mesh.dim))
-            box = Box(corner, tuple(c + side for c in corner))
-            for idx in cells:
-                if box.contains_point(mesh.cell_box(idx).center):
-                    vals[mesh.flat(idx)] += 1
+            vals[mesh.cells(Box(corner, tuple(c + side for c in corner)))] += 1
     elif spec == "random-cells":
         for idx in cells:
-            vals[mesh.flat(idx)] = Fraction(rng.randrange(-8, 9))
+            vals[idx] = Fraction(rng.randrange(-8, 9))
     else:  # power-profile
         p = rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))
         x0 = tuple(Fraction(rng.randrange(0, 16), 16) for _ in range(mesh.dim))
         amp = rng.randrange(1, 5)
+        centers = [mesh.centers(a) for a in range(mesh.dim)]
         for idx in cells:
-            center = mesh.cell_box(idx).center
-            d = max(abs(c - x) for c, x in zip(center, x0))
-            vals[mesh.flat(idx)] = Fraction(
-                round(8 * amp * float(d) ** float(p)), 8)
-    return StepFunction(mesh, vals)
+            d = max(abs(xs[i] - c) for xs, i, c in zip(centers, idx, x0))
+            vals[idx] = Fraction(round(8 * amp * float(d) ** float(p)), 8)
+    return StepFunction(mesh, vals.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +382,6 @@ def _crit_weak_growth(cfg: ExperimentConfig) -> Verdict:
 def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
     """Oscillation ratio ω_λ(A*f;Q)/(m·f_Q) doubles by at most 3, and the
     display |A*f - c|·χ_q <= A*(f·χ_q) holds exactly."""
-    from .sparse import _atoms_in_box
     mesh = cfg.mesh()
     lam = cfg.lam
     ms = sorted(set(cfg.m_list) | set(2 * m for m in cfg.m_list))
@@ -407,7 +393,8 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
         for k_q in (1, 2, 3, 4):
             for jq in range(-2, 2 ** k_q + 2):
                 q = Cube(beta, k_q, (jq,))
-                if list(_atoms_in_box(mesh, q.box)):
+                cells, = mesh.cells(q.box)
+                if cells.start < cells.stop:
                     probes.append(q)
 
     ratios = {m: Fraction(0) for m in ms}
@@ -442,7 +429,8 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
             pairs = list(sh.family_of(alpha))
             for jq in range(0, 4):
                 q = Cube(alpha, 1, (jq,))
-                atoms = list(_atoms_in_box(mesh, q.box))
+                cells, = mesh.cells(q.box)
+                atoms = range(cells.start, cells.stop)
                 if not atoms:
                     continue
                 c = sum(f.atom_sum(qb.box) / cov.measure
@@ -645,31 +633,32 @@ def _crit_a2_scan(cfg: ExperimentConfig) -> Verdict:
         config=cfg, witness=witness)
 
 
+# id -> (runner, supported dimensions, pinned config)
 _REGISTRY = {
-    "cover-6x": (_crit_cover,
+    "cover-6x": (_crit_cover, (1, 2),
                  dict(level=4, trials=100000, seed=2024)),
-    "sparse-invariants": (_crit_sparse_invariants,
+    "sparse-invariants": (_crit_sparse_invariants, (1, 2),
                           dict(level=10, trials=100, seed=11)),
-    "maximal-sandwich": (_crit_maximal_sandwich,
+    "maximal-sandwich": (_crit_maximal_sandwich, (1, 2),
                          dict(level=10, trials=100, seed=23)),
-    "osc-decomposition": (_crit_decomposition,
+    "osc-decomposition": (_crit_decomposition, (1, 2),
                           dict(level=10, trials=200, seed=37,
                                lam=Fraction(1, 8))),
-    "l2-bound-8": (_crit_l2_bound,
+    "l2-bound-8": (_crit_l2_bound, (1,),
                    dict(level=8, trials=100, seed=41)),
-    "weak11-growth": (_crit_weak_growth,
+    "weak11-growth": (_crit_weak_growth, (1,),
                       dict(level=8, trials=50, seed=53, m_list=(1, 2, 4))),
-    "adjoint-osc-growth": (_crit_adjoint_oscillation,
+    "adjoint-osc-growth": (_crit_adjoint_oscillation, (1,),
                            dict(level=7, trials=25, seed=67,
                                 m_list=(1, 2, 4))),
-    "hilbert-exact": (_crit_hilbert_exact,
+    "hilbert-exact": (_crit_hilbert_exact, (1,),
                       dict(level=5, trials=100, seed=71)),
-    "osc-stability": (_crit_osc_stability,
+    "osc-stability": (_crit_osc_stability, (1,),
                       dict(level=7, trials=100, seed=83)),
-    "master-domination": (_crit_domination,
+    "master-domination": (_crit_domination, (1,),
                           dict(level=9, trials=50, seed=0,
                                kind="random-cells")),
-    "a2-scan": (_crit_a2_scan,
+    "a2-scan": (_crit_a2_scan, (1,),
                 dict(level=12, trials=6, seed=7)),
 }
 
@@ -678,19 +667,23 @@ CRITERION_IDS = list(_REGISTRY)
 _ALIASES = {str(i + 1): cid for i, cid in enumerate(CRITERION_IDS)}
 
 
-def default_config(criterion: str) -> ExperimentConfig:
+def _lookup(criterion: str):
     cid = _ALIASES.get(criterion, criterion)
     if cid not in _REGISTRY:
         raise KeyError("unknown criterion id: %r" % criterion)
-    return ExperimentConfig(**_REGISTRY[cid][1])
+    return cid, _REGISTRY[cid]
+
+
+def default_config(criterion: str) -> ExperimentConfig:
+    return ExperimentConfig(**_lookup(criterion)[1][2])
 
 
 def run_criterion(criterion: str, config: ExperimentConfig = None) -> Verdict:
-    cid = _ALIASES.get(criterion, criterion)
-    if cid not in _REGISTRY:
-        raise KeyError("unknown criterion id: %r" % criterion)
-    fn, defaults = _REGISTRY[cid]
+    cid, (fn, dims, defaults) = _lookup(criterion)
     cfg = config if config is not None else ExperimentConfig(**defaults)
+    if cfg.dim not in dims:
+        raise ValueError("criterion %s runs in dimension %s only, not %d"
+                         % (cid, " or ".join(map(str, dims)), cfg.dim))
     t0 = time.perf_counter()
     verdict = fn(cfg)
     verdict.elapsed = time.perf_counter() - t0

@@ -14,21 +14,40 @@ All averages are exact: numerators integrate the step function
 geometrically (partial cells weighted by overlap), denominators use the
 full box measure, so zero extension outside the domain is automatic.
 
-``dyadic_maximal`` and ``hl_maximal`` work on integers.  |f| is carried as
-integer numerators over one common denominator D, the lcm of the cell
-denominators, and lengths on the h/3 lattice counted from the domain's
-lower corner lo.  There every grid-cube corner at a scale k <= level is an
-integer, (3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1}.  Averages are
-compared as integers over a shared denominator or by cross-multiplication,
-and Fractions are built only for the output, one per distinct value.
-``dyadic_maximal`` costs one gather per scale; ``hl_maximal`` is
-O(N log² N) in 1-D and O(n³) in 2-D, for n cells per axis.
+Cells are addressed one way, in every dimension: ``Mesh.cells(box)`` is
+the n-D block of cells whose centers lie in the box, one slice per axis,
+and the values are also held as an n-D array shaped like the mesh.  Code
+that needs a cube's cells indexes that array with the slices.
+
+The integer form of f -- signed numerators over one common denominator D,
+the lcm of the cell denominators -- is built on first use and kept
+(``StepFunction._numerators``).  It stays lazy because D can dwarf the
+values: the reciprocal of the level-10 power weight |x - 1/2|^(1/2) has a
+63,891-bit common denominator against 59 bits for the weight itself, so
+an eager integer form would put thousands of such integers into every
+weight.  ``integral`` and ``atom_sum`` read one n-D integer prefix table
+of the numerators, by inclusion-exclusion over the 2^n corners of a
+block and at most 3^n blocks of whole and partial cells.
+
+``dyadic_maximal`` and ``hl_maximal`` work on the numerators of |f| and on
+lengths on the h/3 lattice counted from the domain's lower corner lo.
+There every grid-cube corner at a scale k <= level is an integer,
+(3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1}; ``_grid_lattice`` gives
+those corners per axis, for this module and for the A2 search.  Averages
+are compared as integers over a shared denominator or by
+cross-multiplication, and Fractions are built only for the output, one per
+distinct value.  ``dyadic_maximal`` costs one gather per scale;
+``hl_maximal`` is O(N log² N) in 1-D and O(n³) in 2-D, for n cells per
+axis.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +73,37 @@ __all__ = [
 
 def _default_domain(dim: int) -> Box:
     return Box((Fraction(-1),) * dim, (Fraction(2),) * dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _corners(dim: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """The 2^n corners of a block as (0 = start, 1 = stop) per axis, each
+    with the parity of its stops."""
+    return tuple((c, sum(c) % 2 == 1) for c in itertools.product((0, 1), repeat=dim))
+
+
+def _corner(cells: tuple[slice, ...], bits: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(s.stop if b else s.start for s, b in zip(cells, bits))
+
+
+def _array(values: list, shape: tuple[int, ...]) -> np.ndarray:
+    return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
+
+
+def _pieces(mesh: Mesh, box: Box):
+    """The cells of box ∩ domain as at most 3^n blocks, each a pair (cells,
+    overlap of each cell): per axis one block of whole cells and up to two
+    partial cells."""
+    axes = []
+    for axis in range(mesh.dim):
+        ia, ib, partials = mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
+        axes.append([(slice(ia, ib), mesh.h)] * (ia < ib)
+                    + [(slice(i, i + 1), w) for i, w in partials])
+    for block in itertools.product(*axes):
+        w = block[0][1]
+        for _, x in block[1:]:
+            w *= x
+        yield tuple(s for s, _ in block), w
 
 
 class Mesh:
@@ -103,23 +153,10 @@ class Mesh:
         lo = tuple(a + i * self.h for a, i in zip(self.domain.lo, idx))
         return Box(lo, tuple(x + self.h for x in lo))
 
-    def flat(self, idx: tuple[int, ...]) -> int:
-        if self.dim == 1:
-            return idx[0]
-        return idx[0] * self.cells_axis + idx[1]
-
-    def unflat(self, flat: int) -> tuple[int, ...]:
-        if self.dim == 1:
-            return (flat,)
-        return divmod(flat, self.cells_axis)
-
-    def cell_of_point(self, x) -> tuple[int, ...]:
-        idx = tuple(rat_floor((rat(c) - a) / self.h)
-                    for c, a in zip(x, self.domain.lo))
-        for i in idx:
-            if not 0 <= i < self.cells_axis:
-                raise ValueError("point outside the mesh domain")
-        return idx
+    def centers(self, axis: int) -> list[Fraction]:
+        """The cell centers along one axis."""
+        lo, h = self.domain.lo[axis], self.h
+        return [lo + (i + Fraction(1, 2)) * h for i in range(self.cells_axis)]
 
     def axis_pieces(self, axis: int, a: Fraction, b: Fraction):
         """Clip [a,b) to the domain on one axis and split into mesh cells.
@@ -147,12 +184,17 @@ class Mesh:
 
     def axis_atoms(self, axis: int, a: Fraction, b: Fraction) -> tuple[int, int]:
         """Range of cells on one axis whose centers lie in [a,b) ∩ domain."""
-        lo = self.domain.lo[axis]
+        lo, n = self.domain.lo[axis], self.cells_axis
         half = Fraction(1, 2)
-        i0 = max(0, rat_ceil((max(a, lo) - lo) / self.h - half))
-        i1 = min(self.cells_axis,
-                 rat_ceil((min(b, self.domain.hi[axis]) - lo) / self.h - half))
+        i0 = min(n, max(0, rat_ceil((max(a, lo) - lo) / self.h - half)))
+        i1 = min(n, rat_ceil((min(b, self.domain.hi[axis]) - lo) / self.h - half))
         return i0, max(i0, i1)
+
+    def cells(self, box: Box) -> tuple[slice, ...]:
+        """The n-D block of cells whose centers lie in box ∩ domain, one
+        slice per axis."""
+        return tuple(slice(*self.axis_atoms(axis, a, b))
+                     for axis, (a, b) in enumerate(zip(box.lo, box.hi)))
 
 
 class StepFunction:
@@ -164,9 +206,9 @@ class StepFunction:
             raise ValueError(f"expected {mesh.size} cell values, got {len(values)}")
         self.mesh = mesh
         self.values = values
+        self._arr = None
+        self._num = None
         self._prefix = None
-        self._row_prefix = None
-        self._abs_num = None
 
     # -- constructors -------------------------------------------------------
 
@@ -178,62 +220,41 @@ class StepFunction:
     def constant(mesh: Mesh, c) -> "StepFunction":
         return StepFunction(mesh, [rat(c)] * mesh.size)
 
-    @staticmethod
-    def indicator(mesh: Mesh, box: Box) -> "StepFunction":
-        """Exact indicator; the box must be aligned to mesh cell corners."""
-        ranges = []
-        for axis in range(mesh.dim):
-            ia, ib, partials = mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
-            if partials:
-                raise ValueError("indicator box must be mesh-aligned")
-            ranges.append((ia, ib))
-        vals = [Fraction(0)] * mesh.size
-        if mesh.dim == 1:
-            for i in range(*ranges[0]):
-                vals[i] = Fraction(1)
-        else:
-            for i in range(*ranges[0]):
-                for j in range(*ranges[1]):
-                    vals[mesh.flat((i, j))] = Fraction(1)
-        return StepFunction(mesh, vals)
+    # -- cached views -------------------------------------------------------
 
-    # -- caches -------------------------------------------------------------
+    def _cell_array(self) -> np.ndarray:
+        """The values as an n-D object array shaped like the mesh, indexed
+        by ``Mesh.cells`` slices; callers must not write to it."""
+        if self._arr is None:
+            self._arr = _array(self.values, self.mesh.shape)
+        return self._arr
 
-    def _pref(self):
-        if self.mesh.dim != 1:
-            raise RuntimeError("1-d prefix requested on a 2-d mesh")
-        if self._prefix is None:
-            acc = Fraction(0)
-            self._prefix = [acc]
-            for v in self.values:
-                acc += v
-                self._prefix.append(acc)
-        return self._prefix
-
-    def _rows(self):
-        if self.mesh.dim != 2:
-            raise RuntimeError("row prefixes requested on a 1-d mesh")
-        if self._row_prefix is None:
-            n = self.mesh.cells_axis
-            self._row_prefix = []
-            for i in range(n):
-                acc = Fraction(0)
-                row = [acc]
-                for v in self.values[i * n:(i + 1) * n]:
-                    acc += v
-                    row.append(acc)
-                self._row_prefix.append(row)
-        return self._row_prefix
-
-    def _abs_numerators(self) -> tuple[np.ndarray, int]:
-        """|f| as integers over one common denominator D: an object array
-        of Python ints shaped like the mesh, and D."""
-        if self._abs_num is None:
+    def _numerators(self) -> tuple[np.ndarray, int]:
+        """f as signed integers over one common denominator D, the lcm of
+        the cell denominators: an object array of Python ints shaped like
+        the mesh, and D.  Lazy and cached (see the module docstring)."""
+        if self._num is None:
             den = math.lcm(*(v.denominator for v in self.values))
-            nums = [abs(v.numerator) * (den // v.denominator) for v in self.values]
-            self._abs_num = (np.array(nums, dtype=object).reshape(self.mesh.shape),
-                              den)
-        return self._abs_num
+            nums = [v.numerator * (den // v.denominator) for v in self.values]
+            self._num = (_array(nums, self.mesh.shape), den)
+        return self._num
+
+    def _block_sum(self, cells: tuple[slice, ...]) -> int:
+        """Sum of the numerators over a block of cells, by inclusion-
+        exclusion over its 2^n corners in the n-D prefix table."""
+        dim = self.mesh.dim
+        if self._prefix is None:
+            p = np.zeros(tuple(n + 1 for n in self.mesh.shape), dtype=object)
+            p[(slice(1, None),) * dim] = self._numerators()[0]
+            for axis in range(dim):
+                p = p.cumsum(axis)
+            self._prefix = p
+        total = 0
+        for bits, odd in _corners(dim):
+            # a corner with an even number of starts counts positive
+            v = self._prefix[_corner(cells, bits)]
+            total += v if odd == dim % 2 else -v
+        return total
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -268,63 +289,23 @@ class StepFunction:
         return (isinstance(other, StepFunction) and self.mesh == other.mesh
                 and self.values == other.values)
 
-    def le(self, other: "StepFunction") -> bool:
-        """Pointwise <= on every cell."""
-        if other.mesh != self.mesh:
-            raise ValueError("mesh mismatch")
-        return all(a <= b for a, b in zip(self.values, other.values))
-
     # -- integration --------------------------------------------------------
 
     def integral(self, box: Box | None = None) -> Fraction:
         """Exact integral over box ∩ domain (whole domain when box is None)."""
-        mesh = self.mesh
-        if box is None:
-            return mesh.h**mesh.dim * sum(self.values)
-        if mesh.dim == 1:
-            ia, ib, partials = mesh.axis_pieces(0, box.lo[0], box.hi[0])
-            pref = self._pref()
-            total = mesh.h * (pref[ib] - pref[ia])
-            for i, w in partials:
-                total += w * self.values[i]
-            return total
-        xa, xb, xpart = mesh.axis_pieces(0, box.lo[0], box.hi[0])
-        ya, yb, ypart = mesh.axis_pieces(1, box.lo[1], box.hi[1])
-        rows = self._rows()
-        n = mesh.cells_axis
-
-        def row_sum(i):
-            s = mesh.h * (rows[i][yb] - rows[i][ya])
-            for j, w in ypart:
-                s += w * self.values[i * n + j]
-            return s
-
-        total = Fraction(0)
-        for i in range(xa, xb):
-            total += mesh.h * row_sum(i)
-        for i, w in xpart:
-            total += w * row_sum(i)
-        return total
+        pieces = _pieces(self.mesh, self.mesh.domain if box is None else box)
+        total = sum((w * self._block_sum(cells) for cells, w in pieces), Fraction(0))
+        return total / self._numerators()[1]
 
     def atom_sum(self, box: Box) -> Fraction:
         """h^n times the sum of values over cells whose centers lie in box."""
         mesh = self.mesh
-        scale = mesh.h**mesh.dim
-        if mesh.dim == 1:
-            i0, i1 = mesh.axis_atoms(0, box.lo[0], box.hi[0])
-            pref = self._pref()
-            return scale * (pref[i1] - pref[i0])
-        i0, i1 = mesh.axis_atoms(0, box.lo[0], box.hi[0])
-        j0, j1 = mesh.axis_atoms(1, box.lo[1], box.hi[1])
-        rows = self._rows()
-        total = Fraction(0)
-        for i in range(i0, i1):
-            total += rows[i][j1] - rows[i][j0]
-        return scale * total
+        return mesh.h**mesh.dim * Fraction(self._block_sum(mesh.cells(box)),
+                                           self._numerators()[1])
 
     def norm_l1(self) -> Fraction:
-        nums, den = self._abs_numerators()
-        return self.mesh.h**self.mesh.dim * Fraction(nums.sum(), den)
+        nums, den = self._numerators()
+        return self.mesh.h**self.mesh.dim * Fraction(abs(nums).sum(), den)
 
     def norm_l2_sq(self) -> Fraction:
         return self.mesh.h**self.mesh.dim * sum(v * v for v in self.values)
@@ -340,20 +321,11 @@ class StepFunction:
             raise ValueError("refinement factor must be nonnegative")
         if delta == 0:
             return self
-        mesh = Mesh(self.mesh.dim, self.mesh.level + delta, self.mesh.domain)
-        r = 1 << delta
-        if self.mesh.dim == 1:
-            vals = []
-            for v in self.values:
-                vals.extend([v] * r)
-            return StepFunction(mesh, vals)
-        n = self.mesh.cells_axis
-        vals = []
-        for i in range(n * r):
-            src = (i // r) * n
-            for j in range(n * r):
-                vals.append(self.values[src + j // r])
-        return StepFunction(mesh, vals)
+        vals = self._cell_array()
+        for axis in range(self.mesh.dim):
+            vals = np.repeat(vals, 1 << delta, axis)
+        return StepFunction(Mesh(self.mesh.dim, self.mesh.level + delta,
+                                 self.mesh.domain), vals.flat)
 
     # -- serialization ------------------------------------------------------
 
@@ -406,33 +378,18 @@ class DistributionProfile:
 
 def _cell_masses(f: StepFunction, box: Box, absolute: bool,
                  pad_zero: bool) -> dict[Fraction, Fraction]:
-    """Map value -> overlap measure for f restricted to box.
+    """Map value -> overlap measure for f restricted to box, counting the
+    values of each block of ``_pieces``.
 
     With pad_zero the part of the box outside the mesh domain is counted
     as mass at value 0 (the zero extension)."""
-    mesh = f.mesh
-    axes = [mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
-            for axis in range(mesh.dim)]
-    weights = []
-    for ia, ib, partials in axes:
-        w = [(i, mesh.h) for i in range(ia, ib)] + partials
-        weights.append(w)
     masses: dict[Fraction, Fraction] = {}
     covered = Fraction(0)
-    if mesh.dim == 1:
-        for i, w in weights[0]:
-            v = f.values[i]
-            v = abs(v) if absolute else v
-            masses[v] = masses.get(v, Fraction(0)) + w
-            covered += w
-    else:
-        n = mesh.cells_axis
-        for i, wx in weights[0]:
-            for j, wy in weights[1]:
-                v = f.values[i * n + j]
-                v = abs(v) if absolute else v
-                masses[v] = masses.get(v, Fraction(0)) + wx * wy
-                covered += wx * wy
+    for cells, w in _pieces(f.mesh, box):
+        vals = f._cell_array()[cells]
+        for v, count in Counter((abs(vals) if absolute else vals).flat).items():
+            masses[v] = masses.get(v, Fraction(0)) + count * w
+        covered += vals.size * w
     if pad_zero and covered < box.measure:
         masses[Fraction(0)] = masses.get(Fraction(0), Fraction(0)) \
             + box.measure - covered
@@ -545,21 +502,19 @@ def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
 
     Value on each mesh cell inside q0: the maximum of the local mean
     oscillations over the dyadic subcubes of q0 containing the cell
-    (including q0 itself); zero outside q0.
+    (including q0 itself); zero outside q0.  One 2^n-ary merge tree: each
+    block's sorted (value, cell count) run merges its children's, and the
+    running maximum of ω is pushed back down to the cells.
     """
     lam = rat(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
     mesh = f.mesh
     starts, span = _aligned_cell_range(mesh, q0)
-    out = [Fraction(0)] * mesh.size
+    block = tuple(slice(s, s + span) for s in starts)
+    vals = f._cell_array()[block]
     one_minus = 1 - lam
-
-    # bottom-up sorted runs of (value, cell count) per dyadic block
-    def omega_of_run(run, cells):
-        target_num = one_minus * cells  # compare against plain cell counts
-        items = [(v, Fraction(c)) for v, c in run]
-        return _window_half_length(items, target_num)
+    omega = {}  # block side -> ω of every block of that side, as an n-D array
 
     def merge_runs(a, b):
         out_run = []
@@ -577,63 +532,32 @@ def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
                 out_run.append((v, c))
         return out_run
 
-    if mesh.dim == 1:
-        base = starts[0]
-        runs = {}
-
-        def rec2(offset, size):
-            if size == 1:
-                run = [(f.values[base + offset], 1)]
-            else:
-                run = merge_runs(rec2(offset, size // 2),
-                                 rec2(offset + size // 2, size // 2))
-            runs[(offset, size)] = run
-            return run
-
-        rec2(0, span)
-
-        def push(offset, size, running):
-            w = omega_of_run(runs[(offset, size)], size)
-            running = max(running, w)
-            if size == 1:
-                out[base + offset] = running
-            else:
-                push(offset, size // 2, running)
-                push(offset + size // 2, size // 2, running)
-
-        push(0, span, Fraction(0))
-        return StepFunction(mesh, out)
-
-    # dim == 2: quadtree version
-    bx, by = starts
-    n = mesh.cells_axis
-    runs = {}
-
-    def rec2d(ox, oy, size):
+    def build(corner, size):
+        """Sorted (value, cell count) run of a block; records its ω (that
+        of a single cell is 0)."""
         if size == 1:
-            run = [(f.values[(bx + ox) * n + by + oy], 1)]
-        else:
-            half = size // 2
-            run = rec2d(ox, oy, half)
-            for dx, dy in ((0, half), (half, 0), (half, half)):
-                run = merge_runs(run, rec2d(ox + dx, oy + dy, half))
-        runs[(ox, oy, size)] = run
+            return [(vals[corner], 1)]
+        half = size // 2
+        run = functools.reduce(merge_runs, [
+            build(tuple(c + d for c, d in zip(corner, step)), half)
+            for step in itertools.product((0, half), repeat=mesh.dim)])
+        if size not in omega:
+            omega[size] = np.empty((span // size,) * mesh.dim, dtype=object)
+        omega[size][tuple(c // size for c in corner)] = _window_half_length(
+            [(v, Fraction(c)) for v, c in run], one_minus * size**mesh.dim)
         return run
 
-    rec2d(0, 0, span)
-
-    def push2d(ox, oy, size, running):
-        w = omega_of_run(runs[(ox, oy, size)], size * size)
-        running = max(running, w)
-        if size == 1:
-            out[(bx + ox) * n + by + oy] = running
-            return
-        half = size // 2
-        for dx, dy in ((0, 0), (0, half), (half, 0), (half, half)):
-            push2d(ox + dx, oy + dy, half, running)
-
-    push2d(0, 0, span, Fraction(0))
-    return StepFunction(mesh, out)
+    build((0,) * mesh.dim, span)
+    # push the running maximum down from q0, one halving of the side at a time
+    running = np.full((1,) * mesh.dim, Fraction(0), dtype=object)
+    while span > 1:
+        running = np.maximum(running, omega[span])
+        span //= 2
+        for axis in range(mesh.dim):
+            running = np.repeat(running, 2, axis)
+    out = np.full(mesh.shape, Fraction(0), dtype=object)
+    out[block] = running
+    return StepFunction(mesh, out.flat)
 
 
 def _top_scale(mesh: Mesh) -> int:
@@ -650,6 +574,23 @@ def _shared_fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
     return [made[p] for p in pairs]
 
 
+def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
+    """Per axis, for the cubes of ``grid`` at scale k <= level that meet the
+    domain: the index j0 of the first, their corners on the h/3 lattice
+    (see the module docstring) clipped to [0, 3n), so that cube j0 + i spans
+    [corners[i], corners[i + 1]), and for each cell the position i of the
+    cube holding its center."""
+    n3, g = 3 * mesh.cells_axis, 1 << (mesh.level - k)
+    axes = []
+    for off, lo in zip(grid.offset_at(k), mesh.domain.lo):
+        # cube j spans [3jg + c, 3jg + 3g + c) on this axis
+        c = int(3 * off) * g - 3 * int(lo / mesh.h)
+        j0, j1 = -c // (3 * g), (n3 - 1 - c) // (3 * g) + 1
+        axes.append((j0, np.clip(3 * g * np.arange(j0, j1 + 1) + c, 0, n3),
+                     (np.arange(1, n3, 3) - c) // (3 * g) - j0))
+    return axes
+
+
 def _grid_cube_sums(f: StepFunction, grid: GridId, k: int):
     """Integer sums of |f| over every cube of ``grid`` at scale k <= level
     that meets the domain, in units of (h/3)^n / D (see the module
@@ -661,19 +602,13 @@ def _grid_cube_sums(f: StepFunction, grid: GridId, k: int):
     cells is refined to the lattice at the clipped cube corners x,
     3·P[x//3] + (x%3)·v[x//3], and differenced.
     """
-    mesh = f.mesh
-    n = mesh.cells_axis
-    g = 1 << (mesh.level - k)
-    s = f._abs_numerators()[0]
+    n = f.mesh.cells_axis
+    s = abs(f._numerators()[0])
     first, cells = [], []
-    for axis, (off, lo) in enumerate(zip(grid.offset_at(k), mesh.domain.lo)):
-        # cube j spans [3jg + c, 3jg + 3g + c) on this axis
-        c = int(3 * off) * g - 3 * int(lo / mesh.h)
-        j0 = -c // (3 * g)
-        j1 = (3 * n - 1 - c) // (3 * g) + 1
-        q, r = np.divmod(np.clip(3 * g * np.arange(j0, j1 + 1) + c, 0, 3 * n), 3)
+    for axis, (j0, corners, pos) in enumerate(_grid_lattice(f.mesh, grid, k)):
         first.append(j0)
-        cells.append((3 * np.arange(n) + 1 - c) // (3 * g) - j0)
+        cells.append(pos)
+        q, r = np.divmod(corners, 3)
         a = np.moveaxis(s, axis, 0)
         p = np.concatenate([np.zeros((1,) + a.shape[1:], dtype=object),
                             a.cumsum(0)])
@@ -699,7 +634,7 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     for k in range(top, mesh.level + 1):
         sums, _, cells = _grid_cube_sums(f, grid, k)
         best = np.maximum(best, (sums * (1 << dim * (k - top)))[np.ix_(*cells)])
-    den = f._abs_numerators()[1] * (3 << (mesh.level - top)) ** dim
+    den = f._numerators()[1] * (3 << (mesh.level - top)) ** dim
     return StepFunction(mesh, _shared_fractions([(v, den) for v in best.flat]))
 
 
@@ -839,7 +774,8 @@ def hl_maximal(f: StepFunction) -> StepFunction:
     per axis.
     """
     mesh = f.mesh
-    nums, D = f._abs_numerators()
+    nums, D = f._numerators()
+    nums = abs(nums)
     if mesh.dim == 1:
         out = _hl_1d(list(nums))
     else:

@@ -60,9 +60,9 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .rational import pow2, rat, rat_floor, rat_str
+from .rational import pow2, rat, rat_str
 from .geometry import Box, Cube, GridId
-from .stepfn import Mesh, StepFunction, _top_scale
+from .stepfn import Mesh, StepFunction, _grid_lattice, _top_scale
 from .sparse import SparseFamily, verify_sparse_family
 
 __all__ = [
@@ -109,12 +109,12 @@ class Weight:
         """w(x) = max_i |x_i - center|^a sampled at cell centers, frozen to
         exact rationals (|x - center|^a in one dimension)."""
         c = rat(center)
-        dists = [max(abs(x - c) for x in mesh.cell_box(mesh.unflat(i)).center)
-                 for i in range(mesh.size)]
-        if any(d == 0 for d in dists):
+        axes = [[abs(x - c) for x in mesh.centers(axis)] for axis in range(mesh.dim)]
+        if all(0 in dists for dists in axes):
             raise ValueError("power-weight center hits a cell center")
-        vals = [rat(float(d) ** a) for d in dists]
-        return Weight(StepFunction(mesh, vals))
+        frozen = {d: rat(float(d) ** a) for dists in axes for d in dists}
+        return Weight(StepFunction(mesh, [frozen[max(ds)]
+                                          for ds in iter_product(*axes)]))
 
     def scaled(self, c) -> "Weight":
         return Weight(self.fn * rat(c))
@@ -157,22 +157,12 @@ def _grid_windows(mesh: Mesh):
     integer windows [lo, hi) on the h/3 lattice (two (count, dim) arrays),
     ordered by grid, scale from the mesh up to the domain cover, and
     row-major index."""
-    n3 = 3 * mesh.cells_axis
-    origin = [3 * rat_floor(a / mesh.h) for a in mesh.domain.lo]
     los, his = [], []
     for grid in GridId.all_grids(mesh.dim):
         for k in range(mesh.level, _top_scale(mesh) - 1, -1):
-            g = 1 << (mesh.level - k)
-            axes = []
-            for alpha, x0 in zip(grid.alpha, origin):
-                b = (1 if k % 2 == 0 else -1) if alpha else 0
-                j = np.arange((x0 - b * g) // (3 * g) - 1,
-                              (x0 + n3 - b * g) // (3 * g) + 1)
-                lo = np.maximum((3 * j + b) * g - x0, 0)
-                hi = np.minimum((3 * j + b + 3) * g - x0, n3)
-                axes.append((lo[lo < hi], hi[lo < hi]))
-            for out, ends in ((los, [lo for lo, _ in axes]),
-                              (his, [hi for _, hi in axes])):
+            corners = [x for _, x, _ in _grid_lattice(mesh, grid, k)]
+            for out, ends in ((los, [x[:-1] for x in corners]),
+                              (his, [x[1:] for x in corners])):
                 out.append(np.stack(np.meshgrid(*ends, indexing="ij"),
                                     -1).reshape(-1, mesh.dim))
     return np.concatenate(los), np.concatenate(his)
@@ -343,10 +333,6 @@ class CellOperator:
         return self._apply_t(np.asarray(v, dtype=float))
 
 
-def _atom_range(mesh: Mesh, box: Box) -> tuple[int, int]:
-    return mesh.axis_atoms(0, box.lo[0], box.hi[0])
-
-
 def sparse_family_operator(mesh: Mesh, fam: SparseFamily) -> CellOperator:
     """A_S f = Σ avg(f, Q)·χ_Q as a float matvec (n=1).
 
@@ -358,14 +344,14 @@ def sparse_family_operator(mesh: Mesh, fam: SparseFamily) -> CellOperator:
     h = float(mesh.h)
     spans = []
     for _, q in fam.pairs():
-        a, b = _atom_range(mesh, q.box)
-        if a < b:
-            spans.append((a, b, h / float(q.box.measure)))
+        cells, = mesh.cells(q.box)
+        if cells.start < cells.stop:
+            spans.append((cells, h / float(q.box.measure)))
 
     def apply(v):
         out = np.zeros_like(v)
-        for a, b, coeff in spans:
-            out[a:b] += coeff * v[a:b].sum()
+        for cells, coeff in spans:
+            out[cells] += coeff * v[cells].sum()
         return out
 
     return CellOperator("sparse:%d-cubes" % len(spans), mesh.size,
@@ -381,20 +367,19 @@ def amalgam_pair_operator(mesh: Mesh, sh) -> CellOperator:
     spans = []
     for alpha in GridId.all_grids(1):
         for _, q, cover in sh.family_of(alpha):
-            qa, qb = _atom_range(mesh, q.box)
-            ca, cb = _atom_range(mesh, cover.box)
-            spans.append((qa, qb, ca, cb, h / float(cover.box.measure)))
+            spans.append((mesh.cells(q.box), mesh.cells(cover.box),
+                          h / float(cover.box.measure)))
 
     def apply(v):
         out = np.zeros_like(v)
-        for qa, qb, ca, cb, coeff in spans:
-            out[qa:qb] += coeff * v[ca:cb].sum()
+        for q, cover, coeff in spans:
+            out[q] += coeff * v[cover].sum()
         return out
 
     def apply_t(v):
         out = np.zeros_like(v)
-        for qa, qb, ca, cb, coeff in spans:
-            out[ca:cb] += coeff * v[qa:qb].sum()
+        for q, cover, coeff in spans:
+            out[cover] += coeff * v[q].sum()
         return out
 
     return CellOperator("amalgam:m=%d" % sh.m, mesh.size, apply, apply_t)

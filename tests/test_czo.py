@@ -26,6 +26,8 @@ from sparsedom.czo import (
     oscillation_estimate_report,
 )
 
+from meshtools import indicator
+
 
 def mk_random(mesh, seed, lo=-6, hi=6, support=None):
     rng = random.Random(seed)
@@ -61,7 +63,7 @@ def test_hilbert_kernel_conditions_on_lattice():
 def test_hilbert_apply_log2():
     # ∫_0^1 dy/(2-y) = log 2, any truncation window containing [0,1]
     mesh = Mesh(dim=1, level=4)
-    f = StepFunction.indicator(mesh, Box.interval(0, 1))
+    f = indicator(mesh, Box.interval(0, 1))
     for eps, nu in ((1, 4), (Fraction(1, 2), 8), (Fraction(99, 100), 3)):
         assert abs(hilbert_apply(f, 2, eps, nu) - math.log(2)) < 1e-12
 
@@ -244,7 +246,7 @@ def test_dominate_zero_and_indicator():
     rep0 = dominate(StepFunction.zeros(mesh))
     assert rep0.c == 0.0 and rep0.violations == 0
 
-    f = StepFunction.indicator(mesh, Box.interval(Fraction(3, 8), Fraction(5, 8)))
+    f = indicator(mesh, Box.interval(Fraction(3, 8), Fraction(5, 8)))
     rep = dominate(f)
     assert rep.decomposition_gap >= 0          # oscillation step holds exactly
     assert rep.violations == 0

@@ -21,6 +21,8 @@ from sparsedom.harness import (
 )
 from sparsedom.stepfn import Mesh
 
+from meshtools import unflat
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -78,7 +80,7 @@ def test_generator_deterministic_and_core_supported(kind, dim, level):
     core = mesh.core
     for i, v in enumerate(f.values):
         if v != 0:
-            assert core.contains_box(mesh.cell_box(mesh.unflat(i)))
+            assert core.contains_box(mesh.cell_box(unflat(mesh, i)))
 
 
 def test_generator_seeds_differ():
@@ -300,6 +302,26 @@ def test_cli_acceptance_single_id(tmp_path, capsys):
     assert data["verdicts"][0]["criterion"] == "cover-6x"
     err = capsys.readouterr().err
     assert "PASS" in err
+
+
+@pytest.mark.parametrize("cid", ["l2-bound-8", "weak11-growth",
+                                 "adjoint-osc-growth", "a2-scan"])
+def test_cli_one_dimensional_criteria_exit_2_at_dim_2(cid, capsys):
+    assert run_cli("acceptance", "--id", cid, "--dim", "2", "--level", "3",
+                   "--trials", "1") == 2
+    err = capsys.readouterr().err
+    assert "dimension 1 only" in err and "Traceback" not in err
+
+
+def test_run_criterion_checks_supported_dimensions():
+    with pytest.raises(ValueError):
+        run_criterion("master-domination",
+                      default_config("master-domination").replaced(dim=2, level=3))
+
+
+def test_cli_a2_scan_rejects_dim_2(capsys):
+    assert run_cli("a2-scan", "--dim", "2", "--level", "3") == 2
+    assert "one-dimensional" in capsys.readouterr().err
 
 
 def test_cli_acceptance_requires_id_or_all(capsys):

@@ -42,9 +42,11 @@ from sparsedom.sparse import (
     verify_decomposition,
     verify_sparse_family,
     weak_norm,
-    _atoms_in_box,
+    _accumulate,
     _scale_averages,
 )
+
+from meshtools import cell_of_point, flat, flat_cells, indicator, unflat
 
 STD = GridId.standard(1)
 SHIFTED = GridId.shifted(1)
@@ -55,7 +57,7 @@ def mk_random(mesh, seed, lo=0, hi=8, support=None):
     vals = []
     for i in range(mesh.size):
         if support is not None:
-            idx = mesh.unflat(i)
+            idx = unflat(mesh, i)
             center = tuple(mesh.domain.lo[d] + (idx[d] + Fraction(1, 2)) * mesh.h
                            for d in range(mesh.dim))
             if not support.contains_point(center):
@@ -78,7 +80,7 @@ def test_cz_sparse_indicator_ancestor_chain():
     # f = chi_[0,1/2): thresholds 4^k for k=-3,-2,-1 pick the ancestors
     # [0,16), [0,4), [0,1); averages 1/32, 1/8, 1/2.
     mesh = Mesh(dim=1, level=4)
-    f = StepFunction.indicator(mesh, Box.interval(0, Fraction(1, 2)))
+    f = indicator(mesh, Box.interval(0, Fraction(1, 2)))
     fam = cz_sparse(f, STD)
     assert fam.level_keys() == [-3, -2, -1]
     expect = {
@@ -121,7 +123,7 @@ def _assert_cz_postconditions(f, grid, fam):
         t = Fraction(2)**((n + 1) * k)
         covered = set()
         for q in fam.levels[k]:
-            covered.update(_atoms_in_box(mesh, q.box))
+            covered.update(flat_cells(mesh, q.box))
         for i in range(mesh.size):
             if mf.values[i] > t:
                 assert i in covered
@@ -174,6 +176,38 @@ def test_scale_averages_match_cube_integrals(mesh):
             assert list(got) == sorted(got)
 
 
+def test_cz_sparse_rejects_grid_of_another_dimension():
+    f = mk_random(Mesh(dim=2, level=2), 1)
+    with pytest.raises(ValueError):
+        cz_sparse(f, GridId.standard(1))
+    with pytest.raises(ValueError):
+        cz_sparse(mk_random(Mesh(dim=1, level=2), 1), GridId.standard(2))
+
+
+@pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1)], ids=["1d", "2d"])
+def test_accumulate_matches_cellwise_sums(mesh):
+    # blocks of every shape, empty ones included, and unrelated denominators
+    rng = random.Random(mesh.size)
+    n = mesh.cells_axis
+    terms = []
+    for _ in range(30):
+        cells = []
+        for _ in range(mesh.dim):
+            a = rng.randint(0, n)
+            cells.append(slice(a, rng.randint(a, n)))
+        terms.append((tuple(cells), Fraction(rng.randint(-9, 9),
+                                             rng.choice([1, 3, 8, 97]))))
+    nums, den = _accumulate(mesh, terms)
+    assert nums.shape == mesh.shape
+    for i in range(mesh.size):
+        idx = unflat(mesh, i)
+        want = sum((v for cells, v in terms
+                    if all(s.start <= j < s.stop for s, j in zip(cells, idx))),
+                   Fraction(0))
+        assert Fraction(nums[idx], den) == want
+    assert _accumulate(mesh, [])[0].shape == mesh.shape
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 def test_cz_sparse_invariants_random(seed, shifted):
@@ -203,21 +237,21 @@ def test_decompose_constant_empty():
     assert res.base_median == Fraction(5, 3)
     assert verify_decomposition(f, res) >= 0
     sharp = sharp_maximal(f, res.cube, res.lam)
-    assert all(sharp.values[i] == 0 for i in _atoms_in_box(mesh, res.cube.box))
+    assert all(sharp.values[i] == 0 for i in flat_cells(mesh, res.cube.box))
 
 
 def test_decompose_half_indicator():
     # f = chi_[0,1/2) on q0 = [0,1): maximal median 1, empty family, and the
     # bound holds through 4*M^# alone since omega_{1/8}(f;q0) = 1/2.
     mesh = Mesh(dim=1, level=4)
-    f = StepFunction.indicator(mesh, Box.interval(0, Fraction(1, 2)))
+    f = indicator(mesh, Box.interval(0, Fraction(1, 2)))
     q0 = Cube(STD, 0, (0,))
     assert local_mean_oscillation(f, q0.box, Fraction(1, 8)) == Fraction(1, 2)
     res = oscillation_decompose(f, q0)
     assert res.base_median == 1
     assert res.family.is_empty
     sharp = sharp_maximal(f, q0, res.lam)
-    for i in _atoms_in_box(mesh, q0.box):
+    for i in flat_cells(mesh, q0.box):
         assert sharp.values[i] == Fraction(1, 2)
     assert verify_decomposition(f, res) == 1  # RHS-LHS minimized on [1/2,1)
 
@@ -275,7 +309,7 @@ def test_sparse_operator_single_cube():
     out = sparse_operator(fam, f)
     fq = average(f, q.box)
     for i in range(mesh.size):
-        inside = i in set(_atoms_in_box(mesh, q.box))
+        inside = i in set(flat_cells(mesh, q.box))
         assert out.values[i] == (fq if inside else 0)
 
 
@@ -287,7 +321,7 @@ def test_sparse_operator_nested_count():
                              2: [Cube(STD, 2, (0,))]})
     verify_sparse_family(fam)
     out = sparse_operator(fam, one)
-    x = mesh.flat(mesh.cell_of_point((Fraction(1, 8),)))
+    x = flat(mesh, cell_of_point(mesh, (Fraction(1, 8),)))
     assert out.values[x] == 3
 
 
@@ -315,11 +349,11 @@ def test_cz_composition_domination():
 def test_shifted_operator_single_cube_dilate():
     # q = [1/2,1), m=1, f = chi_[0,1/2): average over [1/4,5/4) is 1/4
     mesh = Mesh(dim=1, level=5)
-    f = StepFunction.indicator(mesh, Box.interval(0, Fraction(1, 2)))
+    f = indicator(mesh, Box.interval(0, Fraction(1, 2)))
     q = Cube(STD, 1, (1,))
     fam = SparseFamily(STD, {0: [q]})
     out = shifted_operator(fam, 1, f)
-    inside = set(_atoms_in_box(mesh, q.box))
+    inside = set(flat_cells(mesh, q.box))
     for i in range(mesh.size):
         assert out.values[i] == (Fraction(1, 4) if i in inside else 0)
 
@@ -365,12 +399,12 @@ def test_amalgam_single_pair_and_empty():
     assert all(v == 0 for v in amalgam(sh, other, f).values)
     out = amalgam(sh, grid, f)
     val = f.atom_sum(cover.box) / cover.measure
-    inside = set(_atoms_in_box(mesh, q.box))
+    inside = set(flat_cells(mesh, q.box))
     for i in range(mesh.size):
         assert out.values[i] == (val if i in inside else 0)
     adj = amalgam_adjoint(sh, grid, f)
     val2 = f.atom_sum(q.box) / cover.measure
-    inside2 = set(_atoms_in_box(mesh, cover.box))
+    inside2 = set(flat_cells(mesh, cover.box))
     for i in range(mesh.size):
         assert adj.values[i] == (val2 if i in inside2 else 0)
 
@@ -442,7 +476,7 @@ def test_adjoint_oscillation_display_exact():
         for k_q in (0, 1, 2):
             for jq in range(-4, 10):
                 q = Cube(alpha, k_q, (jq,))
-                atoms = list(_atoms_in_box(mesh, q.box))
+                atoms = list(flat_cells(mesh, q.box))
                 if not atoms:
                     continue
                 c = sum(f.atom_sum(qb.box) / cov.measure
@@ -469,7 +503,7 @@ def test_adjoint_oscillation_doubling():
         for k_q in (1, 2, 3):
             for jq in range(-2, 2**k_q * 3):
                 q = Cube(alpha, k_q, (jq,))
-                if not list(_atoms_in_box(mesh, q.box)):
+                if not list(flat_cells(mesh, q.box)):
                     continue
                 av = average(f, q.box)
                 if av == 0:
@@ -536,7 +570,7 @@ def test_scale_family_count_bounds():
                 members = {q for _, q in fam.pairs()
                            if q_l.box.contains_box(q.box) and q.side >= side_lim}
                 # overlap of the deduplicated sub-collection <= count
-                for i in _atoms_in_box(mesh, q_l.box):
+                for i in flat_cells(mesh, q_l.box):
                     center = (mesh.domain.lo[0] + (i + Fraction(1, 2)) * mesh.h,)
                     overlap = sum(1 for q in members if q.box.contains_point(center))
                     assert overlap <= count
@@ -544,7 +578,7 @@ def test_scale_family_count_bounds():
 
 def test_scale_family_count_empty():
     mesh = Mesh(dim=1, level=4)
-    f = StepFunction.indicator(mesh, Box.interval(0, Fraction(1, 16)))
+    f = indicator(mesh, Box.interval(0, Fraction(1, 16)))
     fam = cz_sparse(f, STD)
     sh = split_families(fam, 0)
     # a cube far away from the support holds no family cubes

@@ -1,6 +1,7 @@
 """Tests for step functions, rearrangements, medians, oscillations and
 the maximal operators, against brute-force definitional oracles."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from sparsedom.stepfn import (
     rearrangement,
     sharp_maximal,
 )
+
+from meshtools import cell_of_point, flat, indicator, le, unflat
 
 # ---------------------------------------------------------------------------
 # strategies: small random step functions with gentle denominators
@@ -64,7 +67,7 @@ def mk(level, pairs, dim=1):
     vals = [Fraction(0)] * mesh.size
     f = StepFunction(mesh, vals)
     for box, v in pairs:
-        ind = StepFunction.indicator(mesh, box)
+        ind = indicator(mesh, box)
         f = f + ind * rat(v)
     return f
 
@@ -175,7 +178,7 @@ def test_integral_additive_under_split(f):
 
 def test_indicator_requires_alignment():
     with pytest.raises(ValueError):
-        StepFunction.indicator(Mesh(1, 2), Box.interval(0, rat("1/3")))
+        indicator(Mesh(1, 2), Box.interval(0, rat("1/3")))
 
 
 def test_refine_preserves_values_and_integral():
@@ -183,7 +186,7 @@ def test_refine_preserves_values_and_integral():
     g = f.refine(2)
     assert g.mesh.level == 4
     assert g.integral() == f.integral()
-    assert g.values[g.mesh.cell_of_point((rat("1/4"),))[0]] == rat("3/4")
+    assert g.values[cell_of_point(g.mesh, (rat("1/4"),))[0]] == rat("3/4")
 
 
 def test_json_roundtrip():
@@ -198,6 +201,63 @@ def test_csv_roundtrip(tmp_path):
     f.to_csv(p)
     g = StepFunction.from_csv(p, 1, 2)
     assert g == f
+
+
+def random_box(rng, dim, lo=-2, hi=3):
+    """A box with rational corners, possibly leaving the domain."""
+    ends = []
+    for _ in range(dim):
+        a, b = sorted(Fraction(rng.randint(lo * 12, hi * 12), rng.choice([1, 3, 8, 12]))
+                      for _ in range(2))
+        ends.append((a, b if b > a else a + Fraction(1, 5)))
+    return Box(tuple(a for a, _ in ends), tuple(b for _, b in ends))
+
+
+@pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1), Mesh(2, 2, OFFSET_2D)],
+                         ids=["1d", "2d", "2d-offset"])
+def test_mesh_cells_are_the_cells_with_centers_in_box(mesh):
+    rng = random.Random(mesh.size)
+    centers = [mesh.centers(a) for a in range(mesh.dim)]
+    for _ in range(60):
+        box = random_box(rng, mesh.dim)
+        cells = mesh.cells(box)
+        assert len(cells) == mesh.dim
+        inside = np.zeros(mesh.shape, dtype=bool)
+        inside[cells] = True
+        for i in range(mesh.size):
+            idx = unflat(mesh, i)
+            center = tuple(c[j] for c, j in zip(centers, idx))
+            assert mesh.cell_box(idx).center == center
+            assert inside[idx] == box.contains_point(center)
+
+
+def test_integral_and_atom_sum_cellwise_2d():
+    # every cell weighted by its overlap with the box, against the n-D
+    # prefix table with partial cells on both axes
+    rng = random.Random(5)
+    for mesh in (Mesh(2, 1), Mesh(2, 2, OFFSET_2D)):
+        f = StepFunction(mesh, [Fraction(rng.randint(-40, 40), rng.choice([1, 3, 7, 96]))
+                                for _ in range(mesh.size)])
+        for _ in range(40):
+            box = random_box(rng, 2)
+            want_int = want_atoms = Fraction(0)
+            for i, v in enumerate(f.values):
+                cell = mesh.cell_box(unflat(mesh, i))
+                part = cell.intersect(box)
+                if part is not None:
+                    want_int += v * part.measure
+                if box.contains_point(cell.center):
+                    want_atoms += v * cell.measure
+            assert f.integral(box) == want_int
+            assert f.atom_sum(box) == want_atoms
+        assert f.integral() == mesh.h ** 2 * sum(f.values)
+
+
+def test_box_beyond_the_domain_holds_no_cells():
+    f = StepFunction.constant(Mesh(1, 2), 1)
+    beyond = Box.interval(5, 6)
+    assert f.mesh.cells(beyond) == (slice(12, 12),)
+    assert f.atom_sum(beyond) == 0 and f.integral(beyond) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +406,9 @@ def oracle_sharp(f, q0, lam):
 
     def visit(cube):
         w = local_mean_oscillation(f, cube.box, lam)
-        lo = mesh.cell_of_point(cube.box.lo)[0]
-        span = int(cube.side / mesh.h)
-        for i in range(lo, lo + span):
-            out[i] = max(out[i], w)
+        for i in range(mesh.size):
+            if cube.contains_point(mesh.cell_box(unflat(mesh, i)).center):
+                out[i] = max(out[i], w)
         if cube.side > mesh.h:
             for child in cube.children():
                 visit(child)
@@ -386,7 +445,7 @@ def test_sharp_matches_oracle(f, lam):
 def test_sharp_monotone_in_lambda(f):
     small = sharp_maximal(f, Q0, rat("1/8"))
     large = sharp_maximal(f, Q0, rat("1/2"))
-    assert large.le(small)
+    assert le(large, small)
 
 
 @given(step_functions(level=3), step_functions(level=3))
@@ -395,7 +454,15 @@ def test_sharp_subadditive_at_half_lambda(f, g):
     lam = rat("1/4")
     both = sharp_maximal(f + g, Q0, lam)
     parts = sharp_maximal(f, Q0, lam / 2) + sharp_maximal(g, Q0, lam / 2)
-    assert both.le(parts)
+    assert le(both, parts)
+
+
+@given(step_functions(level=1, dim=2, values=rational_values))
+@settings(max_examples=5, deadline=None)
+def test_sharp_2d_matches_oracle(f):
+    q0 = Cube(GridId.standard(2), -1, (0, 0))  # [0, 2)^2, 4 x 4 cells
+    assert sharp_maximal(f, q0, rat("1/16")).values == \
+        oracle_sharp(f, q0, rat("1/16"))
 
 
 def test_sharp_2d_matches_point_oscillations():
@@ -407,7 +474,7 @@ def test_sharp_2d_matches_point_oscillations():
     lam = rat("1/16")
     got = sharp_maximal(f, q0, lam)
     # check one full cell against the ancestor chain
-    cell = mesh.cell_of_point((rat("5/8"), rat("3/8")))
+    cell = cell_of_point(mesh, (rat("5/8"), rat("3/8")))
     expect = Fraction(0)
     cube = q0
     while True:
@@ -416,7 +483,7 @@ def test_sharp_2d_matches_point_oscillations():
             break
         cube = next(c for c in cube.children()
                     if c.contains_point((rat("5/8"), rat("3/8"))))
-    assert got.values[mesh.flat(cell)] == expect
+    assert got.values[flat(mesh, cell)] == expect
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +497,7 @@ def oracle_dyadic(f, grid):
     g = abs(f)
     out = []
     for flat in range(mesh.size):
-        idx = mesh.unflat(flat)
+        idx = unflat(mesh, flat)
         center = tuple(mesh.domain.lo[d] + (idx[d] + Fraction(1, 2)) * mesh.h
                        for d in range(mesh.dim))
         best = Fraction(0)
@@ -453,9 +520,9 @@ def test_dyadic_maximal_indicator_decay():
     f = mk(3, [(Box.interval(rat("1/2"), 1), 1)])
     out = dyadic_maximal(f, GridId.standard(1))
     mesh = f.mesh
-    assert out.values[mesh.cell_of_point((rat("3/4"),))[0]] == 1
-    assert out.values[mesh.cell_of_point((rat("1/4"),))[0]] == rat("1/2")
-    assert out.values[mesh.cell_of_point((rat("3/2"),))[0]] == rat("1/4")
+    assert out.values[cell_of_point(mesh, (rat("3/4"),))[0]] == 1
+    assert out.values[cell_of_point(mesh, (rat("1/4"),))[0]] == rat("1/2")
+    assert out.values[cell_of_point(mesh, (rat("3/2"),))[0]] == rat("1/4")
 
 
 @given(step_functions(level=2))
@@ -476,7 +543,7 @@ def test_dyadic_maximal_matches_oracle_shifted(f):
 @settings(max_examples=30)
 def test_dyadic_maximal_dominates_f(f):
     out = dyadic_maximal(f, GridId.standard(1))
-    assert abs(f).le(out)
+    assert le(abs(f), out)
 
 
 @given(step_functions(level=2), step_functions(level=2))
@@ -485,7 +552,7 @@ def test_dyadic_maximal_sublinear(f, g):
     grid = GridId.shifted(1)
     lhs = dyadic_maximal(f + g, grid)
     rhs = dyadic_maximal(f, grid) + dyadic_maximal(g, grid)
-    assert lhs.le(rhs)
+    assert le(lhs, rhs)
 
 
 @given(step_functions(level=3, values=rational_values), st.booleans())
@@ -534,7 +601,7 @@ def test_hl_half_indicator_spec_value():
     # [0, 3/4), giving (1/2)/(3/4) = 2/3
     f = mk(4, [(Box.interval(0, rat("1/2")), 1)])
     out = hl_maximal(f)
-    cell = f.mesh.cell_of_point((rat("3/4") - f.mesh.h,))[0]
+    cell = cell_of_point(f.mesh, (rat("3/4") - f.mesh.h,))[0]
     assert out.values[cell] == rat("2/3")
 
 
@@ -574,7 +641,7 @@ def test_hl_offset_domain(f1, f2):
 @given(step_functions(level=2), step_functions(level=2))
 @settings(max_examples=30)
 def test_hl_sublinear(f, g):
-    assert hl_maximal(f + g).le(hl_maximal(f) + hl_maximal(g))
+    assert le(hl_maximal(f + g), hl_maximal(f) + hl_maximal(g))
 
 
 @given(step_functions(level=2))
@@ -584,8 +651,8 @@ def test_hl_sandwich(f):
     m = hl_maximal(f)
     std = dyadic_maximal(f, GridId.standard(1))
     sh = dyadic_maximal(f, GridId.shifted(1))
-    assert std.le(m)
-    assert m.le(6 * (std + sh))
+    assert le(std, m)
+    assert le(m, 6 * (std + sh))
 
 
 def test_hl_2d_exhaustive_small():
