@@ -12,34 +12,80 @@ Every region of the family is an integer window [lo, hi) per axis on the
 h/3 lattice counted from the domain's lower corner: mesh cubes have
 corners at multiples of 3, and a grid cube of scale k <= level has corners
 (3j + b)·2^(level-k), b in {-1, 0, 1}, clipped to [0, 3n) for n cells per
-axis.  The prescreen keeps one long-double summed-area table per factor
-on the lattice (cumulative sums over the cells, then linear interpolation
-along each axis with coefficients 1, 2, 3, so entries are prefix integrals
-in lattice units).  Mesh cubes of side d are scored by differencing its
-cell-corner entries along each axis in turn, grid windows by one gather
-over the 2^D corners; a score is the product of the two window sums over
-the squared measure.
+axis.  The prescreen scores regions from summed-area tables of the two
+factors w and w⁻¹ on the lattice (cumulative sums over the cells, then
+linear interpolation along each axis with coefficients 1, 2, 3, so entries
+are prefix integrals in lattice units).  Mesh cubes of side d are scored
+by differencing its cell-corner entries along each axis in turn, grid
+windows by one gather over the 2^D corners; a score is the product of the
+two window sums over the squared measure.  It runs in two passes.  Pass 1
+builds float64 tables and keeps only the largest score m_d of each side d.
+Pass 2 builds long-double tables, scores every grid window, and scores the
+mesh cubes of only those sides that pass 1 cannot rule out.
 
-The band.  With u the long-double unit roundoff, γ_k = ku/(1 - ku) and v̂
-the float64 images of one factor's cell values (relative error 2⁻⁵³),
-every table entry is a nonnegative integer combination of the v̂ formed in
-chains of at most D(n+1) roundings (n per axis of cumulative sums, one per
-axis of refinement).  A window sum adds 2^D signed entries, each at most
-3^D·Σv̂, in 2^D - 1 more roundings, so its error is at most 6^D·γ_K·Σv̂,
+The band.  With u the unit roundoff of the tables (2⁻⁶⁴ in long double,
+2⁻⁵³ in float64), γ_k = ku/(1 - ku) and v̂ the float64 images of one
+factor's cell values (relative error 2⁻⁵³), every table entry is a
+nonnegative integer combination of the v̂ formed in chains of at most
+D(n+1) roundings (n per axis of cumulative sums, one per axis of
+refinement).  A window sum adds 2^D signed entries, each at most 3^D·Σv̂,
+in 2^D - 1 more roundings, so its error is at most 6^D·γ_K·Σv̂,
 K = D(n+1) + 2^D; the window, at least one lattice cell, holds at least
 min v̂.  Each window sum is thus within a relative
 e = 6^D·γ_K·Σv̂/min v̂ + 2⁻⁵³ and each score within r = e_w + e_v + O(e²)
 + 2u of the exact value, so every maximiser of the exact product M scores
-at least M(1 - r) >= top·(1 - 2r).  The band used,
-4·6^D·K·u·(Σŵ/min ŵ + Σv̂/min v̂) + 16·2⁻⁵³, is twice the first-order 2r;
-the spare half covers the second-order terms and the rounded threshold.
-A weight whose band exceeds 1e-4 is rejected.
+at least M(1 - r) >= top·(1 - 2r).  The band
+b(u) = 4·6^D·K·u·(Σŵ/min ŵ + Σv̂/min v̂) + 16·2⁻⁵³ is twice the
+first-order 2r; the spare half covers the second-order terms and the
+rounded threshold.  A weight whose long-double band b_L exceeds 1e-4 is
+rejected.
 
-Every region scoring at least top·(1 - band) is confirmed exactly, mesh
-cubes by side d and row-major position first, then grid windows by grid,
-scale (fine to coarse) and row-major index.  An exact window sum weights
-each cell by the lattice cells it holds and adds the terms pairwise in a
-balanced tree of unreduced numerator/denominator pairs.  Products are
+The side threshold.  Pass 2 visits side d when m_d >= T·(1 - b₆₄), with
+T = max_d m_d and b₆₄ = b(2⁻⁵³), ungated since it only chooses sides
+(when b₆₄ >= 1 it visits every side).  Summing the relative errors above
+in logarithms (-ln(1 - x) <= x/(1 - x)) puts every score ŝ of either
+pass, its rounded product and quotient included, within
+
+    |ln(ŝ/s)| <= λ = (b/4)/(1 - b/4)
+
+of its exact value s, up to factors 1 + Ku < 1 + 2⁻³⁵ (for K < 2¹⁸)
+that the margins below absorb; the squared measures (3d)^{2D} are exact
+in both precisions (below 2⁵³ on every mesh the CLI accepts).  Let W*
+attain T.  Its side is visited, so the long-double incumbent B, the
+largest long-double score of the grid windows and the visited sides, has
+ln B >= ln T - λ₆₄ - λ_L.  A cube W of a skipped side has
+
+    ln ŝ_L(W) <= ln s(W) + λ_L <= ln m_d + λ₆₄ + λ_L
+              <  ln T + ln(1 - b₆₄) + 2·2⁻⁵³ + λ₆₄ + λ_L,
+
+the 2⁻⁵³ terms for the two roundings of the threshold.  Pass 2 keeps W
+when its raw product reaches fl(fl(B·keep)·|W|²), keep = fl(1 - b_L),
+which is at least B·(1 - b_L)(1 - 2⁻⁶⁴)³·|W|².  So W is neither kept nor
+the best when
+
+    -ln(1 - b₆₄) - 2λ₆₄ >= 2λ_L - ln(1 - b_L) + 2·2⁻⁵³ + 3·2⁻⁶⁴.
+
+For b₆₄ < 1 the left side is at least
+b₆₄ + b₆₄²/2 - (b₆₄/2)(1 + b₆₄/3) >= b₆₄/2; with b_L <= 1e-4 the right
+side is at most 1.51·b_L + 3·2⁻⁵³.  With c = Σŵ/min ŵ + Σv̂/min v̂ >= 2
+and 6^D·K >= 24,
+
+    b₆₄/2 - 1.51·b_L >= 6^D·K·c·2⁻⁵³·(2 - 6.04·2⁻¹¹) - 16.2·2⁻⁵³
+                     >= 79·2⁻⁵³ > 3·2⁻⁵³.
+
+Hence the long-double best, the kept cubes and their order are those of a
+long-double pass over every side.  Pass 1 divides each factor by the
+least power of two above its largest value.  That is exact, since the
+gate on b_L gives c < 2⁴⁵, so min/max >= 1/c keeps every scaled value
+normal; it is a common factor of every m_d, which cancels above; and it
+keeps the float64 table entries finite wherever the long-double ones are.
+
+Every region whose long-double score is at least B·(1 - b_L) is confirmed
+exactly, mesh cubes by side d and row-major position first, then grid
+windows by grid, scale (fine to coarse) and row-major index.  An exact
+window sum weights each cell by the lattice cells it holds and adds the
+terms pairwise in a balanced tree of unreduced numerator/denominator
+pairs.  Products are
 compared by cross-multiplication and replace the best only when strictly
 larger, so the witness is the first maximiser in that order.  The Fraction
 constant and the witness Box are built once.
@@ -133,6 +179,16 @@ def weighted_norm(f: StepFunction, w: Weight) -> float:
 # A2 constant
 # ---------------------------------------------------------------------------
 
+def _verbatim(q: Fraction):
+    """``rat_str(q)`` while numerator and denominator stay below 4,096
+    bits, else None: exact constants from power weights can have
+    numerators far past any sensible decimal printout (and past Python's
+    int-to-str digit limit)."""
+    small = (q.numerator.bit_length() < 4096
+             and q.denominator.bit_length() < 4096)
+    return rat_str(q) if small else None
+
+
 @dataclass
 class A2Report:
     constant: Fraction
@@ -143,7 +199,7 @@ class A2Report:
 
     def to_json(self) -> dict:
         return {
-            "constant": rat_str(self.constant),
+            "constant": _verbatim(self.constant),
             "constant_float": float(self.constant),
             "witness": self.witness.to_json(),
             "witness_kind": self.witness_kind,
@@ -168,11 +224,11 @@ def _grid_windows(mesh: Mesh):
     return np.concatenate(los), np.concatenate(his)
 
 
-def _lattice_prefix(f: np.ndarray) -> np.ndarray:
-    """Long-double summed-area table of the cell values f on the h/3
+def _lattice_prefix(f: np.ndarray, dtype) -> np.ndarray:
+    """Summed-area table in ``dtype`` of the cell values f on the h/3
     lattice: cumulative sums over the cells, then linear interpolation
     along each axis, scaled so that every coefficient is 1, 2 or 3."""
-    s = np.pad(f.astype(np.longdouble), (1, 0))
+    s = np.pad(f.astype(dtype), (1, 0))
     for axis in range(s.ndim):
         s = s.cumsum(axis)
     for axis in range(s.ndim):
@@ -194,6 +250,17 @@ def _cube_sums(s: np.ndarray, d: int) -> np.ndarray:
     return s
 
 
+def _side_maxima(factors) -> np.ndarray:
+    """Largest float64 score of the mesh cubes of each side d = 1..n, from
+    the float images of w and w⁻¹ (pass 1 of the module docstring)."""
+    dim = factors[0].ndim
+    nodes = (slice(None, None, 3),) * dim  # table entries at cell corners
+    tw, tv = (_lattice_prefix(f, np.float64)[nodes] for f in factors)
+    return np.array([(_cube_sums(tw, d) * _cube_sums(tv, d)).max()
+                     / float(3 * d) ** (2 * dim)
+                     for d in range(1, len(factors[0]) + 1)])
+
+
 def _window_sums(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sums over the windows [lo, hi) from a lattice table, by
     inclusion-exclusion over the 2^D corners in one gather each."""
@@ -205,16 +272,13 @@ def _window_sums(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return total
 
 
-def _certified_band(dim: int, cells_axis: int, factors) -> float:
-    """Relative band of the prescreen scores (derivation in the module
-    docstring); ``factors`` are the float images of w and w⁻¹."""
-    u = float(np.finfo(np.longdouble).eps) / 2
+def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
+    """Relative band b(u) of the prescreen scores of tables with unit
+    roundoff u (derivation in the module docstring); ``factors`` are the
+    float images of w and w⁻¹."""
     k = dim * (cells_axis + 1) + 2 ** dim
     cond = sum(math.fsum(f.flat) / f.min() for f in factors)
-    band = 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
-    if band > 1e-4:
-        raise ValueError("weight too ill-conditioned for a certified search")
-    return band
+    return 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
 
 
 def _window_sum_exact(terms, n: int, lo, hi) -> tuple[int, int]:
@@ -255,19 +319,28 @@ def a2_constant(w: Weight) -> A2Report:
     dim, n = mesh.dim, mesh.cells_axis
     factors = [np.array([float(v) for v in g.values]).reshape(mesh.shape)
                for g in (w.fn, w.reciprocal)]
-    keep = 1 - np.longdouble(_certified_band(dim, n, factors))
-    tw, tv = (_lattice_prefix(f) for f in factors)
+    band = _certified_band(dim, n, factors,
+                           float(np.finfo(np.longdouble).eps) / 2)
+    if band > 1e-4:
+        raise ValueError("weight too ill-conditioned for a certified search")
+    keep = 1 - np.longdouble(band)
+    # pass 1: only the sides whose float64 maximum is within the float64
+    # band of the top can hold a long-double candidate
+    top = _side_maxima([np.ldexp(f, -np.frexp(f.max())[1]) for f in factors])
+    cut = top.max() * (1 - _certified_band(dim, n, factors, 2.0 ** -53))
+    sides = (np.flatnonzero(top >= cut) + 1).tolist()
+    tw, tv = (_lattice_prefix(f, np.longdouble) for f in factors)
 
     glo, ghi = _grid_windows(mesh)
     area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
     gscore = (_window_sums(tw, glo, ghi) * _window_sums(tv, glo, ghi)
               / (area * area))
     best = gscore.max()
-    # one pass over the sides: keep every cube within the band of the
-    # running best, a superset of the final candidates
+    # pass 2, one pass over those sides: keep every cube within the band
+    # of the running best, a superset of the final candidates
     nodes = (slice(None, None, 3),) * dim  # table entries at cell corners
     kept = []
-    for d in range(1, n + 1):
+    for d in sides:
         raw = (_cube_sums(tw[nodes], d) * _cube_sums(tv[nodes], d)).ravel()
         norm = np.longdouble(3 * d) ** (2 * dim)
         best = max(best, raw.max() / norm)
@@ -513,15 +586,9 @@ class ScanRow:
     converged: bool
 
     def to_json(self) -> dict:
-        # exact constants from power weights can have numerators far past
-        # any sensible decimal printout; keep the verbatim rational only
-        # when it is small enough to read
-        q = self.a2_exact
-        small = (q.numerator.bit_length() < 4096
-                 and q.denominator.bit_length() < 4096)
         return {"a": self.a, "A2": self.a2, "opnorm": self.opnorm,
                 "ratio": self.ratio,
-                "A2_exact": rat_str(q) if small else None,
+                "A2_exact": _verbatim(self.a2_exact),
                 "converged": self.converged}
 
 

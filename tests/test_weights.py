@@ -1,6 +1,7 @@
 """Tests for A2 constants, weighted norms, and operator-norm estimation."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from sparsedom.rational import pow2
 from sparsedom.stepfn import Mesh, StepFunction, average, _top_scale
 from sparsedom.sparse import SparseFamily
 from sparsedom.weights import (
+    A2Report,
     CellOperator,
     Weight,
     a2_constant,
@@ -27,7 +29,12 @@ from sparsedom.weights import (
     tower_family,
     weighted_norm,
     _certified_band,
+    _cube_sums,
     _grid_windows,
+    _lattice_prefix,
+    _side_maxima,
+    _window_sum_exact,
+    _window_sums,
 )
 from sparsedom.czo import hilbert_apply
 
@@ -299,9 +306,160 @@ def test_band_of_a2_scan_weights(a):
     w = Weight.power(Mesh(dim=1, level=12), a)
     factors = [np.array([float(v) for v in g.values])
                for g in (w.fn, w.reciprocal)]
-    band = _certified_band(1, w.mesh.cells_axis, factors)
+    band = _certified_band(1, w.mesh.cells_axis, factors,
+                           float(np.finfo(np.longdouble).eps) / 2)
     assert band < 1e-4
     assert band <= _band_before(w)
+
+
+def _a2_one_pass(w):
+    """The single-pass search that a2_constant replaced: long-double scores
+    of every mesh cube of every side, with the running best."""
+    mesh = w.mesh
+    dim, n = mesh.dim, mesh.cells_axis
+    factors = [np.array([float(v) for v in g.values]).reshape(mesh.shape)
+               for g in (w.fn, w.reciprocal)]
+    band = _certified_band(dim, n, factors,
+                           float(np.finfo(np.longdouble).eps) / 2)
+    assert band <= 1e-4
+    keep = 1 - np.longdouble(band)
+    tw, tv = (_lattice_prefix(f, np.longdouble) for f in factors)
+    glo, ghi = _grid_windows(mesh)
+    area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
+    gscore = (_window_sums(tw, glo, ghi) * _window_sums(tv, glo, ghi)
+              / (area * area))
+    best = gscore.max()
+    nodes = (slice(None, None, 3),) * dim
+    kept = []
+    for d in range(1, n + 1):
+        raw = (_cube_sums(tw[nodes], d) * _cube_sums(tv[nodes], d)).ravel()
+        norm = np.longdouble(3 * d) ** (2 * dim)
+        best = max(best, raw.max() / norm)
+        idx = np.flatnonzero(raw >= best * keep * norm)
+        if idx.size:
+            kept.append((d, idx, raw[idx]))
+    thresh = best * keep
+    windows = []
+    for d, idx, raw in kept:
+        for i in idx[raw >= thresh * np.longdouble(3 * d) ** (2 * dim)]:
+            lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
+            windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
+    for i in np.flatnonzero(gscore >= thresh):
+        windows.append((glo[i].tolist(), ghi[i].tolist(), "grid-cube"))
+    terms = [[(v.numerator, v.denominator) for v in g.values]
+             for g in (w.fn, w.reciprocal)]
+    best_q, best_win = Fraction(0), None
+    for lo, hi, kind in windows:
+        (nw, dw), (nv, dv) = (_window_sum_exact(t, n, lo, hi) for t in terms)
+        area = math.prod(b - a for a, b in zip(lo, hi))
+        q = Fraction(nw * nv, dw * dv * area * area)
+        if q > best_q:
+            best_q, best_win = q, (lo, hi, kind)
+    lo, hi, kind = best_win
+    corner, third = mesh.domain.lo, mesh.h / 3
+    return A2Report(
+        constant=best_q,
+        witness=Box(tuple(c + a * third for c, a in zip(corner, lo)),
+                    tuple(c + b * third for c, b in zip(corner, hi))),
+        witness_kind=kind,
+        search="search-family constant: mesh-corner-aligned cubes + "
+               "all shifted-grid cubes clipped to the domain",
+        candidates_confirmed=len(windows))
+
+
+def _mirrored(mesh, seed):
+    """A random weight invariant under x -> -x on every axis (and, in 2-D,
+    under swapping the axes), so its maximisers come in exact ties."""
+    rng = random.Random(seed)
+    n = mesh.cells_axis
+    half = {}
+    vals = []
+    for idx in itertools.product(range(n), repeat=mesh.dim):
+        key = tuple(sorted(min(i, n - 1 - i) for i in idx))
+        if key not in half:
+            half[key] = Fraction(rng.randrange(1, 40), rng.randrange(1, 5))
+        vals.append(half[key])
+    return Weight(StepFunction(mesh, vals))
+
+
+def _periodic(mesh, period, seed):
+    """Cell values repeating with the given period along the flat index, so
+    every side that is a multiple of the period ties in 1-D."""
+    rng = random.Random(seed)
+    motif = [Fraction(rng.randrange(1, 30)) for _ in range(period)]
+    return Weight(StepFunction(mesh, [motif[i % period]
+                                      for i in range(mesh.size)]))
+
+
+def _oracle_weights():
+    for level in (8, 10):
+        for a in (0.3, 0.6, 0.8, 0.9, 0.95):  # criterion 11's exponents
+            yield Weight.power(Mesh(dim=1, level=level), a)
+    for a in (0.203, 0.489, 0.882):  # the weighted benchmark, seed 1
+        yield Weight.power(Mesh(dim=1, level=10), a)
+    for seed in range(24):
+        rng = random.Random(seed)
+        yield mk_weight(Mesh(dim=1, level=rng.randrange(1, 7)), seed,
+                        hi=rng.choice((3, 9, 200)))
+        yield mk_weight(Mesh(dim=2, level=rng.randrange(1, 3)), seed,
+                        hi=rng.choice((3, 9, 200)))
+    for seed in range(4):
+        yield _mirrored(Mesh(dim=1, level=seed + 2), seed)
+        yield _mirrored(Mesh(dim=2, level=1 + seed % 2), seed)
+        yield _periodic(Mesh(dim=1, level=seed + 3), 2 + seed, seed)
+    # a sum of cell values near the float64 maximum: the float64 tables of
+    # the unscaled factors, with entries up to three times that sum, would
+    # overflow
+    rng = random.Random(5)
+    yield Weight(StepFunction(Mesh(dim=1, level=4), [
+        Fraction(rng.randrange(1, 4) * 10 ** 306) for _ in range(48)]))
+
+
+def test_a2_matches_one_pass_search():
+    for w in _oracle_weights():
+        got, want = a2_constant(w), _a2_one_pass(w)
+        # compared before asserting: the constants can be too long to print
+        same = got == want
+        assert same, (w.mesh.dim, w.mesh.level, got.witness, want.witness,
+                      got.candidates_confirmed, want.candidates_confirmed)
+
+
+def _exact_side_maxima(w):
+    """Exact max of avg(w, Q)·avg(w⁻¹, Q) over the mesh cubes Q of each
+    side d = 1..n, one Fraction average per cube."""
+    mesh = w.mesh
+    n, h, corner = mesh.cells_axis, mesh.h, mesh.domain.lo
+    out = []
+    for d in range(1, n + 1):
+        best = Fraction(0)
+        for idx in itertools.product(range(n - d + 1), repeat=mesh.dim):
+            q = Box(tuple(c + i * h for c, i in zip(corner, idx)),
+                    tuple(c + (i + d) * h for c, i in zip(corner, idx)))
+            best = max(best, average(w.fn, q) * average(w.reciprocal, q))
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mk_weight(Mesh(dim=1, level=4), 3),
+    lambda: mk_weight(Mesh(dim=1, level=5), 8, hi=200),
+    lambda: Weight.power(Mesh(dim=1, level=5), 0.95),
+    lambda: Weight.power(Mesh(dim=1, level=4), -0.6),
+    lambda: mk_weight(Mesh(dim=2, level=2), 1),
+    lambda: Weight.power(Mesh(dim=2, level=2), 0.8),
+    lambda: Weight(StepFunction(Mesh(dim=1, level=5), [
+        Fraction(10 ** random.Random(i).uniform(-3, 3)) for i in range(96)])),
+    lambda: Weight(StepFunction(Mesh(dim=2, level=1), [
+        Fraction(10 ** random.Random(i).uniform(-3, 3)) for i in range(36)])),
+])
+def test_float64_side_maxima_within_half_band(make):
+    w = make()
+    factors = [np.array([float(v) for v in g.values]).reshape(w.mesh.shape)
+               for g in (w.fn, w.reciprocal)]
+    half = Fraction(_certified_band(w.mesh.dim, w.mesh.cells_axis, factors,
+                                    2.0 ** -53) / 2)
+    for got, exact in zip(_side_maxima(factors), _exact_side_maxima(w)):
+        assert abs(Fraction(float(got)) - exact) <= half * exact
 
 
 def test_a2_report_json():
@@ -311,6 +469,12 @@ def test_a2_report_json():
                          "witness_kind", "search", "candidates_confirmed"}
     num, den = data["constant"].split("/")
     assert int(den) > 0
+    # past 4,096 bits the verbatim rational is left out, as in ScanRow
+    rep = a2_constant(Weight.power(Mesh(dim=1, level=8), 0.95))
+    assert rep.constant.numerator.bit_length() >= 4096
+    data = json.loads(json.dumps(rep.to_json()))
+    assert data["constant"] is None
+    assert data["constant_float"] == float(rep.constant)
 
 
 # ---------------------------------------------------------------------------
