@@ -1,5 +1,7 @@
 """Golden verdicts: every criterion at a small config must reproduce the
-recorded ``Verdict.to_json()`` document exactly.
+recorded ``Verdict.to_json()`` document exactly, and so must the
+``decompose`` and ``cz-sparse`` reports (without their ``timestamp``) on
+small CSV inputs of rationals with unrelated denominators.
 
 The golden file pins the verdicts of the code before the n-D cell-layer
 refactor, so any change to a measured value, a witness or a pass/fail
@@ -12,12 +14,15 @@ Regenerate (only when a verdict is meant to change) with
 
 import json
 import pathlib
+import tempfile
 
 import pytest
 
+from sparsedom.cli import main
 from sparsedom.harness import default_config, run_criterion
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_verdicts.json"
 
 # (name, criterion id, overrides of the criterion's pinned config)
 CASES = [
@@ -45,6 +50,30 @@ CASES = [
 ]
 
 
+# (name, CLI arguments); the input CSVs hold rationals over 3, 7, 11, 96
+# and 97, with zeros and negatives
+CLI_CASES = [
+    ("cli-decompose-rational-1d", ["decompose", "--level", "5", "--input",
+                                   "rationals-1d-level5.csv"]),
+    ("cli-cz-sparse-rational-1d", ["cz-sparse", "--level", "5", "--input",
+                                   "rationals-1d-level5.csv"]),
+    ("cli-decompose-rational-2d", ["decompose", "--dim", "2", "--level", "3",
+                                   "--input", "rationals-2d-level3.csv"]),
+    ("cli-cz-sparse-rational-2d", ["cz-sparse", "--dim", "2", "--level", "3",
+                                   "--input", "rationals-2d-level3.csv"]),
+]
+
+
+def _cli_json(argv: list) -> dict:
+    argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "report.json"
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text())
+    del report["timestamp"]
+    return report
+
+
 def _verdict_json(cid: str, overrides: dict) -> dict:
     cfg = default_config(cid).replaced(**overrides)
     # through JSON text, so floats and keys compare as the file stores them
@@ -58,7 +87,14 @@ def test_golden_verdict(name, cid, overrides):
     assert _verdict_json(cid, overrides) == golden[name]
 
 
+@pytest.mark.parametrize("name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def test_golden_cli_report(name, argv):
+    golden = json.loads(GOLDEN.read_text())
+    assert _cli_json(argv) == golden[name]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     data = {name: _verdict_json(cid, ov) for name, cid, ov in CASES}
+    data.update((name, _cli_json(argv)) for name, argv in CLI_CASES)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
