@@ -14,7 +14,6 @@ from .geometry import (
     whitney_decompose,
 )
 from .stepfn import (
-    DistributionProfile,
     Mesh,
     StepFunction,
     average,
@@ -87,9 +86,8 @@ __all__ = [
     "parse_scalar", "pow2", "rat", "rat_str",
     "Box", "Cube", "GridId", "concentric", "cover_cube", "cube_at",
     "dilate", "whitney_decompose",
-    "DistributionProfile", "Mesh", "StepFunction", "average",
-    "dyadic_maximal", "hl_maximal", "local_mean_oscillation", "median",
-    "rearrangement", "sharp_maximal",
+    "Mesh", "StepFunction", "average", "dyadic_maximal", "hl_maximal",
+    "local_mean_oscillation", "median", "rearrangement", "sharp_maximal",
     "DecompositionResult", "GoodBadSplit", "ShiftedFamily", "SparseFamily",
     "amalgam", "amalgam_adjoint", "cz_good_bad_split", "cz_pointwise_gap",
     "cz_sparse", "oscillation_decompose", "scale_family_count",

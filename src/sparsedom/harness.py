@@ -73,8 +73,8 @@ class ExperimentConfig:
             raise ValueError("dim must be 1 or 2")
         cap = 14 if self.dim == 1 else 7
         if not 1 <= self.level <= cap:
-            raise ValueError("level %d exceeds the desk-scale cap %d for "
-                             "dim %d" % (self.level, cap, self.dim))
+            raise ValueError("level %d must lie in 1..%d, the desk-scale "
+                             "range for dim %d" % (self.level, cap, self.dim))
         if self.lam is None:
             self.lam = pow2(-(self.dim + 2))
         else:

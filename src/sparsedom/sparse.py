@@ -36,10 +36,10 @@ and the output builds one Fraction per distinct value.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import math
 
 import numpy as np
 
@@ -49,14 +49,13 @@ from .stepfn import (
     Mesh,
     StepFunction,
     average,
-    local_mean_oscillation,
-    median,
-    sharp_maximal,
-    _aligned_cell_range,
+    _blocks,
     _corner,
     _corners,
+    _dyadic_blocks,
     _grid_cube_sums,
     _shared_fractions,
+    _sharp_widths,
     _top_scale,
 )
 
@@ -151,30 +150,20 @@ def verify_sparse_family(fam: SparseFamily):
 # Calderon-Zygmund construction on the grid maximal function
 # ---------------------------------------------------------------------------
 
-def _scale_averages(f: StepFunction, grid: GridId, k: int) -> dict[tuple, Fraction]:
-    """Nonzero geometric averages of |f| over the grid cubes of scale k
-    that meet the mesh, keyed by cube index in row-major order, from the
-    integer cube sums of ``_grid_cube_sums``."""
-    mesh = f.mesh
-    sums, first, _ = _grid_cube_sums(f, grid, k)
-    den = f._numerators()[1] * (3 << (mesh.level - k)) ** mesh.dim
-    return {tuple(i + j for i, j in zip(idx, first)): Fraction(v, den)
-            for idx, v in np.ndenumerate(sums) if v}
-
-
-def _subtree_maxima(avg: dict[int, dict[tuple, Fraction]], grid: GridId,
-                    top: int, level: int) -> dict[int, dict[tuple, Fraction]]:
+def _subtree_maxima(avg: dict, first: dict, grid: GridId, top: int,
+                    level: int) -> dict:
     """Per cube, the largest average in its subtree down to ``level``, for
-    pruned descent."""
-    submax: dict[int, dict[tuple, Fraction]] = {level: dict(avg[level])}
-    for k in range(level - 1, top - 1, -1):
-        cur = dict(avg[k])
-        below = submax[k + 1]
-        for j, m in below.items():
-            parent = Cube(grid, k + 1, j).parent().j
-            if m > cur.get(parent, Fraction(0)):
-                cur[parent] = m
-        submax[k] = cur
+    pruned descent: each scale's array is a per-axis max-pool of the next
+    finer one, whose parents (j + 3·offset) // 2 (as in ``Cube.parent``)
+    run through the coarser scale's cubes in order."""
+    submax = {level: avg[level]}
+    for k in range(level, top, -1):
+        pooled = submax[k]
+        for axis, (j0, off) in enumerate(zip(first[k], grid.offset_at(k))):
+            parent = (j0 + np.arange(pooled.shape[axis]) + int(3 * off)) // 2
+            starts = np.flatnonzero(np.diff(parent, prepend=parent[0] - 1))
+            pooled = np.maximum.reduceat(pooled, starts, axis=axis)
+        submax[k - 1] = np.maximum(avg[k - 1], pooled)
     return submax
 
 
@@ -191,60 +180,77 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     coarsest-scale average drops to the bottom threshold: then every
     selected cube has an in-range parent of average ≤ 2^{(n+1)k}, which
     is exactly what makes |Ω_{k+1} ∩ Q_j^k| ≤ |Q_j^k|/2 provable.
+
+    Averages are the integer cube sums of ``_grid_cube_sums`` brought to one
+    denominator, as in ``dyadic_maximal``, and each threshold becomes one
+    integer; Cubes are built only for the selected cubes.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
-    if all(v == 0 for v in f.values):
+    nums, den = f._numerators()
+    if not nums.any():
         return SparseFamily(grid, {})
-    n = mesh.dim
+    n, level = mesh.dim, mesh.level
     top = _top_scale(mesh)
-    avg = {k: _scale_averages(f, grid, k) for k in range(top, mesh.level + 1)}
-    m0 = min(v for level in avg.values() for v in level.values())
-    vmax = max(v for level in avg.values() for v in level.values())
+    cubes = {k: _grid_cube_sums(f, grid, k) for k in range(top, level + 1)}
 
-    # largest k with 2^{(n+1)k} < m0
-    e = 0
-    while pow2(e) < m0:
-        e += 1
-    while pow2(e) >= m0:
-        e -= 1
-    k_bot = e // (n + 1)
-    if pow2((n + 1) * k_bot) >= m0:
+    def scaled(k: int) -> np.ndarray:
+        """Scale k's averages as integers over D·(3·2^(level-top))^n."""
+        return cubes[k][0] * (1 << n * (k - top))
+
+    def threshold(k: int) -> int:
+        """avg > 2^{(n+1)k} exactly when scaled > threshold(k)."""
+        e = (n + 1) * k + n * (level - top)
+        return den * 3**n << e if e >= 0 else den * 3**n >> -e
+
+    # largest k with 2^{(n+1)k} below the smallest nonzero average
+    m0 = min(a[a != 0].min() for a in map(scaled, cubes) if a.any())
+    k_bot = 0
+    while m0 > threshold(k_bot + 1):
+        k_bot += 1
+    while not m0 > threshold(k_bot):
         k_bot -= 1
 
-    t_bot = pow2((n + 1) * k_bot)
-    l1 = f.norm_l1()
-    while l1 * pow2(top * n) > t_bot:
+    # ‖f‖₁·2^(n·top) > 2^{(n+1)k_bot}, with ‖f‖₁ = Σ|nums| / (D·2^(n·level))
+    l1 = abs(nums).sum()
+    while 3**n * l1 > threshold(k_bot):
         top -= 1
-        avg[top] = _scale_averages(f, grid, top)
-    submax = _subtree_maxima(avg, grid, top, mesh.level)
+        cubes[top] = _grid_cube_sums(f, grid, top)
+    avg = {k: scaled(k) for k in cubes}
+    first = {k: c[1] for k, c in cubes.items()}
+    # a parent's average is the mean of its children's: the top scales
+    # added above do not raise the maximum
+    vmax = max(a.max() for a in avg.values())
+    submax = _subtree_maxima(avg, first, grid, top, level)
 
-    def select(threshold: Fraction) -> list[Cube]:
+    def select(threshold: int) -> list[Cube]:
         out = []
 
-        def descend(k, j):
-            if avg[k].get(j, Fraction(0)) > threshold:
+        def descend(k, pos):
+            if avg[k][pos] > threshold:
+                j = tuple(int(j0 + p) for j0, p in zip(first[k], pos))
                 out.append(Cube(grid, k, j))
                 return
-            if k == mesh.level:
+            if k == level:
                 return
-            for child in Cube(grid, k, j).children():
-                if submax[k + 1].get(child.j, Fraction(0)) > threshold:
-                    descend(k + 1, child.j)
+            # the children's first indices, as in ``Cube.children``
+            base = [2 * (j0 + p) + int(3 * off) - c0 for j0, p, off, c0
+                    in zip(first[k], pos, grid.offset_at(k), first[k + 1])]
+            below = submax[k + 1]
+            for child in itertools.product(*((b, b + 1) for b in base)):
+                if all(0 <= c < m for c, m in zip(child, below.shape)) \
+                        and below[child] > threshold:
+                    descend(k + 1, child)
 
-        for j, m in submax[top].items():
-            if m > threshold:
-                descend(top, j)
+        for pos in zip(*np.nonzero(submax[top] > threshold)):
+            descend(top, pos)
         return out
 
     levels: dict[int, list[Cube]] = {}
     k = k_bot
-    while True:
-        t = pow2((n + 1) * k)
-        if t >= vmax:
-            break
-        chosen = select(t)
+    while vmax > threshold(k):
+        chosen = select(threshold(k))
         if not chosen:
             break
         levels[k] = chosen
@@ -332,62 +338,63 @@ def oscillation_decompose(f: StepFunction, q0: Cube) -> DecompositionResult:
     exactly half its mass in the exceptional set would be skipped, and
     the maximal-median convention then lets the child median escape the
     2ω window at exact ties.
+
+    Until selected, a cube is a (side, position) pair among the dyadic
+    blocks of q0's cells, with the integer median and width 2ω·D of
+    ``_dyadic_blocks``.  The exceptional set is |num − m| > 2ω·D on
+    numerators, counted per block by reshape-sums, and a block of side s
+    is selected when cnt·2^{n+1} ≥ sⁿ, in the order of ``Cube.children``.
     """
-    mesh = f.mesh
-    n = mesh.dim
+    n = f.mesh.dim
     lam = pow2(-(n + 2))
     if not q0.grid.is_standard:
         raise ValueError("decomposition cube must be a standard-grid cube")
-    _aligned_cell_range(mesh, q0)
-    sel_frac = pow2(-(n + 1))
-    vals = f._cell_array()
+    _, nums, den, stats = _dyadic_blocks(f, q0, lam)
+    span = len(nums)
+    steps = list(itertools.product((0, 1), repeat=n))
 
-    def exceptional_cells(cube: Cube) -> np.ndarray:
-        m = median(f, cube.box)
-        w = local_mean_oscillation(f, cube.box, lam)
-        bad = np.zeros(mesh.shape, dtype=bool)
-        cells = mesh.cells(cube.box)
-        bad[cells] = abs(vals[cells] - m) > 2 * w
-        return bad
+    def children(side: int, pos: tuple) -> list:
+        return [(side // 2, tuple(2 * p + d for p, d in zip(pos, step)))
+                for step in steps] if side > 1 else []
 
-    def select_children(cube: Cube, bad: np.ndarray) -> list[Cube]:
-        chosen = []
-
-        def descend(c: Cube):
-            cnt = int(bad[mesh.cells(c.box)].sum())
-            if cnt == 0:
-                return
-            total = int(c.side / mesh.h) ** mesh.dim
-            if cnt >= sel_frac * total:
-                chosen.append(c)
-                return
-            if c.side > mesh.h:
-                for child in c.children():
-                    descend(child)
-
-        if cube.side > mesh.h:
-            for child in cube.children():
-                descend(child)
-        return chosen
+    def cube(side: int, pos: tuple) -> Cube:
+        r = span // side
+        return Cube(q0.grid, q0.k + r.bit_length() - 1,
+                    tuple(j * r + p for j, p in zip(q0.j, pos)))
 
     levels: dict[int, list[Cube]] = {}
     coeffs: dict[Cube, Fraction] = {}
-    active = [q0]
+    active = [(span, (0,) * n)]
     gen = 1
-    while active:
-        next_active = []
+    while True:
+        bad = np.zeros(nums.shape, dtype=bool)
+        for side, pos in active:
+            block = tuple(slice(p * side, (p + 1) * side) for p in pos)
+            med, width = stats[side]
+            bad[block] = abs(nums[block] - med[pos]) > width[pos]
+        counts = {side: _blocks(bad, side).sum(-1) for side in stats}
+        chosen = []
+
+        def descend(side, pos):
+            cnt = int(counts[side][pos])
+            if cnt and cnt << (n + 1) >= side**n:
+                chosen.append((side, pos))
+            elif cnt:
+                for child in children(side, pos):
+                    descend(*child)
+
         for q in active:
-            bad = exceptional_cells(q)
-            next_active.extend(select_children(q, bad))
-        if not next_active:
+            for child in children(*q):
+                descend(*child)
+        if not chosen:
             break
-        levels[gen] = next_active
-        for q in next_active:
-            coeffs[q] = local_mean_oscillation(f, q.box, lam)
-        active = next_active
+        levels[gen] = [cube(side, pos) for side, pos in chosen]
+        for q, (side, pos) in zip(levels[gen], chosen):
+            coeffs[q] = Fraction(stats[side][1][pos], 2 * den)
+        active = chosen
         gen += 1
     return DecompositionResult(
-        base_median=median(f, q0.box),
+        base_median=Fraction(stats[span][0][(0,) * n], den),
         family=SparseFamily(q0.grid, levels),
         coefficients=coeffs,
         cube=q0,
@@ -400,14 +407,19 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
 
         |f − m_f(q0)| ≤ 4 M^{#,d}_{λ;q0} f + 2 Σ ω(f;Q) χ_Q    on q0.
 
-    Nonnegative means the bound holds on every cell."""
+    Nonnegative means the bound holds on every cell.  The three terms are
+    integers over D (f), 2D (the widths 2ω·D of M^#) and the coefficients'
+    lcm, compared over the lcm of those and the median's denominator."""
     mesh = f.mesh
-    sharp = sharp_maximal(f, res.cube, res.lam)._cell_array()
-    rhs_sum, den = _accumulate(mesh, ((mesh.cells(q.box), res.coefficients[q])
-                                      for _, q in res.family.pairs()))
-    cells = mesh.cells(res.cube.box)
-    rhs = 4 * sharp[cells] + rhs_sum[cells] * Fraction(2, den)
-    return (rhs - abs(f._cell_array()[cells] - res.base_median)).min()
+    cells, nums, den, stats = _dyadic_blocks(f, res.cube, res.lam)
+    rhs_sum, c_den = _accumulate(mesh, ((mesh.cells(q.box), res.coefficients[q])
+                                        for _, q in res.family.pairs()))
+    m = res.base_median
+    lcm = math.lcm(2 * den, c_den, m.denominator)
+    rhs = (4 * (lcm // (2 * den))) * _sharp_widths(stats) \
+        + (2 * (lcm // c_den)) * rhs_sum[cells]
+    lhs = abs(nums * (lcm // den) - m.numerator * (lcm // m.denominator))
+    return Fraction((rhs - lhs).min(), lcm)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,18 @@ and the maximal operators
 * ``dyadic_maximal``  -- maximal function of one (possibly shifted) grid,
 * ``hl_maximal``      -- Hardy-Littlewood surrogate over mesh-aligned cubes.
 
+The distribution toolkit adds no Fractions.  On a box, f is a list of
+sorted integer runs (``_runs``): its distinct numerators over D, each with
+its measure as an integer over one common denominator, partial cells and
+the zero padding outside the domain included.  On the dyadic subcubes of
+a mesh-aligned cube q0 every cell has unit mass, so ``_dyadic_blocks``
+gives the cells int64 ranks of their sorted distinct numerators U and
+sorts the ranks of every subcube of one side with one ``np.sort``, into a.
+A subcube of N cells has the upper median U[a[N//2]] (the largest
+qualifying value), and its shortest window of t = ⌈(1−λ)N⌉ cells has the
+width 2ω·D = min(U[a[t−1:]] − U[a[:N−t+1]]), an integer.
+``sharp_maximal`` and the decomposition in ``sparse`` read those arrays.
+
 All averages are exact: numerators integrate the step function
 geometrically (partial cells weighted by overlap), denominators use the
 full box measure, so zero extension outside the domain is automatic.
@@ -48,7 +60,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +70,6 @@ from .rational import floor_log2, parse_scalar, pow2, rat, rat_ceil, rat_floor, 
 __all__ = [
     "Mesh",
     "StepFunction",
-    "DistributionProfile",
     "average",
     "integral",
     "rearrangement",
@@ -359,41 +369,30 @@ class StepFunction:
 # distribution machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DistributionProfile:
-    """Sorted (value, measure) pairs of |f| restricted to a box."""
-
-    entries: list[tuple[Fraction, Fraction]]  # values strictly decreasing
-
-    @property
-    def total_measure(self) -> Fraction:
-        return sum((m for _, m in self.entries), Fraction(0))
-
-    @staticmethod
-    def build(f: StepFunction, box: Box) -> "DistributionProfile":
-        masses = _cell_masses(f, box, absolute=True, pad_zero=False)
-        entries = sorted(masses.items(), key=lambda kv: kv[0], reverse=True)
-        return DistributionProfile(entries)
-
-
-def _cell_masses(f: StepFunction, box: Box, absolute: bool,
-                 pad_zero: bool) -> dict[Fraction, Fraction]:
-    """Map value -> overlap measure for f restricted to box, counting the
-    values of each block of ``_pieces``.
+def _runs(f: StepFunction, box: Box, absolute: bool,
+          pad_zero: bool) -> tuple[list[int], list[int], int, int]:
+    """f on box as sorted integer runs: the ascending distinct numerators
+    over D (of |f| when ``absolute``), the measure of each as an integer
+    over one common denominator u, u and D.  Counts the values of each
+    block of ``_pieces``.
 
     With pad_zero the part of the box outside the mesh domain is counted
     as mass at value 0 (the zero extension)."""
-    masses: dict[Fraction, Fraction] = {}
-    covered = Fraction(0)
-    for cells, w in _pieces(f.mesh, box):
-        vals = f._cell_array()[cells]
-        for v, count in Counter((abs(vals) if absolute else vals).flat).items():
-            masses[v] = masses.get(v, Fraction(0)) + count * w
-        covered += vals.size * w
-    if pad_zero and covered < box.measure:
-        masses[Fraction(0)] = masses.get(Fraction(0), Fraction(0)) \
-            + box.measure - covered
-    return masses
+    nums, den = f._numerators()
+    pieces = list(_pieces(f.mesh, box))
+    u = math.lcm(box.measure.denominator, *(w.denominator for _, w in pieces))
+    masses = Counter()
+    covered = 0
+    for cells, w in pieces:
+        wu = w.numerator * (u // w.denominator)
+        block = abs(nums[cells]) if absolute else nums[cells]
+        for v, count in Counter(block.flat).items():
+            masses[v] += count * wu
+        covered += block.size * wu
+    if pad_zero and covered < box.measure * u:
+        masses[0] += int(box.measure * u) - covered
+    values = sorted(masses)
+    return values, [masses[v] for v in values], u, den
 
 
 def integral(f: StepFunction, box: Box | None = None) -> Fraction:
@@ -412,69 +411,51 @@ def rearrangement(f: StepFunction, b: Box, t) -> Fraction:
     t = rat(t)
     if t <= 0:
         raise ValueError("rearrangement argument must be positive")
-    profile = DistributionProfile.build(f, b)
-    cum = Fraction(0)
-    for v, m in profile.entries:
+    values, masses, u, den = _runs(f, b, absolute=True, pad_zero=False)
+    cum = 0
+    for v, m in zip(reversed(values), reversed(masses)):
         if v == 0:
             break
         cum += m
-        if cum > t:
-            return v
+        if cum * t.denominator > t.numerator * u:
+            return Fraction(v, den)
     return Fraction(0)
 
 
 def median(f: StepFunction, q: Box) -> Fraction:
     """Largest m among attained values with |{f>m} ∩ q|, |{f<m} ∩ q| <= |q|/2."""
-    masses = _cell_masses(f, q, absolute=False, pad_zero=True)
-    half = q.measure / 2
-    items = sorted(masses.items(), key=lambda kv: kv[0])  # ascending values
-    below = Fraction(0)
-    above = sum(m for _, m in items)
-    best = None
-    for v, m in items:
+    values, masses, u, den = _runs(f, q, absolute=False, pad_zero=True)
+    total = int(q.measure * u)
+    below, above = 0, total
+    for v, m in zip(values, masses):
         above -= m
-        if below <= half and above <= half:
+        if 2 * below <= total and 2 * above <= total:
             best = v  # keep climbing: the largest qualifying value wins
         below += m
-    if best is None:
-        raise AssertionError("no median found; measures inconsistent")
-    return best
+    return Fraction(best, den)
+
+
+def _check_lambda(lam) -> Fraction:
+    lam = rat(lam)
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie in (0, 1)")
+    return lam
 
 
 def local_mean_oscillation(f: StepFunction, q: Box, lam) -> Fraction:
     """omega_lambda(f; q): half the length of the shortest closed value
-    window holding at least (1 - lambda)|q| of the mass of f on q."""
-    lam = rat(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    masses = _cell_masses(f, q, absolute=False, pad_zero=True)
-    items = sorted(masses.items())  # ascending
-    target = (1 - lam) * q.measure
-    return _window_half_length(items, target)
+    window holding at least (1 - lambda)|q| of the mass of f on q.
 
-
-def _window_half_length(items: list[tuple[Fraction, Fraction]],
-                        target: Fraction) -> Fraction:
-    """Shortest window [v_i, v_j] with mass >= target, halved."""
-    best = None
-    mass = Fraction(0)
-    j = 0
-    for i in range(len(items)):
-        if j < i:
-            j = i
-            mass = Fraction(0)
-        while mass < target and j < len(items):
-            mass += items[j][1]
-            j += 1
-        if mass < target:
-            break
-        width = items[j - 1][0] - items[i][0]
-        if best is None or width < best:
-            best = width
-        mass -= items[i][1]
-    if best is None:
-        raise AssertionError("no value window reaches the target mass")
-    return best / 2
+    On the integer runs, the window starting at run i ends at the first run
+    j whose cumulative mass reaches that of i plus the target, rounded up."""
+    lam = _check_lambda(lam)
+    values, masses, u, den = _runs(f, q, absolute=False, pad_zero=True)
+    target = (1 - lam) * q.measure * u
+    cum = np.cumsum([0] + masses, dtype=object)
+    ends = np.searchsorted(cum, cum[:-1] + rat_ceil(target))
+    values = np.array(values, dtype=object)
+    starts = np.flatnonzero(ends < len(cum))
+    return Fraction((values[ends[starts] - 1] - values[starts]).min(), 2 * den)
 
 
 def _aligned_cell_range(mesh: Mesh, q0: Cube):
@@ -497,67 +478,72 @@ def _aligned_cell_range(mesh: Mesh, q0: Cube):
     return starts, span
 
 
+def _blocks(a: np.ndarray, side: int) -> np.ndarray:
+    """The n-D array a, of sides a multiple of ``side``, cut into blocks of
+    that side: shape (len(a) // side,)^n + (side^n,)."""
+    n, m = a.ndim, len(a) // side
+    a = a.reshape((m, side) * n)  # then the block axes first
+    a = a.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+    return a.reshape((m,) * n + (side**n,))
+
+
+def _dyadic_blocks(f: StepFunction, q0: Cube, lam: Fraction):
+    """The median and ω_λ of every dyadic subcube of q0, from one sort of
+    the cells' ranks per side (see the module docstring).
+
+    Returns q0's block of cells (``Mesh.cells`` slices), f's numerators over
+    D there, D, and per side s (in cells, a power of two up to the span) the
+    upper medians and the widths 2ω_λ·D of the subcubes of side s, as two
+    arrays shaped (span // s,)^n indexed by the subcube's position."""
+    starts, span = _aligned_cell_range(f.mesh, q0)
+    cells = tuple(slice(s, s + span) for s in starts)
+    nums, den = f._numerators()
+    nums = nums[cells]
+    n = nums.ndim
+    values = sorted(set(nums.flat))
+    rank = {v: i for i, v in enumerate(values)}
+    ranks = np.fromiter(map(rank.__getitem__, nums.flat), dtype=np.int64,
+                        count=nums.size).reshape(nums.shape)
+    values = np.array(values, dtype=object)
+    stats = {}
+    side = 1
+    while side <= span:
+        a, size = np.sort(_blocks(ranks, side), axis=-1), side**n
+        t = size - lam.numerator * size // lam.denominator
+        stats[side] = (values[a[..., size // 2]],
+                       (values[a[..., t - 1:]] - values[a[..., :size - t + 1]]).min(-1))
+        side *= 2
+    return cells, nums, den, stats
+
+
+def _sharp_widths(stats: dict) -> np.ndarray:
+    """Per cell of q0's block, the largest width 2ω·D of the dyadic
+    subcubes holding it (see ``_dyadic_blocks``), pushed down from q0 one
+    halving of the side at a time."""
+    side = max(stats)
+    running = np.zeros((1,) * stats[side][1].ndim, dtype=object)
+    while side > 1:
+        running = np.maximum(running, stats[side][1])
+        side //= 2
+        for axis in range(running.ndim):
+            running = np.repeat(running, 2, axis)
+    return running
+
+
 def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
     """Dyadic local sharp maximal function M^{#,d}_{lambda; q0} f.
 
     Value on each mesh cell inside q0: the maximum of the local mean
     oscillations over the dyadic subcubes of q0 containing the cell
-    (including q0 itself); zero outside q0.  One 2^n-ary merge tree: each
-    block's sorted (value, cell count) run merges its children's, and the
-    running maximum of ω is pushed back down to the cells.
+    (including q0 itself); zero outside q0.  The running maximum is taken
+    over the integer widths 2ω·D of ``_dyadic_blocks``, read off one sort
+    of the cells' ranks per side; Fractions are built only for the output.
     """
-    lam = rat(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    mesh = f.mesh
-    starts, span = _aligned_cell_range(mesh, q0)
-    block = tuple(slice(s, s + span) for s in starts)
-    vals = f._cell_array()[block]
-    one_minus = 1 - lam
-    omega = {}  # block side -> ω of every block of that side, as an n-D array
-
-    def merge_runs(a, b):
-        out_run = []
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if j >= len(b) or (i < len(a) and a[i][0] <= b[j][0]):
-                v, c = a[i]
-                i += 1
-            else:
-                v, c = b[j]
-                j += 1
-            if out_run and out_run[-1][0] == v:
-                out_run[-1] = (v, out_run[-1][1] + c)
-            else:
-                out_run.append((v, c))
-        return out_run
-
-    def build(corner, size):
-        """Sorted (value, cell count) run of a block; records its ω (that
-        of a single cell is 0)."""
-        if size == 1:
-            return [(vals[corner], 1)]
-        half = size // 2
-        run = functools.reduce(merge_runs, [
-            build(tuple(c + d for c, d in zip(corner, step)), half)
-            for step in itertools.product((0, half), repeat=mesh.dim)])
-        if size not in omega:
-            omega[size] = np.empty((span // size,) * mesh.dim, dtype=object)
-        omega[size][tuple(c // size for c in corner)] = _window_half_length(
-            [(v, Fraction(c)) for v, c in run], one_minus * size**mesh.dim)
-        return run
-
-    build((0,) * mesh.dim, span)
-    # push the running maximum down from q0, one halving of the side at a time
-    running = np.full((1,) * mesh.dim, Fraction(0), dtype=object)
-    while span > 1:
-        running = np.maximum(running, omega[span])
-        span //= 2
-        for axis in range(mesh.dim):
-            running = np.repeat(running, 2, axis)
-    out = np.full(mesh.shape, Fraction(0), dtype=object)
-    out[block] = running
-    return StepFunction(mesh, out.flat)
+    lam = _check_lambda(lam)
+    cells, _, den, stats = _dyadic_blocks(f, q0, lam)
+    out = np.zeros(f.mesh.shape, dtype=object)
+    out[cells] = _sharp_widths(stats)
+    return StepFunction(f.mesh, _shared_fractions([(w, 2 * den) for w in out.flat]))
 
 
 def _top_scale(mesh: Mesh) -> int:

@@ -1,6 +1,9 @@
 """Cell-addressing helpers shared by the tests: row-major flat indices,
-point lookup, mesh-aligned indicators and the pointwise order."""
+point lookup, mesh-aligned indicators, the pointwise order and the
+distribution of f on a box."""
 
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -46,3 +49,27 @@ def le(f: StepFunction, g: StepFunction) -> bool:
     if f.mesh != g.mesh:
         raise ValueError("mesh mismatch")
     return all(a <= b for a, b in zip(f.values, g.values))
+
+
+def cell_masses(f: StepFunction, box, absolute: bool = False,
+                pad_zero: bool = True) -> dict:
+    """value -> measure of f (of |f| when absolute) on box, one mesh cell
+    at a time; with pad_zero the part of the box outside the domain is
+    mass at 0."""
+    mesh = f.mesh
+    vals = np.array(f.values, dtype=object).reshape(mesh.shape)
+    axes = []
+    for axis in range(mesh.dim):
+        ia, ib, partials = mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
+        axes.append([(i, mesh.h) for i in range(ia, ib)] + list(partials))
+    masses, covered = {}, Fraction(0)
+    for cell in itertools.product(*axes):
+        w = functools.reduce(lambda a, b: a * b, (x for _, x in cell))
+        v = vals[tuple(i for i, _ in cell)]
+        v = abs(v) if absolute else v
+        masses[v] = masses.get(v, Fraction(0)) + w
+        covered += w
+    if pad_zero and covered < box.measure:
+        masses[Fraction(0)] = masses.get(Fraction(0), Fraction(0)) \
+            + box.measure - covered
+    return masses

@@ -224,6 +224,12 @@ def test_cli_decompose_json(capsys):
     assert data["config"]["kind"] == "indicator-sums"
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_cli_rejects_level_below_one(level, capsys):
+    assert run_cli("decompose", "--level", level) == 2
+    assert "level %s must lie in 1..14" % level in capsys.readouterr().err
+
+
 def test_cli_cz_sparse_csv(capsys):
     code = run_cli("cz-sparse", "--level", "3", "--seed", "2",
                    "--format", "csv")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sparsedom.geometry import Box, Cube, GridId, cube_at
 from sparsedom.rational import rat
 from sparsedom.stepfn import (
-    DistributionProfile,
     Mesh,
     StepFunction,
     average,
@@ -22,9 +21,10 @@ from sparsedom.stepfn import (
     median,
     rearrangement,
     sharp_maximal,
+    _runs,
 )
 
-from meshtools import cell_of_point, flat, indicator, le, unflat
+from meshtools import cell_masses, cell_of_point, flat, indicator, le, unflat
 
 # ---------------------------------------------------------------------------
 # strategies: small random step functions with gentle denominators
@@ -78,9 +78,7 @@ def mk(level, pairs, dim=1):
 
 def oracle_rearrangement(f, b, t):
     """Definitional scan: smallest candidate s with |{|f|>s} ∩ b| <= t."""
-    from sparsedom.stepfn import _cell_masses
-
-    masses = _cell_masses(f, b, absolute=True, pad_zero=False)
+    masses = cell_masses(f, b, absolute=True, pad_zero=False)
     candidates = sorted({Fraction(0), *masses.keys()})
     for s in candidates:
         d = sum(m for v, m in masses.items() if v > s)
@@ -91,9 +89,7 @@ def oracle_rearrangement(f, b, t):
 
 def oracle_oscillation(f, q, lam):
     """Definitional infimum over candidate c of ((f-c)χ_q)*(λ|q|)."""
-    from sparsedom.stepfn import _cell_masses
-
-    masses = _cell_masses(f, q, absolute=False, pad_zero=True)
+    masses = cell_masses(f, q)
     vals = sorted(masses.keys())
     cands = set(vals)
     for i, a in enumerate(vals):
@@ -307,13 +303,14 @@ def test_rearrangement_matches_oracle(f, tnum):
 
 @given(step_functions())
 def test_profile_consistency(f):
+    # the integer runs of |f| that rearrangement reads
     box = Box.interval(rat("-1/8"), rat("7/8"))
-    prof = DistributionProfile.build(f, box)
-    values = [v for v, _ in prof.entries]
-    assert values == sorted(set(values), reverse=True)
-    assert all(m > 0 for _, m in prof.entries)
-    assert sum(v * m for v, m in prof.entries) == abs(f).integral(box)
-    assert prof.total_measure == box.measure
+    values, masses, u, den = _runs(f, box, absolute=True, pad_zero=False)
+    assert values == sorted(set(values))
+    assert all(m > 0 for m in masses)
+    assert Fraction(sum(v * m for v, m in zip(values, masses)), den * u) \
+        == abs(f).integral(box)
+    assert Fraction(sum(masses), u) == box.measure
 
 
 # ---------------------------------------------------------------------------

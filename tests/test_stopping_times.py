@@ -8,8 +8,10 @@ value to measure, a two-pointer window over it, a 2^n-ary merge tree of
 sorted (value, count) runs, and a cube-by-cube descent through
 ``Cube.children()``.  The inputs stress what those kernels decide:
 rationals with unrelated denominators, exact half/half ties (the upper
-median and the non-strict selection), 1-D and 2-D, a domain whose lower
-corner is not -1, and q0 at scales -1, 0 and 1 away from the origin.
+median and the non-strict selection), sparse spikes (sibling subcubes
+selected side by side, so the order of the descent shows), 1-D and 2-D,
+a domain whose lower corner is not -1, and q0 at scales -1, 0 and 1 away
+from the origin.
 """
 
 import functools
@@ -31,34 +33,16 @@ from sparsedom.stepfn import (
     sharp_maximal,
 )
 
+from meshtools import cell_masses
+
 # ---------------------------------------------------------------------------
 # reference implementations
 # ---------------------------------------------------------------------------
 
 
-def ref_masses(f, box):
-    """value -> measure of f on box, zero-padded outside the domain."""
-    mesh = f.mesh
-    vals = np.array(f.values, dtype=object).reshape(mesh.shape)
-    axes = []
-    for axis in range(mesh.dim):
-        ia, ib, partials = mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
-        axes.append([(i, mesh.h) for i in range(ia, ib)] + list(partials))
-    masses, covered = {}, Fraction(0)
-    for cell in itertools.product(*axes):
-        w = functools.reduce(lambda a, b: a * b, (x for _, x in cell))
-        v = vals[tuple(i for i, _ in cell)]
-        masses[v] = masses.get(v, Fraction(0)) + w
-        covered += w
-    if covered < box.measure:
-        masses[Fraction(0)] = masses.get(Fraction(0), Fraction(0)) \
-            + box.measure - covered
-    return masses
-
-
 def ref_median(f, q):
     half = q.measure / 2
-    items = sorted(ref_masses(f, q).items())
+    items = sorted(cell_masses(f, q).items())
     below, above, best = Fraction(0), sum(m for _, m in items), None
     for v, m in items:
         above -= m
@@ -86,7 +70,7 @@ def ref_window_half_length(items, target):
 
 
 def ref_oscillation(f, q, lam):
-    items = sorted(ref_masses(f, q).items())
+    items = sorted(cell_masses(f, q).items())
     return ref_window_half_length(items, (1 - lam) * q.measure)
 
 
@@ -216,6 +200,15 @@ def tie_function(mesh, seed):
     return StepFunction(mesh, [rng.choice((a, b)) for _ in range(mesh.size)])
 
 
+def spike_function(mesh, seed):
+    """A constant with sparse spikes: the spikes are the exceptional set,
+    and sibling subcubes are selected side by side."""
+    rng = random.Random(seed)
+    return StepFunction(mesh, [
+        Fraction(rng.randint(50, 99), rng.choice([3, 7, 97]))
+        if rng.random() < 0.05 else Fraction(1, 96) for _ in range(mesh.size)])
+
+
 def half_function(mesh, q0, seed):
     """Each half of every dyadic block of q0 (along axis 0) holds one of two
     values, chosen per block: medians and selections land on exact ties."""
@@ -248,10 +241,11 @@ CONFIGS = [
     (Mesh(2, 2), Cube(STD2, -1, (0, 0))),
     (Mesh(2, 3), Cube(STD2, 1, (-2, 3))),
     (Mesh(2, 3, OFFSET_2D), Cube(STD2, 0, (1, 1))),
+    (Mesh(2, 4), Cube(STD2, 0, (0, 0))),
 ]
 IDS = ["1d", "1d-k-1", "1d-j-1", "1d-k1-j3", "1d-offset",
-       "2d", "2d-k-1", "2d-k1", "2d-offset"]
-KINDS = ["rational", "ties", "halves"]
+       "2d", "2d-k-1", "2d-k1", "2d-offset", "2d-level4"]
+KINDS = ["rational", "ties", "halves", "spikes"]
 
 
 def make(kind, mesh, q0, seed):
@@ -259,6 +253,8 @@ def make(kind, mesh, q0, seed):
         return rational_function(mesh, seed)
     if kind == "ties":
         return tie_function(mesh, seed)
+    if kind == "spikes":
+        return spike_function(mesh, seed)
     return half_function(mesh, q0, seed)
 
 
@@ -301,7 +297,7 @@ def random_box(rng, mesh):
 def test_box_median_and_oscillation_match_reference(mesh, q0):
     rng = random.Random(mesh.size)
     for seed in range(6):
-        f = make(KINDS[seed % 3], mesh, q0, seed)
+        f = make(KINDS[seed % len(KINDS)], mesh, q0, seed)
         for box in [q0.box] + [random_box(rng, mesh) for _ in range(4)]:
             assert median(f, box) == ref_median(f, box)
             for lam in (Fraction(1, 8), Fraction(1, 3), Fraction(15, 16)):
