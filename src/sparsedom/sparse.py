@@ -224,11 +224,11 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     vmax = max(a.max() for a in avg.values())
     submax = _subtree_maxima(avg, first, grid, top, level)
 
-    def select(threshold: int) -> list[Cube]:
+    def select(t: int) -> list[Cube]:
         out = []
 
         def descend(k, pos):
-            if avg[k][pos] > threshold:
+            if avg[k][pos] > t:
                 j = tuple(int(j0 + p) for j0, p in zip(first[k], pos))
                 out.append(Cube(grid, k, j))
                 return
@@ -240,10 +240,10 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
             below = submax[k + 1]
             for child in itertools.product(*((b, b + 1) for b in base)):
                 if all(0 <= c < m for c, m in zip(child, below.shape)) \
-                        and below[child] > threshold:
+                        and below[child] > t:
                     descend(k + 1, child)
 
-        for pos in zip(*np.nonzero(submax[top] > threshold)):
+        for pos in zip(*np.nonzero(submax[top] > t)):
             descend(top, pos)
         return out
 

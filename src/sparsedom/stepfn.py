@@ -371,22 +371,24 @@ class StepFunction:
 
 def _runs(f: StepFunction, box: Box, absolute: bool,
           pad_zero: bool) -> tuple[list[int], list[int], int, int]:
-    """f on box as sorted integer runs: the ascending distinct numerators
-    over D (of |f| when ``absolute``), the measure of each as an integer
-    over one common denominator u, u and D.  Counts the values of each
-    block of ``_pieces``.
+    """f on box as sorted integer runs: the ascending distinct values (of
+    |f| when ``absolute``) as numerators over the lcm D of the box's cell
+    denominators, the measure of each as an integer over one common
+    denominator u, u and D.  Counts the values of each block of
+    ``_pieces``; D is taken over the box alone, so a small box of a
+    function with large denominators stays cheap.
 
     With pad_zero the part of the box outside the mesh domain is counted
     as mass at value 0 (the zero extension)."""
-    nums, den = f._numerators()
-    pieces = list(_pieces(f.mesh, box))
+    pieces = [(f._cell_array()[cells], w) for cells, w in _pieces(f.mesh, box)]
     u = math.lcm(box.measure.denominator, *(w.denominator for _, w in pieces))
+    den = math.lcm(*(v.denominator for block, _ in pieces for v in block.flat))
     masses = Counter()
     covered = 0
-    for cells, w in pieces:
+    for block, w in pieces:
         wu = w.numerator * (u // w.denominator)
-        block = abs(nums[cells]) if absolute else nums[cells]
-        for v, count in Counter(block.flat).items():
+        nums = (v.numerator * (den // v.denominator) for v in block.flat)
+        for v, count in Counter(map(abs, nums) if absolute else nums).items():
             masses[v] += count * wu
         covered += block.size * wu
     if pad_zero and covered < box.measure * u:
