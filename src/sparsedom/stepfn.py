@@ -10,18 +10,6 @@ and the maximal operators
 * ``dyadic_maximal``  -- maximal function of one (possibly shifted) grid,
 * ``hl_maximal``      -- Hardy-Littlewood surrogate over mesh-aligned cubes.
 
-The distribution toolkit adds no Fractions.  On a box, f is a list of
-sorted integer runs (``_runs``): its distinct numerators over D, each with
-its measure as an integer over one common denominator, partial cells and
-the zero padding outside the domain included.  On the dyadic subcubes of
-a mesh-aligned cube q0 every cell has unit mass, so ``_dyadic_blocks``
-gives the cells int64 ranks of their sorted distinct numerators U and
-sorts the ranks of every subcube of one side with one ``np.sort``, into a.
-A subcube of N cells has the upper median U[a[N//2]] (the largest
-qualifying value), and its shortest window of t = ⌈(1−λ)N⌉ cells has the
-width 2ω·D = min(U[a[t−1:]] − U[a[:N−t+1]]), an integer.
-``sharp_maximal`` and the decomposition in ``sparse`` read those arrays.
-
 All averages are exact: numerators integrate the step function
 geometrically (partial cells weighted by overlap), denominators use the
 full box measure, so zero extension outside the domain is automatic.
@@ -40,6 +28,19 @@ an eager integer form would put thousands of such integers into every
 weight.  ``integral`` and ``atom_sum`` read one n-D integer prefix table
 of the numerators, by inclusion-exclusion over the 2^n corners of a
 block and at most 3^n blocks of whole and partial cells.
+
+The distribution toolkit adds no Fractions.  On a box, f is a list of
+sorted integer runs (``_runs``): its distinct values over the lcm of the
+box's cell denominators, each with its measure as an integer over one
+common denominator, partial cells and the zero padding included.  On the
+dyadic subcubes of a mesh-aligned cube q0 every cell has unit mass, so
+``_dyadic_blocks`` gives the cells int64 ranks of their sorted distinct
+numerators U (over D) and sorts the ranks of every subcube of one side
+with one ``np.sort``, into a.  A subcube of N cells has the upper median
+U[a[N//2]] (the largest qualifying value), and its shortest window of
+t = ⌈(1−λ)N⌉ cells has the width 2ω·D = min(U[a[t−1:]] − U[a[:N−t+1]]),
+an integer.  ``sharp_maximal`` and the decomposition in ``sparse`` read
+those arrays.
 
 ``dyadic_maximal`` and ``hl_maximal`` work on the numerators of |f| and on
 lengths on the h/3 lattice counted from the domain's lower corner lo.
