@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .geometry import Box, Cube, GridId, dilate
 from .rational import pow2, rat
 from .sparse import _accumulate, oscillation_decompose, verify_decomposition
 from .stepfn import (
-    Mesh,
     StepFunction,
     average,
     hl_maximal,
@@ -37,10 +35,6 @@ from .stepfn import (
 )
 
 __all__ = [
-    "Kernel",
-    "HILBERT",
-    "kernel_validation_report",
-    "TruncatedTransform",
     "hilbert_apply",
     "maximal_truncated",
     "OscillationReport",
@@ -48,55 +42,6 @@ __all__ = [
     "DominationReport",
     "dominate",
 ]
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Size and smoothness data for a Calderon-Zygmund kernel.
-
-    ``size_constant`` bounds |K(x,y)|·|x-y|^n; ``smoothness_constant``
-    bounds |K(x,y)-K(x',y)|·|x-y|^{n+delta}/|x-x'|^delta whenever
-    |x-x'| < |x-y|/2.  For the Hilbert kernel the sharp constants are 1
-    and 2: the smoothness quotient equals |x-y|/|x'-y|, which approaches
-    2 as x' moves half the distance toward y.
-    """
-
-    size_constant: float
-    delta: Fraction
-    smoothness_constant: float
-    evaluator: Callable[[float, float], float]
-
-
-HILBERT = Kernel(
-    size_constant=1.0,
-    delta=Fraction(1),
-    smoothness_constant=2.0,
-    evaluator=lambda x, y: 1.0 / (x - y),
-)
-
-
-def kernel_validation_report(kernel: Kernel, points: int = 24) -> dict:
-    """Sample both kernel conditions on a lattice; returns the observed
-    maxima of the size and smoothness quotients (n = 1)."""
-    xs = [-1.0 + 3.0 * (i + 0.5) / points for i in range(points)]
-    size_max = 0.0
-    smooth_max = 0.0
-    samples = 0
-    for x in xs:
-        for y in xs:
-            if x == y:
-                continue
-            size_max = max(size_max, abs(kernel.evaluator(x, y)) * abs(x - y))
-            for t in (0.05, 0.25, 0.45, -0.05, -0.25, -0.45):
-                xp = x + t * abs(x - y)
-                if xp == y or not abs(x - xp) < abs(x - y) / 2:
-                    continue
-                quot = (abs(kernel.evaluator(x, y) - kernel.evaluator(xp, y))
-                        * abs(x - y)**(1 + float(kernel.delta))
-                        / abs(x - xp)**float(kernel.delta))
-                smooth_max = max(smooth_max, quot)
-                samples += 1
-    return {"size_max": size_max, "smooth_max": smooth_max, "samples": samples}
 
 
 def hilbert_apply(f: StepFunction, x, eps, nu) -> float:
@@ -159,57 +104,31 @@ def maximal_truncated(f: StepFunction) -> StepFunction:
     return StepFunction(mesh, [rat(t) for t in (hi - lo)])
 
 
-@dataclass
-class TruncatedTransform:
-    """Breakpoint bookkeeping for T♮ at cell centers, plus a direct
-    enumeration evaluator used to cross-check the fast path."""
-
-    kernel: Kernel
-    mesh: Mesh
-
-    def breakpoints(self, i: int) -> list[Fraction]:
-        """Distances from the center of cell i to all cell boundaries."""
-        x = self.mesh.domain.lo[0] + (i + Fraction(1, 2)) * self.mesh.h
-        dists = {abs(x - (self.mesh.domain.lo[0] + j * self.mesh.h))
-                 for j in range(self.mesh.cells_axis + 1)}
-        return sorted(dists)
-
-    def brute_at(self, f: StepFunction, i: int) -> float:
-        """max |hilbert_apply| over every breakpoint pair (eps, nu)."""
-        x = self.mesh.domain.lo[0] + (i + Fraction(1, 2)) * self.mesh.h
-        pts = self.breakpoints(i)
-        best = 0.0
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                best = max(best, abs(hilbert_apply(f, x, pts[a], pts[b])))
-        return best
-
-
 # ---------------------------------------------------------------------------
 # oscillation estimate and master domination
 # ---------------------------------------------------------------------------
 
-def _dilate_series(f: StepFunction, q: Box, delta: Fraction):
-    """Exact Σ_{m≥0} 2^{-m·delta} avg(f, dilate(q,m)): retains terms until
-    the dilate swallows the domain, then the remainder is a geometric
-    series summed in closed form (each further dilation exactly halves
-    the average per axis)."""
-    if delta != 1:
-        raise ValueError("exact series needs delta = 1")
+def _dilate_series(f: StepFunction, q: Box):
+    """Exact Σ_{m≥0} 2^{-m} avg(f, dilate(q,m)), with the series' tail and
+    its cut m.  The weight 2^{-m} is 2^{-mδ} at δ = 1, the smoothness
+    exponent of the Hilbert kernel 1/(x-y).  Terms are kept until the
+    dilate swallows the domain; the remainder is a geometric series summed
+    in closed form (each further dilation exactly halves the average per
+    axis)."""
     mesh = f.mesh
-    n = mesh.dim
-    terms = []
+    rho = pow2(-(1 + mesh.dim))
+    total = Fraction(0)
     m = 0
     box = q
     while True:
-        terms.append(pow2(-m) * average(f, box))
+        term = pow2(-m) * average(f, box)
+        total += term
         if box.contains_box(mesh.domain):
             break
         m += 1
         box = dilate(q, m)
-    rho = pow2(-(1 + n))
-    tail = terms[-1] * rho / (1 - rho)
-    return sum(terms) + tail, terms, tail, m
+    tail = term * rho / (1 - rho)
+    return total + tail, tail, m
 
 
 @dataclass
@@ -227,15 +146,14 @@ class OscillationReport:
                 "tail": float(self.tail), "defect": self.defect}
 
 
-def oscillation_estimate_report(f: StepFunction, q: Box, lam,
-                                kernel: Kernel = HILBERT) -> OscillationReport:
-    """ω_λ(T♮f; q) against the dilated-average series Σ 2^{-mδ} f_{2^m q}."""
+def oscillation_estimate_report(f: StepFunction, q: Box, lam) -> OscillationReport:
+    """ω_λ(T♮f; q) against the dilated-average series Σ 2^{-m} f_{2^m q}."""
     if any(v < 0 for v in f.values):
         raise ValueError("estimate requires f >= 0")
     lam = rat(lam)
     tf = maximal_truncated(f)
     lhs = local_mean_oscillation(tf, q, lam)
-    rhs, _, tail, m_cut = _dilate_series(f, q, kernel.delta)
+    rhs, tail, m_cut = _dilate_series(f, q)
     if rhs == 0:
         return OscillationReport(lhs, rhs, 0.0 if lhs == 0 else math.inf,
                                  m_cut, tail, defect=lhs != 0)
@@ -259,13 +177,13 @@ class DominationReport:
                 "family_size": self.family_size}
 
 
-def dominate(f: StepFunction, kernel: Kernel = HILBERT) -> DominationReport:
+def dominate(f: StepFunction) -> DominationReport:
     """Dominates T♮f on the unit cube by M f plus dilated sparse averages.
 
     Runs the oscillation decomposition of g = T♮f on q0 = [0,1), verifies
     its 4-and-2 inequality exactly, replaces every oscillation coefficient
     by the full dilated-average series of f over its cube, and reports the
-    smallest c with |g - m_g(q0)| ≤ c·(Mf + Σ_m 2^{-mδ} T_{S,m}f) on every
+    smallest c with |g - m_g(q0)| ≤ c·(Mf + Σ_m 2^{-m} T_{S,m}f) on every
     cell of q0.  The median term is the compact-domain stand-in for the
     vanishing median over growing cubes.
     """
@@ -281,7 +199,7 @@ def dominate(f: StepFunction, kernel: Kernel = HILBERT) -> DominationReport:
     res = oscillation_decompose(g, q0)
     gap = verify_decomposition(g, res)
     series, den = _accumulate(mesh, (
-        (mesh.cells(qc.box), _dilate_series(f, qc.box, kernel.delta)[0])
+        (mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
         for _, qc in res.family.pairs()))
     med = res.base_median
     c = Fraction(0)

@@ -23,16 +23,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import (
-    THIRD,
-    ZERO,
-    floor_log2,
-    floor_log2_ratio,
-    pow2,
-    rat,
-    rat_floor,
-    rat_str,
-)
+from .rational import THIRD, ZERO, floor_log2_ratio, pow2, rat, rat_str
+
+__all__ = [
+    "GridId",
+    "Box",
+    "Cube",
+    "cover_cube",
+    "concentric",
+    "dilate",
+    "whitney_decompose",
+]
 
 ALPHA_CHOICES = (ZERO, THIRD)
 
@@ -217,12 +218,6 @@ class Cube:
                    tuple([_thirds(x + 3, k) for x in u]))
 
     @property
-    def center(self) -> tuple[Fraction, ...]:
-        c = self.corner
-        h = self.side / 2
-        return tuple(x + h for x in c)
-
-    @property
     def measure(self) -> Fraction:
         return self.side ** self.dim
 
@@ -246,9 +241,6 @@ class Cube:
             idx.append((ji + shift) // 2 if a == THIRD else ji // 2)
         return Cube(self.grid, self.k - 1, tuple(idx))
 
-    def contains_point(self, x) -> bool:
-        return self.box.contains_point(x)
-
     def to_json(self) -> dict:
         return {"grid": self.grid.to_json(), "k": self.k, "j": list(self.j)}
 
@@ -256,14 +248,6 @@ class Cube:
     def from_json(data) -> "Cube":
         return Cube(GridId.from_json(data["grid"]), int(data["k"]),
                     tuple(int(x) for x in data["j"]))
-
-
-def cube_at(grid: GridId, k: int, point) -> Cube:
-    """The unique cube of ``grid`` at scale k containing ``point``."""
-    s = pow2(-k)
-    off = grid.offset_at(k)
-    j = tuple(rat_floor(rat(x) / s - o) for x, o in zip(point, off))
-    return Cube(grid, k, j)
 
 
 def cover_cube(q: Box) -> tuple[GridId, Cube]:

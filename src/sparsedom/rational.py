@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+__all__ = ["rat", "rat_str", "parse_scalar", "pow2"]
+
 ZERO = Fraction(0)
 THIRD = Fraction(1, 3)
 

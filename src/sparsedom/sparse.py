@@ -121,6 +121,8 @@ class SparseFamily:
 def verify_sparse_family(fam: SparseFamily):
     """Exact checks of all sparse-family invariants; raises on violation."""
     keys = fam.level_keys()
+    if keys and keys != list(range(keys[0], keys[-1] + 1)):
+        raise AssertionError(f"levels must be consecutive, got {keys}")
     for k in keys:
         cubes = fam.levels[k]
         for i in range(len(cubes)):
@@ -129,8 +131,6 @@ def verify_sparse_family(fam: SparseFamily):
                     raise AssertionError(f"level {k}: cubes overlap")
     for k in keys:
         nxt = fam.levels.get(k + 1, [])
-        if nxt and k + 1 not in keys:
-            raise AssertionError("levels must be consecutive")
         for small in nxt:
             if not any(big.box.contains_box(small.box) for big in fam.levels[k]):
                 raise AssertionError(f"level {k + 1} not inside level {k}")

@@ -66,13 +66,12 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import Box, Cube, GridId
-from .rational import floor_log2, parse_scalar, pow2, rat, rat_ceil, rat_floor, rat_str
+from .rational import floor_log2, parse_scalar, pow2, rat, rat_ceil, rat_floor
 
 __all__ = [
     "Mesh",
     "StepFunction",
     "average",
-    "integral",
     "rearrangement",
     "median",
     "local_mean_oscillation",
@@ -321,9 +320,6 @@ class StepFunction:
     def norm_l2_sq(self) -> Fraction:
         return self.mesh.h**self.mesh.dim * sum(v * v for v in self.values)
 
-    def norm_l2(self) -> float:
-        return float(np.sqrt(float(self.norm_l2_sq())))
-
     # -- reshaping ----------------------------------------------------------
 
     def refine(self, delta: int) -> "StepFunction":
@@ -338,23 +334,7 @@ class StepFunction:
         return StepFunction(Mesh(self.mesh.dim, self.mesh.level + delta,
                                  self.mesh.domain), vals.flat)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        if self.mesh.domain != _default_domain(self.mesh.dim):
-            raise ValueError("only default-domain functions serialize")
-        return {"level": self.mesh.level, "dim": self.mesh.dim,
-                "values": [rat_str(v) for v in self.values]}
-
-    @staticmethod
-    def from_json(data) -> "StepFunction":
-        mesh = Mesh(int(data["dim"]), int(data["level"]))
-        return StepFunction(mesh, [rat(v) for v in data["values"]])
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            for v in self.values:
-                fh.write(rat_str(v) + "\n")
+    # -- CSV input ----------------------------------------------------------
 
     @staticmethod
     def from_csv(path, dim: int, level: int) -> "StepFunction":
@@ -396,10 +376,6 @@ def _runs(f: StepFunction, box: Box, absolute: bool,
         masses[0] += int(box.measure * u) - covered
     values = sorted(masses)
     return values, [masses[v] for v in values], u, den
-
-
-def integral(f: StepFunction, box: Box | None = None) -> Fraction:
-    return f.integral(box)
 
 
 def average(f: StepFunction, b: Box) -> Fraction:

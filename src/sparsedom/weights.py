@@ -162,9 +162,6 @@ class Weight:
         return Weight(StepFunction(mesh, [frozen[max(ds)]
                                           for ds in iter_product(*axes)]))
 
-    def scaled(self, c) -> "Weight":
-        return Weight(self.fn * rat(c))
-
 
 def weighted_norm(f: StepFunction, w: Weight) -> float:
     """L²(w) norm: exact Σ f²·w·h^n, then one float64 square root."""

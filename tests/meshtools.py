@@ -1,6 +1,6 @@
 """Cell-addressing helpers shared by the tests: row-major flat indices,
-point lookup, mesh-aligned indicators, the pointwise order and the
-distribution of f on a box."""
+point lookup, the grid cube at a point, mesh-aligned indicators, the
+pointwise order and the distribution of f on a box."""
 
 import functools
 import itertools
@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sparsedom.rational import rat, rat_floor
+from sparsedom.geometry import Cube, GridId
+from sparsedom.rational import pow2, rat, rat_floor
 from sparsedom.stepfn import Mesh, StepFunction
 
 
@@ -32,6 +33,14 @@ def cell_of_point(mesh: Mesh, x) -> tuple:
         if not 0 <= i < mesh.cells_axis:
             raise ValueError("point outside the mesh domain")
     return idx
+
+
+def cube_at(grid: GridId, k: int, point) -> Cube:
+    """The unique cube of ``grid`` at scale k containing ``point``."""
+    s = pow2(-k)
+    off = grid.offset_at(k)
+    j = tuple(rat_floor(rat(x) / s - o) for x, o in zip(point, off))
+    return Cube(grid, k, j)
 
 
 def indicator(mesh: Mesh, box) -> StepFunction:

@@ -13,11 +13,12 @@ from sparsedom.geometry import (
     GridId,
     concentric,
     cover_cube,
-    cube_at,
     dilate,
     whitney_decompose,
 )
 from sparsedom.rational import THIRD, ZERO, floor_log2, pow2, rat, rat_ceil, rat_floor
+
+from meshtools import cube_at
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -115,12 +116,12 @@ def test_parent_child_roundtrip(grid, k, j):
 @given(grids_1d, st.integers(-2, 10), rationals)
 def test_cube_at_contains_point(grid, k, x):
     q = cube_at(grid, k, (x,))
-    assert q.contains_point((x,))
+    assert q.box.contains_point((x,))
     # neighbours do not
     left = Cube(grid, k, (q.j[0] - 1,))
     right = Cube(grid, k, (q.j[0] + 1,))
-    assert not left.contains_point((x,))
-    assert not right.contains_point((x,))
+    assert not left.box.contains_point((x,))
+    assert not right.box.contains_point((x,))
 
 
 @given(grids_1d, st.integers(-2, 8), rationals, rationals)

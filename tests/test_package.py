@@ -1,0 +1,30 @@
+"""The package's public surface and what importing it loads."""
+
+import os
+import subprocess
+import sys
+
+import sparsedom
+from sparsedom import czo, geometry, harness, rational, sparse, stepfn, weights
+
+MODULES = (rational, geometry, stepfn, sparse, czo, weights, harness)
+
+
+def test_all_is_the_union_of_the_module_lists():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(sparsedom.__all__) == sorted(names)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(sparsedom, name) is getattr(module, name)
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only criterion 8's reference quadrature
+    src = os.path.dirname(os.path.dirname(sparsedom.__file__))
+    code = ("import sys; import sparsedom; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

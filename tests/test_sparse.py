@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedom.geometry import Box, Cube, GridId, cube_at
+from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.stepfn import (
     Mesh,
     StepFunction,
@@ -47,7 +47,7 @@ from sparsedom.sparse import (
     _accumulate,
 )
 
-from meshtools import cell_of_point, flat, flat_cells, indicator, unflat
+from meshtools import cell_of_point, cube_at, flat, flat_cells, indicator, unflat
 
 STD = GridId.standard(1)
 SHIFTED = GridId.shifted(1)
@@ -102,6 +102,19 @@ def test_cz_sparse_zero_function_empty():
     mesh = Mesh(dim=1, level=3)
     fam = cz_sparse(StepFunction.zeros(mesh), STD)
     assert fam.is_empty
+
+
+def test_verify_sparse_family_rejects_level_gap():
+    # [7/4, 2) at level 2 lies outside [0, 1) at level 0; with no level 1
+    # between them, nesting was never checked across the gap
+    outside = SparseFamily(STD, {0: [Cube(STD, 0, (0,))], 2: [Cube(STD, 2, (7,))]})
+    nested = SparseFamily(STD, {0: [Cube(STD, 0, (0,))], 2: [Cube(STD, 2, (1,))]})
+    for fam in (outside, nested):
+        with pytest.raises(AssertionError, match="consecutive"):
+            verify_sparse_family(fam)
+    verify_sparse_family(SparseFamily(STD, {0: [Cube(STD, 0, (0,))],
+                                            1: [Cube(STD, 1, (0,))],
+                                            2: [Cube(STD, 2, (1,))]}))
 
 
 def _assert_cz_postconditions(f, grid, fam):

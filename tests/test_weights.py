@@ -121,7 +121,7 @@ def test_weighted_norm_reduces_to_l2():
     f = StepFunction(mesh, [Fraction(rng.randrange(-9, 10))
                             for _ in range(mesh.size)])
     one = Weight.constant(mesh, 1)
-    assert abs(weighted_norm(f, one) - f.norm_l2()) < 1e-12
+    assert abs(weighted_norm(f, one) - math.sqrt(float(f.norm_l2_sq()))) < 1e-12
 
 
 def test_weighted_norm_constant_function():
@@ -187,7 +187,7 @@ def test_a2_scaling_invariance():
     w = mk_weight(mesh, 9)
     base = a2_constant(w).constant
     for c in (2, Fraction(1, 3), Fraction(7, 5)):
-        assert a2_constant(w.scaled(c)).constant == base
+        assert a2_constant(Weight(w.fn * c)).constant == base
 
 
 def test_a2_power_monotone_in_exponent():
@@ -257,7 +257,7 @@ def test_a2_2d_constant_and_brute():
     w = mk_weight(mesh, 21)
     rep = a2_constant(w)
     assert rep.constant == brute_a2(w)
-    assert a2_constant(w.scaled(5)).constant == rep.constant
+    assert a2_constant(Weight(w.fn * 5)).constant == rep.constant
 
 
 def test_a2_2d_level2_matches_brute_with_grid_cube_witness():
@@ -574,7 +574,7 @@ def test_norm_estimate_weight_scaling_invariant():
     op = sparse_family_operator(mesh, tower_family(mesh))
     w = mk_weight(mesh, 13)
     a = operator_norm_weighted(op, w, iters=40, seed=3).value
-    b = operator_norm_weighted(op, w.scaled(5), iters=40, seed=3).value
+    b = operator_norm_weighted(op, Weight(w.fn * 5), iters=40, seed=3).value
     assert abs(a - b) < 1e-9
 
 
