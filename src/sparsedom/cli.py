@@ -69,9 +69,12 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _gather_config(args, defaults: ExperimentConfig = None) -> tuple:
+def _gather_config(args, defaults: ExperimentConfig = None,
+                   no_lambda: str = None) -> tuple:
     """Merge defaults <- explicit flags <- config file; returns
-    (ExperimentConfig, extras) where extras holds subcommand-only keys."""
+    (ExperimentConfig, extras) where extras holds subcommand-only keys.
+    With ``no_lambda`` a λ given by flag or config file is a usage error,
+    reported with that reason."""
     merged = {}
     if defaults is not None:
         merged.update(
@@ -88,13 +91,17 @@ def _gather_config(args, defaults: ExperimentConfig = None) -> tuple:
         merged["lam"] = parse_scalar(args.lam)
     if getattr(args, "m", None) is not None:
         merged["m_list"] = tuple(int(s) for s in args.m.split(","))
-    extras = {}
+    extras, overrides = {}, {}
     if getattr(args, "config", None):
         overrides = _parse_config_file(args.config)
         for key in ("q_lo", "q_hi", "exponents"):
             if key in overrides:
                 extras[key] = overrides.pop(key)
         merged.update(overrides)
+    if no_lambda and (getattr(args, "lam", None) is not None
+                      or "lam" in overrides):
+        raise ValueError("%s: --lambda (lam, lambda in --config) is not "
+                         "accepted: %s" % (args.command, no_lambda))
     return ExperimentConfig(**merged), extras
 
 
@@ -152,8 +159,11 @@ def _cmd_cover_test(args) -> int:
     return 0 if verdict.passed else 1
 
 
+_LAMBDA_FIXED = "λ is fixed at 2^-(n+2) by the oscillation decomposition"
+
+
 def _cmd_decompose(args) -> int:
-    cfg, _ = _gather_config(args)
+    cfg, _ = _gather_config(args, no_lambda=_LAMBDA_FIXED)
     f = _input_function(args, cfg)
     q0 = Cube(GridId.standard(cfg.dim), 0, (0,) * cfg.dim)
     res = oscillation_decompose(f, q0)
@@ -167,7 +177,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cz_sparse(args) -> int:
-    cfg, _ = _gather_config(args)
+    cfg, _ = _gather_config(args, no_lambda="the Calderón-Zygmund "
+                            "construction uses no λ")
     f = _input_function(args, cfg)
     grids = []
     ok = True
@@ -191,7 +202,7 @@ def _cmd_cz_sparse(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    cfg, _ = _gather_config(args)
+    cfg, _ = _gather_config(args, no_lambda=_LAMBDA_FIXED)
     f = abs(_input_function(args, cfg))
     rep = dominate(f)
     report = {"domination": rep.to_json(), "config": cfg.to_json()}

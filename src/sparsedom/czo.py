@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, Cube, GridId, dilate
 from .rational import pow2, rat
-from .sparse import _accumulate, oscillation_decompose, verify_decomposition
+from .sparse import _accumulate, _over_lcm, oscillation_decompose, verify_decomposition
 from .stepfn import (
     StepFunction,
     average,
@@ -198,9 +198,9 @@ def dominate(f: StepFunction) -> DominationReport:
     g = maximal_truncated(f)
     res = oscillation_decompose(g, q0)
     gap = verify_decomposition(g, res)
-    series, den = _accumulate(mesh, (
-        (mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
-        for _, qc in res.family.pairs()))
+    terms, den = _over_lcm((mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
+                           for _, qc in res.family.pairs())
+    series = _accumulate(mesh, terms)
     med = res.base_median
     c = Fraction(0)
     violations = 0

@@ -27,11 +27,21 @@ A cube's cells are the n-D block ``Mesh.cells(q.box)``, one slice per
 axis.  Every sum Σ c_Q χ_Q over a family -- the operators, the pointwise
 gap of ``cz_pointwise_gap``, the right side of ``verify_decomposition``
 and the majorant of ``czo.dominate`` -- goes through one accumulator,
-``_accumulate``: the coefficients are brought to their lcm, each integer
-numerator is added at the 2^n corners of its block in an n-D difference
-array, and one cumulative sum per axis gives every cell's total.  That is
-O(|S|·2^n + cells) instead of one Fraction addition per cell per cube,
-and the output builds one Fraction per distinct value.
+``_accumulate``: it takes integer numerators over the caller's
+denominator, adds each at the 2^n corners of its block in an n-D
+difference array, and one cumulative sum per axis gives every cell's
+total.  That is O(|S|·2^n + cells) instead of one Fraction addition per
+cell per cube, and the output builds one Fraction per distinct value.
+
+``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
+A grid cube at scale k <= level is a window [a, b) per axis on the h/3
+lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
+the |f| prefix table in 4^n reads, and its cells are (a+1)//3 up to
+(b+1)//3 per axis.  Its average is S·2^(n(k-k_min)) over the one
+denominator D·(3·2^(level-k_min))^n, with k_min the coarsest scale in the
+family.  Coefficients that are Fractions (the other operators, the
+decomposition, ``czo.dominate``) are brought to their lcm by
+``_over_lcm`` first.
 """
 
 from __future__ import annotations
@@ -52,11 +62,14 @@ from .stepfn import (
     _blocks,
     _corner,
     _corners,
+    _cube_windows,
     _dyadic_blocks,
     _grid_cube_sums,
     _shared_fractions,
     _sharp_widths,
     _top_scale,
+    _window_cells,
+    _window_sums,
 )
 
 __all__ = [
@@ -118,32 +131,69 @@ class SparseFamily:
         return SparseFamily(grid, levels)
 
 
+def _parent_key(shifted: tuple[bool, ...], k: int, j: tuple[int, ...]):
+    """The (scale, index) key of the parent of grid cube (k, j), with the
+    parent index (j + shift) // 2 of ``Cube.parent``."""
+    s = 1 if k % 2 == 0 else -1
+    return k - 1, tuple((x + s) // 2 if sh else x // 2 for x, sh in zip(j, shifted))
+
+
+def _container(keys: dict, shifted, k_min: int, k: int, j) -> int | None:
+    """Position in ``keys`` of the cube (k, j) itself or of its nearest
+    ancestor at a scale >= k_min, or None."""
+    key = (k, j)
+    while key[0] >= k_min:
+        if key in keys:
+            return keys[key]
+        key = _parent_key(shifted, *key)
+    return None
+
+
 def verify_sparse_family(fam: SparseFamily):
-    """Exact checks of all sparse-family invariants; raises on violation."""
+    """Exact checks of all sparse-family invariants; raises on violation.
+
+    Works on integer keys (scale, index).  Two cubes of one grid meet
+    exactly when one is an ancestor of the other (or they are equal),
+    which ``tests/test_sparse_families.py::test_grid_cubes_meet_iff_nested``
+    pins against ``Box.intersect`` on every grid.  So a level overlaps itself
+    when a cube has an ancestor in its own level, a level-(k+1) cube lies
+    inside level k when it has an ancestor there, and its measure
+    2^{n(K-k)}, in units of the finest scale K, goes to that ancestor's
+    |Ω_{k+1} ∩ Q|: O(|S|·depth) time and memory linear in |S|.  Every
+    cube must belong to ``fam.grid``."""
     keys = fam.level_keys()
     if keys and keys != list(range(keys[0], keys[-1] + 1)):
         raise AssertionError(f"levels must be consecutive, got {keys}")
     for k in keys:
-        cubes = fam.levels[k]
-        for i in range(len(cubes)):
-            for j in range(i + 1, len(cubes)):
-                if cubes[i].box.intersect(cubes[j].box) is not None:
-                    raise AssertionError(f"level {k}: cubes overlap")
-    for k in keys:
-        nxt = fam.levels.get(k + 1, [])
-        for small in nxt:
-            if not any(big.box.contains_box(small.box) for big in fam.levels[k]):
-                raise AssertionError(f"level {k + 1} not inside level {k}")
-        for big in fam.levels[k]:
-            inner = Fraction(0)
-            for small in nxt:
-                if big.box.contains_box(small.box):
-                    inner += small.measure
-                elif big.box.intersect(small.box) is not None:
-                    raise AssertionError("partial overlap across levels")
-            if inner > big.measure / 2:
+        for q in fam.levels[k]:
+            if q.grid != fam.grid:
                 raise AssertionError(
-                    f"level {k}: |Omega_(k+1) ∩ Q| = {inner} > |Q|/2 = {big.measure / 2}")
+                    f"level {k}: cube of grid {q.grid.to_json()} in a family "
+                    f"of grid {fam.grid.to_json()}")
+    shifted = tuple(a != 0 for a in fam.grid.alpha)
+    index, k_min = {}, {}
+    for k in keys:
+        cubes = fam.levels[k]
+        index[k] = {(q.k, q.j): i for i, q in enumerate(cubes)}
+        k_min[k] = min((q.k for q in cubes), default=0)
+        if len(index[k]) < len(cubes) or any(
+                _container(index[k], shifted, k_min[k], *_parent_key(shifted, q.k, q.j))
+                is not None for q in cubes):
+            raise AssertionError(f"level {k}: cubes overlap")
+    finest = max((q.k for _, q in fam.pairs()), default=0)
+    n = fam.grid.dim
+    for k in keys:
+        inner = [0] * len(fam.levels[k])
+        for small in fam.levels.get(k + 1, []):
+            i = _container(index[k], shifted, k_min[k], small.k, small.j)
+            if i is None:
+                raise AssertionError(f"level {k + 1} not inside level {k}")
+            inner[i] += 1 << n * (finest - small.k)
+        for big, m in zip(fam.levels[k], inner):
+            if 2 * m > 1 << n * (finest - big.k):
+                raise AssertionError(
+                    f"level {k}: |Omega_(k+1) ∩ Q| = {m * pow2(-n * finest)} "
+                    f"> |Q|/2 = {big.measure / 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +308,39 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     return SparseFamily(grid, levels)
 
 
-def _accumulate(mesh: Mesh, terms) -> tuple[np.ndarray, int]:
-    """Σ value·χ_cells over the (cells, value) ``terms``, with cells a
-    ``Mesh.cells`` block and value exact: integer numerators shaped like
-    the mesh over one denominator, the lcm of the values' denominators."""
-    terms = list(terms)
-    den = math.lcm(*(v.denominator for _, v in terms))
+def _accumulate(mesh: Mesh, terms) -> np.ndarray:
+    """Σ num·χ_cells over the (cells, num) ``terms``, with cells a
+    ``Mesh.cells`` block and num an integer numerator over the caller's
+    denominator: integer numerators shaped like the mesh."""
     diff = np.zeros(tuple(n + 1 for n in mesh.shape), dtype=object)
     corners = _corners(mesh.dim)
-    for cells, v in terms:
-        num = v.numerator * (den // v.denominator)
+    for cells, num in terms:
         for bits, odd in corners:
             diff[_corner(cells, bits)] += -num if odd else num
     for axis in range(mesh.dim):
         diff = diff.cumsum(axis)
-    return diff[(slice(None, -1),) * mesh.dim], den
+    return diff[(slice(None, -1),) * mesh.dim]
+
+
+def _over_lcm(terms) -> tuple[list, int]:
+    """(cells, value) terms with exact values as (cells, integer) terms
+    over the lcm of the values' denominators, and that lcm."""
+    terms = list(terms)
+    den = math.lcm(*(v.denominator for _, v in terms))
+    return [(cells, v.numerator * (den // v.denominator)) for cells, v in terms], den
+
+
+def _family_averages(f: StepFunction, cubes: list) -> tuple[list, list, int]:
+    """The cells of each cube and its |f|-average as an integer over one
+    shared denominator D·(3·2^(level-k_min))^n, k_min the coarsest scale
+    among the cubes, from the lattice window sums (see the module
+    docstring)."""
+    mesh, n = f.mesh, f.mesh.dim
+    lo, hi = _cube_windows(mesh, cubes)
+    k_min = min((q.k for q in cubes), default=mesh.level)
+    nums = [s << n * (q.k - k_min) for s, q in zip(_window_sums(f, lo, hi), cubes)]
+    den = f._numerators()[1] * (3 << (mesh.level - k_min)) ** n
+    return [_window_cells(a, b) for a, b in zip(lo, hi)], nums, den
 
 
 def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
@@ -280,24 +348,24 @@ def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
     """Exact min over cells of 2^{n+1}·Σ avg(|f|,Q)χ_{E}(x) − M^{grid}f(x).
 
     The sum is Σ_k A_k·[x ∉ Ω_{k+1}], with A_k level k's accumulated
-    averages and Ω_{k+1} the union of level k+1's cubes; it is compared
+    averages and Ω_{k+1} the union of level k+1's cubes; every average is
+    an integer over the family's one denominator, and the sum is compared
     with M^{grid}f on integer numerators.  Nonnegative return value
     certifies the pointwise domination of the grid maximal function by
     the sparse averages."""
     mesh = f.mesh
-    g = abs(f)
-    rhs, den = np.zeros(mesh.shape, dtype=object), 1
-    for k in fam.level_keys():
-        acc, d = _accumulate(mesh, ((mesh.cells(q.box), average(g, q.box))
-                                    for q in fam.levels[k]))
+    cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
+    levels = {k: [] for k in fam.levels}
+    for (k, _), block, num in zip(fam.pairs(), cells, nums):
+        levels[k].append((block, num))
+    rhs = np.zeros(mesh.shape, dtype=object)
+    for k, terms in levels.items():
         outside = np.ones(mesh.shape, dtype=bool)
-        for q in fam.levels.get(k + 1, []):
-            outside[mesh.cells(q.box)] = False
-        lcm = math.lcm(den, d)
-        rhs = rhs * (lcm // den) + np.where(outside, acc * (lcm // d), 0)
-        den = lcm
+        for block, _ in levels.get(k + 1, []):
+            outside[block] = False
+        rhs += np.where(outside, _accumulate(mesh, terms), 0)
     m, m_den = maximal._numerators()
-    gap = (rhs * (2 << mesh.dim) * m_den - m * den).min()
+    gap = (rhs * ((2 << mesh.dim) * m_den) - m * den).min()
     return Fraction(gap, den * m_den)
 
 
@@ -412,8 +480,9 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
     lcm, compared over the lcm of those and the median's denominator."""
     mesh = f.mesh
     cells, nums, den, stats = _dyadic_blocks(f, res.cube, res.lam)
-    rhs_sum, c_den = _accumulate(mesh, ((mesh.cells(q.box), res.coefficients[q])
-                                        for _, q in res.family.pairs()))
+    terms, c_den = _over_lcm((mesh.cells(q.box), res.coefficients[q])
+                             for _, q in res.family.pairs())
+    rhs_sum = _accumulate(mesh, terms)
     m = res.base_median
     lcm = math.lcm(2 * den, c_den, m.denominator)
     rhs = (4 * (lcm // (2 * den))) * _sharp_widths(stats) \
@@ -427,22 +496,23 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _require_nonneg(f: StepFunction):
-    if any(v < 0 for v in f.values):
+    # on the integer form, which every operator below reads anyway
+    if (f._numerators()[0] < 0).any():
         raise ValueError("operator input must be nonnegative")
 
 
-def _operator(mesh: Mesh, terms) -> StepFunction:
-    """Σ value·χ_cells over the (cells, value) terms, as a step function."""
-    nums, den = _accumulate(mesh, terms)
+def _operator(mesh: Mesh, terms, den: int) -> StepFunction:
+    """Σ num·χ_cells / den over the (cells, num) terms, as a step function."""
+    nums = _accumulate(mesh, terms)
     return StepFunction(mesh, _shared_fractions([(v, den) for v in nums.flat]))
 
 
 def sparse_operator(fam: SparseFamily, f: StepFunction) -> StepFunction:
-    """A_{D,S} f = Σ avg(f, Q) χ_Q with exact geometric averages."""
+    """A_{D,S} f = Σ avg(f, Q) χ_Q with exact geometric averages, read
+    off the lattice window sums over one shared denominator."""
     _require_nonneg(f)
-    mesh = f.mesh
-    return _operator(mesh, ((mesh.cells(q.box), average(f, q.box))
-                            for _, q in fam.pairs()))
+    cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
+    return _operator(f.mesh, zip(cells, nums), den)
 
 
 def shifted_operator(fam: SparseFamily, m: int, f: StepFunction) -> StepFunction:
@@ -455,7 +525,7 @@ def shifted_operator(fam: SparseFamily, m: int, f: StepFunction) -> StepFunction
     for _, q in fam.pairs():
         big = dilate(q, m)
         terms.append((mesh.cells(q.box), f.atom_sum(big) / big.measure))
-    return _operator(mesh, terms)
+    return _operator(mesh, *_over_lcm(terms))
 
 
 @dataclass
@@ -496,16 +566,18 @@ def amalgam(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:
     """A_{m,α} f = Σ_{F_α} (cell-center ∫_{Q_α} f / |Q_α|) χ_Q."""
     _require_nonneg(f)
     mesh = f.mesh
-    return _operator(mesh, ((mesh.cells(q.box), f.atom_sum(cover.box) / cover.measure)
-                            for _, q, cover in sh.family_of(alpha)))
+    return _operator(mesh, *_over_lcm(
+        (mesh.cells(q.box), f.atom_sum(cover.box) / cover.measure)
+        for _, q, cover in sh.family_of(alpha)))
 
 
 def amalgam_adjoint(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:
     """A*_{m,α} f = Σ_{F_α} (cell-center ∫_Q f / |Q_α|) χ_{Q_α}."""
     _require_nonneg(f)
     mesh = f.mesh
-    return _operator(mesh, ((mesh.cells(cover.box), f.atom_sum(q.box) / cover.measure)
-                            for _, q, cover in sh.family_of(alpha)))
+    return _operator(mesh, *_over_lcm(
+        (mesh.cells(cover.box), f.atom_sum(q.box) / cover.measure)
+        for _, q, cover in sh.family_of(alpha)))
 
 
 # ---------------------------------------------------------------------------

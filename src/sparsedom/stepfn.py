@@ -52,6 +52,16 @@ cross-multiplication, and Fractions are built only for the output, one per
 distinct value.  ``dyadic_maximal`` costs one gather per scale;
 ``hl_maximal`` is O(N log² N) in 1-D and O(n³) in 2-D, for n cells per
 axis.
+
+Cube sums of |f| come from one n-D prefix table P of |f|'s numerators,
+built once per function (``StepFunction._abs_table``).  On each axis the
+integral of |f| from lo up to the lattice point x = 3q + r (0 <= r < 3) is
+T(x) = (3 - r)·P[q] + r·P[q + 1] in units of h/3 (P carries P[N + 1] =
+P[N] for x = 3N), and a window [a, b) sums to T(b) - T(a).  In n-D the
+window's sum takes the product of those weights over its 2^n corners:
+4^n table reads.  ``_grid_cube_sums`` applies that per axis to every
+cube of a (grid, scale) at once; ``_window_sums`` to a list of cubes
+(``_cube_windows``), as ``sparse`` does for a family.
 """
 
 from __future__ import annotations
@@ -219,6 +229,7 @@ class StepFunction:
         self._arr = None
         self._num = None
         self._prefix = None
+        self._abs_prefix = None
 
     # -- constructors -------------------------------------------------------
 
@@ -244,8 +255,10 @@ class StepFunction:
         the cell denominators: an object array of Python ints shaped like
         the mesh, and D.  Lazy and cached (see the module docstring)."""
         if self._num is None:
-            den = math.lcm(*(v.denominator for v in self.values))
-            nums = [v.numerator * (den // v.denominator) for v in self.values]
+            dens = {v.denominator for v in self.values}
+            den = math.lcm(*dens)
+            scale = {d: den // d for d in dens}
+            nums = [v.numerator * scale[v.denominator] for v in self.values]
             self._num = (_array(nums, self.mesh.shape), den)
         return self._num
 
@@ -265,6 +278,20 @@ class StepFunction:
             v = self._prefix[_corner(cells, bits)]
             total += v if odd == dim % 2 else -v
         return total
+
+    def _abs_table(self) -> np.ndarray:
+        """The n-D prefix table P of the numerators of |f|, with one
+        repeated last entry per axis (P[N + 1] = P[N]) so that the window
+        sums of ``_window_sums`` can read P[q + 1] at x = 3N.  Built once,
+        like the table of ``_block_sum``."""
+        if self._abs_prefix is None:
+            dim = self.mesh.dim
+            p = np.zeros(tuple(n + 2 for n in self.mesh.shape), dtype=object)
+            p[(slice(1, -1),) * dim] = abs(self._numerators()[0])
+            for axis in range(dim):
+                p = p.cumsum(axis)
+            self._abs_prefix = p
+        return self._abs_prefix
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -563,24 +590,65 @@ def _grid_cube_sums(f: StepFunction, grid: GridId, k: int):
 
     Returns the sums (one array axis per space axis), the index j of the
     first cube on each axis, and per axis the array position of the cube
-    holding each cell center.  Per axis the cumulative sum P over the
-    cells is refined to the lattice at the clipped cube corners x,
-    3·P[x//3] + (x%3)·v[x//3], and differenced.
+    holding each cell center.  Per axis the |f| prefix table is read at
+    the clipped cube corners x = 3q + r as (3 - r)·P[q] + r·P[q + 1] and
+    differenced.
     """
-    n = f.mesh.cells_axis
-    s = abs(f._numerators()[0])
+    s = f._abs_table()
     first, cells = [], []
     for axis, (j0, corners, pos) in enumerate(_grid_lattice(f.mesh, grid, k)):
         first.append(j0)
         cells.append(pos)
         q, r = np.divmod(corners, 3)
-        a = np.moveaxis(s, axis, 0)
-        p = np.concatenate([np.zeros((1,) + a.shape[1:], dtype=object),
-                            a.cumsum(0)])
-        r = r.reshape((-1,) + (1,) * (a.ndim - 1))
-        t = 3 * p[q] + r * a[np.minimum(q, n - 1)]
-        s = np.moveaxis(np.diff(t, axis=0), 0, axis)
+        r = r.reshape((-1,) + (1,) * (s.ndim - 1 - axis))
+        t = (3 - r) * s.take(q, axis) + r * s.take(q + 1, axis)
+        s = np.diff(t, axis=axis)
     return s, first, cells
+
+
+def _cube_windows(mesh: Mesh, cubes) -> tuple[np.ndarray, np.ndarray]:
+    """The windows [lo, hi) of grid cubes at scales k <= level on the h/3
+    lattice, clipped to [0, 3N]: two int arrays shaped (len(cubes), n).
+    A cube's corner is (3j + b)·2^(level-k) - 3·lo/h per axis, as in
+    ``_grid_lattice``."""
+    n3 = 3 * mesh.cells_axis
+    base = [3 * int(x / mesh.h) for x in mesh.domain.lo]
+    lo, hi = [], []
+    for q in cubes:
+        if q.k > mesh.level:
+            raise ValueError("cube is finer than the mesh")
+        g = 1 << (mesh.level - q.k)
+        a = [u * g - c for u, c in zip(q._corner_thirds(), base)]
+        lo.append([min(max(x, 0), n3) for x in a])
+        hi.append([min(max(x + 3 * g, 0), n3) for x in a])
+    shape = (len(lo), mesh.dim)
+    return (np.array(lo, dtype=np.int64).reshape(shape),
+            np.array(hi, dtype=np.int64).reshape(shape))
+
+
+def _window_sums(f: StepFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integer sums of |f| over the lattice windows [lo, hi) of
+    ``_cube_windows``, in units of (h/3)^n / D: the window formula of the
+    module docstring, 4^n reads of the |f| prefix table per window."""
+    p = f._abs_table()
+    reads = []
+    for a, b in zip(lo.T, hi.T):
+        qa, ra = np.divmod(a, 3)
+        qb, rb = np.divmod(b, 3)
+        reads.append(((qb, 3 - rb), (qb + 1, rb), (qa, ra - 3), (qa + 1, -ra)))
+    total = np.zeros(len(lo), dtype=object)
+    for combo in itertools.product(*reads):
+        w = combo[0][1]
+        for _, x in combo[1:]:
+            w = w * x
+        total += w * p[tuple(i for i, _ in combo)]
+    return total
+
+
+def _window_cells(lo, hi) -> tuple[slice, ...]:
+    """The cells whose centers lie in the lattice window [lo, hi): on each
+    axis (a + 1)//3 up to (b + 1)//3, as ``Mesh.cells`` slices."""
+    return tuple(slice((int(a) + 1) // 3, (int(b) + 1) // 3) for a, b in zip(lo, hi))
 
 
 def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:

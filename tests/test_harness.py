@@ -262,14 +262,40 @@ def test_cli_input_wrong_length(tmp_path, capsys):
 
 def test_cli_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("level = 4\nseed = 42  # comment\nlambda = 1/4\n")
+    cfg.write_text("level = 4\nseed = 42  # comment\n")
     code = run_cli("decompose", "--level", "3", "--seed", "0",
                    "--config", str(cfg))
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["level"] == 4
     assert data["config"]["seed"] == 42
-    assert data["config"]["lam"] == "1/4"
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("decompose", "fixed at 2^-(n+2)"),
+    ("cz-sparse", "uses no λ"),
+    ("dominate", "fixed at 2^-(n+2)"),
+])
+def test_cli_rejects_lambda_it_would_ignore(command, reason, tmp_path, capsys):
+    # the flag and both config-file spellings are usage errors
+    for key in ("lam", "lambda"):
+        cfg = tmp_path / ("%s.txt" % key)
+        cfg.write_text("%s = 1/4\n" % key)
+        assert run_cli(command, "--level", "3", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
+    assert run_cli(command, "--level", "3", "--lambda", "1/8") == 2
+    assert "%s: --lambda" % command in capsys.readouterr().err
+    assert run_cli(command, "--level", "3") == 0
+
+
+def test_cli_osc_estimate_keeps_lambda(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lambda = 1/4\n")
+    assert run_cli("osc-estimate", "--level", "4", "--config", str(cfg)) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["lam"] == "1/4"
+    assert run_cli("osc-estimate", "--level", "4", "--lambda", "1/3") == 0
+    assert json.loads(capsys.readouterr().out)["config"]["lam"] == "1/3"
 
 
 def test_cli_config_file_unknown_key(tmp_path, capsys):

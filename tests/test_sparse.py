@@ -45,6 +45,7 @@ from sparsedom.sparse import (
     verify_sparse_family,
     weak_norm,
     _accumulate,
+    _over_lcm,
 )
 
 from meshtools import cell_of_point, cube_at, flat, flat_cells, indicator, unflat
@@ -216,7 +217,8 @@ def test_accumulate_matches_cellwise_sums(mesh):
             cells.append(slice(a, rng.randint(a, n)))
         terms.append((tuple(cells), Fraction(rng.randint(-9, 9),
                                              rng.choice([1, 3, 8, 97]))))
-    nums, den = _accumulate(mesh, terms)
+    ints, den = _over_lcm(terms)
+    nums = _accumulate(mesh, ints)
     assert nums.shape == mesh.shape
     for i in range(mesh.size):
         idx = unflat(mesh, i)
@@ -224,7 +226,8 @@ def test_accumulate_matches_cellwise_sums(mesh):
                     if all(s.start <= j < s.stop for s, j in zip(cells, idx))),
                    Fraction(0))
         assert Fraction(nums[idx], den) == want
-    assert _accumulate(mesh, [])[0].shape == mesh.shape
+    assert _accumulate(mesh, []).shape == mesh.shape
+    assert _over_lcm([]) == ([], 1)
 
 
 @settings(max_examples=25, deadline=None)
