@@ -8,12 +8,16 @@ decimal strings, both converted exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = ["rat", "rat_str", "parse_scalar", "pow2"]
 
 ZERO = Fraction(0)
 THIRD = Fraction(1, 3)
+# Fraction builds 10**e for a decimal exponent e: seconds once e passes 10^6
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def rat(value) -> Fraction:
@@ -28,7 +32,7 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return parse_scalar(value)
     if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -82,5 +86,13 @@ def pow2(t: int) -> Fraction:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse a scalar from CSV/CLI input: "num/den", integer or decimal."""
-    return Fraction(text.strip())
+    """Parse a scalar from CSV/CLI input: "num/den", integer or decimal;
+    ValueError for a zero denominator or an exponent past ±MAX_EXPONENT."""
+    exp = _EXPONENT.search(text)
+    digits = exp and exp.group(1).replace("_", "").lstrip("0")
+    if digits and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"decimal exponent out of range in {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

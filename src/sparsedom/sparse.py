@@ -36,12 +36,12 @@ cell per cube, and the output builds one Fraction per distinct value.
 ``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
 A grid cube at scale k <= level is a window [a, b) per axis on the h/3
 lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
-the |f| prefix table in 4^n reads, and its cells are (a+1)//3 up to
-(b+1)//3 per axis.  Its average is S·2^(n(k-k_min)) over the one
-denominator D·(3·2^(level-k_min))^n, with k_min the coarsest scale in the
-family.  Coefficients that are Fractions (the other operators, the
-decomposition, ``czo.dominate``) are brought to their lcm by
-``_over_lcm`` first.
+the cell-corner prefix table of |f| by ``stepfn._window_sums`` in 4^n
+reads, and its cells are (a+1)//3 up to (b+1)//3 per axis.  Its average
+is S·2^(n(k-k_min)) over the one denominator D·(3·2^(level-k_min))^n,
+with k_min the coarsest scale in the family.  Coefficients that are
+Fractions (the other operators, the decomposition, ``czo.dominate``) are
+brought to their lcm by ``_over_lcm`` first.
 """
 
 from __future__ import annotations
@@ -338,7 +338,8 @@ def _family_averages(f: StepFunction, cubes: list) -> tuple[list, list, int]:
     mesh, n = f.mesh, f.mesh.dim
     lo, hi = _cube_windows(mesh, cubes)
     k_min = min((q.k for q in cubes), default=mesh.level)
-    nums = [s << n * (q.k - k_min) for s, q in zip(_window_sums(f, lo, hi), cubes)]
+    sums = _window_sums(f._abs_table(), lo, hi)
+    nums = [s << n * (q.k - k_min) for s, q in zip(sums, cubes)]
     den = f._numerators()[1] * (3 << (mesh.level - k_min)) ** n
     return [_window_cells(a, b) for a, b in zip(lo, hi)], nums, den
 

@@ -25,9 +25,9 @@ the lcm of the cell denominators -- is built on first use and kept
 values: the reciprocal of the level-10 power weight |x - 1/2|^(1/2) has a
 63,891-bit common denominator against 59 bits for the weight itself, so
 an eager integer form would put thousands of such integers into every
-weight.  ``integral`` and ``atom_sum`` read one n-D integer prefix table
-of the numerators, by inclusion-exclusion over the 2^n corners of a
-block and at most 3^n blocks of whole and partial cells.
+weight.  ``integral`` and ``atom_sum`` read the prefix table (below) of
+the numerators, by inclusion-exclusion over the 2^n corners of a block
+and at most 3^n blocks of whole and partial cells.
 
 The distribution toolkit adds no Fractions.  On a box, f is a list of
 sorted integer runs (``_runs``): its distinct values over the lcm of the
@@ -45,23 +45,25 @@ those arrays.
 ``dyadic_maximal`` and ``hl_maximal`` work on the numerators of |f| and on
 lengths on the h/3 lattice counted from the domain's lower corner lo.
 There every grid-cube corner at a scale k <= level is an integer,
-(3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1}; ``_grid_lattice`` gives
-those corners per axis, for this module and for the A2 search.  Averages
-are compared as integers over a shared denominator or by
-cross-multiplication, and Fractions are built only for the output, one per
-distinct value.  ``dyadic_maximal`` costs one gather per scale;
-``hl_maximal`` is O(N log² N) in 1-D and O(n³) in 2-D, for n cells per
-axis.
+(3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1} (``_lattice_corner``);
+``_grid_lattice`` gives those corners per axis, for this module and for
+the A2 search.  Averages are compared as integers over a shared
+denominator or by cross-multiplication, and Fractions are built only for
+the output, one per distinct value.  ``dyadic_maximal`` costs one gather
+per scale; ``hl_maximal`` is O(N log² N) in 1-D and O(n³) in 2-D, for n
+cells per axis.
 
-Cube sums of |f| come from one n-D prefix table P of |f|'s numerators,
-built once per function (``StepFunction._abs_table``).  On each axis the
-integral of |f| from lo up to the lattice point x = 3q + r (0 <= r < 3) is
-T(x) = (3 - r)·P[q] + r·P[q + 1] in units of h/3 (P carries P[N + 1] =
-P[N] for x = 3N), and a window [a, b) sums to T(b) - T(a).  In n-D the
-window's sum takes the product of those weights over its 2^n corners:
-4^n table reads.  ``_grid_cube_sums`` applies that per axis to every
-cube of a (grid, scale) at once; ``_window_sums`` to a list of cubes
-(``_cube_windows``), as ``sparse`` does for a family.
+Every cube sum reads one table format, the cell-corner prefix table P of
+``_prefix_table`` (P[q] sums the cells below q on every axis), in any
+dtype: object ints for f and |f| (``StepFunction._abs_table``), float64
+and long double in the A2 search of ``weights``.  On an axis of N cells
+the integral from lo up to the lattice point x = 3q + r (0 <= r < 3) is
+T(x) = (3 - r)·P[q] + r·P[min(q + 1, N)] in units of h/3
+(``_lattice_reads``), and a window [a, b) sums to T(b) - T(a): in n-D, 4^n
+reads whose coefficients have absolute sum 6^n.  ``_grid_cube_sums``
+applies that per axis to every cube of a (grid, scale), ``_window_sums``
+to a list of windows such as a family's (``_cube_windows``);
+``_cube_sums`` differences the cell corners for every block of d^n cells.
 """
 
 from __future__ import annotations
@@ -110,6 +112,17 @@ def _array(values: list, shape: tuple[int, ...]) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
 
 
+def _prefix_table(values: np.ndarray, dtype=object) -> np.ndarray:
+    """The cell-corner prefix table P of an n-D array of cell values, in
+    ``dtype``: P[q] sums the cells below q on every axis, so its sides are
+    one longer than the array's.  Object tables hold Python ints."""
+    p = np.zeros(tuple(n + 1 for n in values.shape), dtype=dtype)
+    p[(slice(1, None),) * values.ndim] = values
+    for axis in range(values.ndim):
+        p = p.cumsum(axis)
+    return p
+
+
 def _pieces(mesh: Mesh, box: Box):
     """The cells of box ∩ domain as at most 3^n blocks, each a pair (cells,
     overlap of each cell): per axis one block of whole cells and up to two
@@ -120,10 +133,7 @@ def _pieces(mesh: Mesh, box: Box):
         axes.append([(slice(ia, ib), mesh.h)] * (ia < ib)
                     + [(slice(i, i + 1), w) for i, w in partials])
     for block in itertools.product(*axes):
-        w = block[0][1]
-        for _, x in block[1:]:
-            w *= x
-        yield tuple(s for s, _ in block), w
+        yield tuple(s for s, _ in block), math.prod(x for _, x in block)
 
 
 class Mesh:
@@ -264,33 +274,20 @@ class StepFunction:
 
     def _block_sum(self, cells: tuple[slice, ...]) -> int:
         """Sum of the numerators over a block of cells, by inclusion-
-        exclusion over its 2^n corners in the n-D prefix table."""
-        dim = self.mesh.dim
+        exclusion over its 2^n corners in the prefix table of f."""
         if self._prefix is None:
-            p = np.zeros(tuple(n + 1 for n in self.mesh.shape), dtype=object)
-            p[(slice(1, None),) * dim] = self._numerators()[0]
-            for axis in range(dim):
-                p = p.cumsum(axis)
-            self._prefix = p
+            self._prefix = _prefix_table(self._numerators()[0])
         total = 0
-        for bits, odd in _corners(dim):
+        for bits, odd in _corners(self.mesh.dim):
             # a corner with an even number of starts counts positive
             v = self._prefix[_corner(cells, bits)]
-            total += v if odd == dim % 2 else -v
+            total += v if odd == self.mesh.dim % 2 else -v
         return total
 
     def _abs_table(self) -> np.ndarray:
-        """The n-D prefix table P of the numerators of |f|, with one
-        repeated last entry per axis (P[N + 1] = P[N]) so that the window
-        sums of ``_window_sums`` can read P[q + 1] at x = 3N.  Built once,
-        like the table of ``_block_sum``."""
+        """The prefix table of the numerators of |f|, built once."""
         if self._abs_prefix is None:
-            dim = self.mesh.dim
-            p = np.zeros(tuple(n + 2 for n in self.mesh.shape), dtype=object)
-            p[(slice(1, -1),) * dim] = abs(self._numerators()[0])
-            for axis in range(dim):
-                p = p.cumsum(axis)
-            self._abs_prefix = p
+            self._abs_prefix = _prefix_table(abs(self._numerators()[0]))
         return self._abs_prefix
 
     # -- arithmetic ---------------------------------------------------------
@@ -566,17 +563,30 @@ def _shared_fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
     return [made[p] for p in pairs]
 
 
+def _lattice_corner(mesh: Mesh, k: int, thirds) -> list[int]:
+    """The h/3-lattice point of a scale-k <= level grid-cube corner given
+    per axis in thirds 3j + b of the side: (3j + b)·2^(level-k) - 3·lo/h."""
+    g = 1 << (mesh.level - k)
+    return [u * g - 3 * int(x / mesh.h) for u, x in zip(thirds, mesh.domain.lo)]
+
+
+def _lattice_reads(x, n: int):
+    """The two table reads (index, coefficient) of the lattice points
+    x = 3q + r on an axis of n cells: (3 - r)·P[q] + r·P[min(q + 1, n)]."""
+    q, r = np.divmod(x, 3)
+    return (q, 3 - r), (np.minimum(q + 1, n), r)
+
+
 def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
     """Per axis, for the cubes of ``grid`` at scale k <= level that meet the
     domain: the index j0 of the first, their corners on the h/3 lattice
-    (see the module docstring) clipped to [0, 3n), so that cube j0 + i spans
-    [corners[i], corners[i + 1]), and for each cell the position i of the
-    cube holding its center."""
+    clipped to [0, 3n), so that cube j0 + i spans [corners[i],
+    corners[i + 1]), and for each cell the position i of the cube holding
+    its center."""
     n3, g = 3 * mesh.cells_axis, 1 << (mesh.level - k)
     axes = []
-    for off, lo in zip(grid.offset_at(k), mesh.domain.lo):
-        # cube j spans [3jg + c, 3jg + 3g + c) on this axis
-        c = int(3 * off) * g - 3 * int(lo / mesh.h)
+    # cube j spans [3jg + c, 3jg + 3g + c) on each axis
+    for c in _lattice_corner(mesh, k, [int(3 * off) for off in grid.offset_at(k)]):
         j0, j1 = -c // (3 * g), (n3 - 1 - c) // (3 * g) + 1
         axes.append((j0, np.clip(3 * g * np.arange(j0, j1 + 1) + c, 0, n3),
                      (np.arange(1, n3, 3) - c) // (3 * g) - j0))
@@ -585,64 +595,53 @@ def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
 
 def _grid_cube_sums(f: StepFunction, grid: GridId, k: int):
     """Integer sums of |f| over every cube of ``grid`` at scale k <= level
-    that meets the domain, in units of (h/3)^n / D (see the module
-    docstring).
-
-    Returns the sums (one array axis per space axis), the index j of the
-    first cube on each axis, and per axis the array position of the cube
-    holding each cell center.  Per axis the |f| prefix table is read at
-    the clipped cube corners x = 3q + r as (3 - r)·P[q] + r·P[q + 1] and
-    differenced.
-    """
+    that meets the domain, in units of (h/3)^n / D, read per axis at the
+    clipped cube corners and differenced.  Returns the sums (one array
+    axis per space axis), the index j of the first cube on each axis, and
+    per axis the array position of the cube holding each cell center."""
     s = f._abs_table()
     first, cells = [], []
     for axis, (j0, corners, pos) in enumerate(_grid_lattice(f.mesh, grid, k)):
         first.append(j0)
         cells.append(pos)
-        q, r = np.divmod(corners, 3)
-        r = r.reshape((-1,) + (1,) * (s.ndim - 1 - axis))
-        t = (3 - r) * s.take(q, axis) + r * s.take(q + 1, axis)
+        shape = (-1,) + (1,) * (s.ndim - 1 - axis)
+        (q0, c0), (q1, c1) = _lattice_reads(corners, f.mesh.cells_axis)
+        t = c0.reshape(shape) * s.take(q0, axis) + c1.reshape(shape) * s.take(q1, axis)
         s = np.diff(t, axis=axis)
     return s, first, cells
 
 
 def _cube_windows(mesh: Mesh, cubes) -> tuple[np.ndarray, np.ndarray]:
     """The windows [lo, hi) of grid cubes at scales k <= level on the h/3
-    lattice, clipped to [0, 3N]: two int arrays shaped (len(cubes), n).
-    A cube's corner is (3j + b)·2^(level-k) - 3·lo/h per axis, as in
-    ``_grid_lattice``."""
-    n3 = 3 * mesh.cells_axis
-    base = [3 * int(x / mesh.h) for x in mesh.domain.lo]
-    lo, hi = [], []
-    for q in cubes:
-        if q.k > mesh.level:
-            raise ValueError("cube is finer than the mesh")
-        g = 1 << (mesh.level - q.k)
-        a = [u * g - c for u, c in zip(q._corner_thirds(), base)]
-        lo.append([min(max(x, 0), n3) for x in a])
-        hi.append([min(max(x + 3 * g, 0), n3) for x in a])
-    shape = (len(lo), mesh.dim)
-    return (np.array(lo, dtype=np.int64).reshape(shape),
-            np.array(hi, dtype=np.int64).reshape(shape))
+    lattice, clipped to [0, 3N]: two int arrays shaped (len(cubes), n)."""
+    if any(q.k > mesh.level for q in cubes):
+        raise ValueError("cube is finer than the mesh")
+    lo = [_lattice_corner(mesh, q.k, q._corner_thirds()) for q in cubes]
+    hi = [[x + (3 << (mesh.level - q.k)) for x in a] for a, q in zip(lo, cubes)]
+    return tuple(np.clip(np.array(x, dtype=object).reshape(-1, mesh.dim), 0,
+                         3 * mesh.cells_axis).astype(np.int64) for x in (lo, hi))
 
 
-def _window_sums(f: StepFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integer sums of |f| over the lattice windows [lo, hi) of
-    ``_cube_windows``, in units of (h/3)^n / D: the window formula of the
-    module docstring, 4^n reads of the |f| prefix table per window."""
-    p = f._abs_table()
-    reads = []
-    for a, b in zip(lo.T, hi.T):
-        qa, ra = np.divmod(a, 3)
-        qb, rb = np.divmod(b, 3)
-        reads.append(((qb, 3 - rb), (qb + 1, rb), (qa, ra - 3), (qa + 1, -ra)))
-    total = np.zeros(len(lo), dtype=object)
+def _window_sums(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums over the lattice windows [lo, hi) (two (count, n) int arrays)
+    from a prefix table p of any dtype, in units of (h/3)^n: the window
+    formula of the module docstring, 4^n reads per window."""
+    n = len(p) - 1
+    reads = [_lattice_reads(b, n) + tuple((q, -c) for q, c in _lattice_reads(a, n))
+             for a, b in zip(lo.T, hi.T)]
+    total = np.zeros(len(lo), dtype=p.dtype)
     for combo in itertools.product(*reads):
-        w = combo[0][1]
-        for _, x in combo[1:]:
-            w = w * x
-        total += w * p[tuple(i for i, _ in combo)]
+        total += math.prod(c for _, c in combo) * p[tuple(q for q, _ in combo)]
     return total
+
+
+def _cube_sums(p: np.ndarray, d: int) -> np.ndarray:
+    """Sums over every block of d^n cells from a prefix table p of any
+    dtype, by differencing its cell corners along each axis in turn."""
+    for axis in range(p.ndim):
+        head = (slice(None),) * axis
+        p = p[head + (slice(d, None),)] - p[head + (slice(None, -d),)]
+    return p
 
 
 def _window_cells(lo, hi) -> tuple[slice, ...]:
@@ -720,15 +719,12 @@ def _lower_hull(points):
     return hull
 
 
-def _hl_1d(nums: list[int]) -> list[tuple[int, int]]:
-    """For every cell the max average of the nonnegative integers ``nums``
-    over cell-aligned intervals containing it, as a pair (sum, length);
-    divide and conquer over crossing intervals."""
-    n = len(nums)
-    pref = [0]
-    for v in nums:
-        pref.append(pref[-1] + v)
-    out = [(v, 1) for v in nums]  # the single-cell interval
+def _hl_1d(pref: list[int]) -> list[tuple[int, int]]:
+    """For every cell the max average of nonnegative integers with prefix
+    table ``pref`` over cell-aligned intervals containing it, as a pair
+    (sum, length); divide and conquer over crossing intervals."""
+    n = len(pref) - 1
+    out = [(pref[i + 1] - pref[i], 1) for i in range(n)]  # single cells
 
     def raise_to(c, s):
         if s[0] * out[c][1] > out[c][0] * s[1]:
@@ -776,19 +772,18 @@ def _sliding_max(w: np.ndarray, d: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _hl_2d(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell the max average of the nonnegative integers ``v`` (n x n)
-    over the squares inside the array that hold it, as (sum, area) arrays.
+def _hl_2d(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell the max average of n x n nonnegative integers, given by
+    their prefix table p, over the squares inside the array that hold it,
+    as (sum, area) arrays.
 
-    For each side d the window sums come from one summed-area table, their
-    maximum over the windows holding each cell is a separable sliding max,
-    and sizes are compared by cross-multiplication: O(n³) in all."""
-    n = len(v)
-    sat = np.zeros((n + 1, n + 1), dtype=object)
-    sat[1:, 1:] = v.cumsum(0).cumsum(1)
-    num, den = v.copy(), np.ones((n, n), dtype=object)
+    For each side d the window sums are ``_cube_sums``, their maximum over
+    the windows holding each cell is a separable sliding max, and sizes
+    are compared by cross-multiplication: O(n³) in all."""
+    n = len(p) - 1
+    num, den = _cube_sums(p, 1), np.ones((n, n), dtype=object)
     for d in range(2, n + 1):
-        w = sat[d:, d:] - sat[:-d, d:] - sat[d:, :-d] + sat[:-d, :-d]
+        w = _cube_sums(p, d)
         m = _sliding_max(_sliding_max(w, d, 0), d, 1)
         better = m * den > num * (d * d)
         num = np.where(better, m, num)
@@ -806,12 +801,10 @@ def hl_maximal(f: StepFunction) -> StepFunction:
     per-side summed-area window sums and a sliding max, O(n³) for n cells
     per axis.
     """
-    mesh = f.mesh
-    nums, D = f._numerators()
-    nums = abs(nums)
+    mesh, D = f.mesh, f._numerators()[1]
     if mesh.dim == 1:
-        out = _hl_1d(list(nums))
+        out = _hl_1d(f._abs_table().tolist())
     else:
-        num, den = _hl_2d(nums)
+        num, den = _hl_2d(f._abs_table())
         out = zip(num.flat, den.flat)
     return StepFunction(mesh, _shared_fractions([(s, l * D) for s, l in out]))

@@ -12,29 +12,30 @@ Every region of the family is an integer window [lo, hi) per axis on the
 h/3 lattice counted from the domain's lower corner: mesh cubes have
 corners at multiples of 3, and a grid cube of scale k <= level has corners
 (3j + b)·2^(level-k), b in {-1, 0, 1}, clipped to [0, 3n) for n cells per
-axis.  The prescreen scores regions from summed-area tables of the two
-factors w and w⁻¹ on the lattice (cumulative sums over the cells, then
-linear interpolation along each axis with coefficients 1, 2, 3, so entries
-are prefix integrals in lattice units).  Mesh cubes of side d are scored
-by differencing its cell-corner entries along each axis in turn, grid
-windows by one gather over the 2^D corners; a score is the product of the
-two window sums over the squared measure.  It runs in two passes.  Pass 1
+axis.  The prescreen scores regions from the cell-corner prefix tables P
+of the two factors w and w⁻¹ (``stepfn._prefix_table``: cumulative sums
+over the cells).  Mesh cubes of side d are scored by differencing P along
+each axis in turn (``stepfn._cube_sums``), grid windows by
+``stepfn._window_sums``: 4^D reads c·P per window, with integer
+coefficients c of absolute sum 6^D.  A score is the product of the two
+window sums over the squared measure.  It runs in two passes.  Pass 1
 builds float64 tables and keeps only the largest score m_d of each side d.
 Pass 2 builds long-double tables, scores every grid window, and scores the
 mesh cubes of only those sides that pass 1 cannot rule out.
 
 The band.  With u the unit roundoff of the tables (2⁻⁶⁴ in long double,
 2⁻⁵³ in float64), γ_k = ku/(1 - ku) and v̂ the float64 images of one
-factor's cell values (relative error 2⁻⁵³), every table entry is a
-nonnegative integer combination of the v̂ formed in chains of at most
-D(n+1) roundings (n per axis of cumulative sums, one per axis of
-refinement).  A window sum adds 2^D signed entries, each at most 3^D·Σv̂,
-in 2^D - 1 more roundings, so its error is at most 6^D·γ_K·Σv̂,
-K = D(n+1) + 2^D; the window, at least one lattice cell, holds at least
-min v̂.  Each window sum is thus within a relative
-e = 6^D·γ_K·Σv̂/min v̂ + 2⁻⁵³ and each score within r = e_w + e_v + O(e²)
-+ 2u of the exact value, so every maximiser of the exact product M scores
-at least M(1 - r) >= top·(1 - 2r).  The band
+factor's cell values (relative error 2⁻⁵³), every table entry is a sum of
+the v̂ in which each passes through at most D(n-1) roundings: n - 1 per
+axis of cumulative sums, whose first addition, to 0, is exact.  A grid
+window rounds each of its 4^D products c·P once (c is an exact integer)
+and adds them to 0 in 4^D - 1 more roundings; a mesh cube adds its 2^D
+signed entries in D roundings.  Every entry is at most Σv̂, so either sum
+is off by at most 6^D·γ_K·Σv̂, K = D(n-1) + 4^D; the region, at least one
+lattice cell, holds at least min v̂.  Each window sum is thus within a
+relative e = 6^D·γ_K·Σv̂/min v̂ + 2⁻⁵³ and each score within
+r = e_w + e_v + O(e²) + 2u of the exact value, so every maximiser of the
+exact product M scores at least M(1 - r) >= top·(1 - 2r).  The band
 b(u) = 4·6^D·K·u·(Σŵ/min ŵ + Σv̂/min v̂) + 16·2⁻⁵³ is twice the
 first-order 2r; the spare half covers the second-order terms and the
 rounded threshold.  A weight whose long-double band b_L exceeds 1e-4 is
@@ -49,7 +50,7 @@ pass, its rounded product and quotient included, within
     |ln(ŝ/s)| <= λ = (b/4)/(1 - b/4)
 
 of its exact value s, up to factors 1 + Ku < 1 + 2⁻³⁵ (for K < 2¹⁸)
-that the margins below absorb; the squared measures (3d)^{2D} are exact
+that the margins below absorb; the squared measures d^{2D} are exact
 in both precisions (below 2⁵³ on every mesh the CLI accepts).  Let W*
 attain T.  Its side is visited, so the long-double incumbent B, the
 largest long-double score of the grid windows and the visited sides, has
@@ -108,7 +109,8 @@ import numpy as np
 
 from .rational import pow2, rat, rat_str
 from .geometry import Box, Cube, GridId
-from .stepfn import Mesh, StepFunction, _grid_lattice, _top_scale
+from .stepfn import (Mesh, StepFunction, _cube_sums, _grid_lattice,
+                     _prefix_table, _top_scale, _window_sums)
 from .sparse import SparseFamily, verify_sparse_family
 
 __all__ = [
@@ -221,59 +223,20 @@ def _grid_windows(mesh: Mesh):
     return np.concatenate(los), np.concatenate(his)
 
 
-def _lattice_prefix(f: np.ndarray, dtype) -> np.ndarray:
-    """Summed-area table in ``dtype`` of the cell values f on the h/3
-    lattice: cumulative sums over the cells, then linear interpolation
-    along each axis, scaled so that every coefficient is 1, 2 or 3."""
-    s = np.pad(f.astype(dtype), (1, 0))
-    for axis in range(s.ndim):
-        s = s.cumsum(axis)
-    for axis in range(s.ndim):
-        a = np.moveaxis(s, axis, 0)
-        t = np.empty((3 * len(a) - 2,) + a.shape[1:], dtype=a.dtype)
-        t[0:-1:3] = 3 * a[:-1]
-        t[1::3] = 2 * a[:-1] + a[1:]
-        t[2::3] = a[:-1] + 2 * a[1:]
-        t[-1] = 3 * a[-1]
-        s = np.moveaxis(t, 0, axis)
-    return s
-
-
-def _cube_sums(s: np.ndarray, d: int) -> np.ndarray:
-    """Sums over every mesh cube of side d, differencing along each axis."""
-    for axis in range(s.ndim):
-        head = (slice(None),) * axis
-        s = s[head + (slice(d, None),)] - s[head + (slice(None, -d),)]
-    return s
-
-
 def _side_maxima(factors) -> np.ndarray:
     """Largest float64 score of the mesh cubes of each side d = 1..n, from
     the float images of w and w⁻¹ (pass 1 of the module docstring)."""
-    dim = factors[0].ndim
-    nodes = (slice(None, None, 3),) * dim  # table entries at cell corners
-    tw, tv = (_lattice_prefix(f, np.float64)[nodes] for f in factors)
+    tw, tv = (_prefix_table(f, np.float64) for f in factors)
     return np.array([(_cube_sums(tw, d) * _cube_sums(tv, d)).max()
-                     / float(3 * d) ** (2 * dim)
+                     / float(d) ** (2 * tw.ndim)
                      for d in range(1, len(factors[0]) + 1)])
-
-
-def _window_sums(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sums over the windows [lo, hi) from a lattice table, by
-    inclusion-exclusion over the 2^D corners in one gather each."""
-    dim = lo.shape[1]
-    total = np.zeros(len(lo), dtype=t.dtype)
-    for corner in iter_product((0, 1), repeat=dim):
-        idx = tuple((hi if c else lo)[:, a] for a, c in enumerate(corner))
-        total += t[idx] if (dim - sum(corner)) % 2 == 0 else -t[idx]
-    return total
 
 
 def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
     """Relative band b(u) of the prescreen scores of tables with unit
     roundoff u (derivation in the module docstring); ``factors`` are the
     float images of w and w⁻¹."""
-    k = dim * (cells_axis + 1) + 2 ** dim
+    k = dim * (cells_axis - 1) + 4 ** dim
     cond = sum(math.fsum(f.flat) / f.min() for f in factors)
     return 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
 
@@ -326,7 +289,7 @@ def a2_constant(w: Weight) -> A2Report:
     top = _side_maxima([np.ldexp(f, -np.frexp(f.max())[1]) for f in factors])
     cut = top.max() * (1 - _certified_band(dim, n, factors, 2.0 ** -53))
     sides = (np.flatnonzero(top >= cut) + 1).tolist()
-    tw, tv = (_lattice_prefix(f, np.longdouble) for f in factors)
+    tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
 
     glo, ghi = _grid_windows(mesh)
     area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
@@ -335,11 +298,10 @@ def a2_constant(w: Weight) -> A2Report:
     best = gscore.max()
     # pass 2, one pass over those sides: keep every cube within the band
     # of the running best, a superset of the final candidates
-    nodes = (slice(None, None, 3),) * dim  # table entries at cell corners
     kept = []
     for d in sides:
-        raw = (_cube_sums(tw[nodes], d) * _cube_sums(tv[nodes], d)).ravel()
-        norm = np.longdouble(3 * d) ** (2 * dim)
+        raw = (_cube_sums(tw, d) * _cube_sums(tv, d)).ravel()
+        norm = np.longdouble(d) ** (2 * dim)
         best = max(best, raw.max() / norm)
         idx = np.flatnonzero(raw >= best * keep * norm)
         if idx.size:
@@ -348,7 +310,7 @@ def a2_constant(w: Weight) -> A2Report:
 
     windows = []
     for d, idx, raw in kept:
-        for i in idx[raw >= thresh * np.longdouble(3 * d) ** (2 * dim)]:
+        for i in idx[raw >= thresh * np.longdouble(d) ** (2 * dim)]:
             lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
             windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
     for i in np.flatnonzero(gscore >= thresh):

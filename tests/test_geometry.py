@@ -16,7 +16,8 @@ from sparsedom.geometry import (
     dilate,
     whitney_decompose,
 )
-from sparsedom.rational import THIRD, ZERO, floor_log2, pow2, rat, rat_ceil, rat_floor
+from sparsedom.rational import (MAX_EXPONENT, THIRD, ZERO, floor_log2, parse_scalar, pow2,
+                                rat, rat_ceil, rat_floor)
 
 from meshtools import cube_at
 
@@ -54,6 +55,20 @@ def square_cubes():
         rationals,
         side_lengths,
     )
+
+
+def test_parse_scalar_bounds_exponent_and_denominator():
+    e = MAX_EXPONENT
+    assert parse_scalar(" 1e%d " % e) == 10**e
+    assert parse_scalar("-2.5E-%d" % e) == Fraction(-5, 2 * 10**e)
+    assert parse_scalar("3/4") == rat("3/4") == Fraction(3, 4)
+    for text in ("1e%d" % (e + 1), "1e-%d" % (e + 1), "1e1_000_000",
+                 "1e" + "0" * 50 + "1" * 50):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            parse_scalar(text)
+    for text in ("1/0", "-0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat(text)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,25 @@ def test_cli_input_wrong_length(tmp_path, capsys):
     assert run_cli("dominate", "--level", "3", "--input", str(path)) == 2
 
 
+def test_cli_zero_denominator_flag_exits_2(capsys):
+    assert run_cli("osc-estimate", "--level", "3", "--lambda", "1/0") == 2
+    err = capsys.readouterr().err
+    assert "zero denominator in '1/0'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("1/0", "zero denominator in '1/0'"),
+    # 10**999999999 would take Fraction minutes to build
+    ("1e999999999", "decimal exponent out of range in '1e999999999'"),
+], ids=["zero-denominator", "huge-exponent"])
+def test_cli_bad_csv_field_exits_2(field, message, tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("1,2\n3,%s\n" % field)
+    assert run_cli("cz-sparse", "--level", "1", "--input", str(path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_cli_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("level = 4\nseed = 42  # comment\n")

@@ -1,8 +1,11 @@
 """The package's public surface and what importing it loads."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import sparsedom
 from sparsedom import czo, geometry, harness, rational, sparse, stepfn, weights
@@ -28,3 +31,15 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_definition_per_name():
+    # a helper lives in one module; the others import it
+    src = os.path.dirname(sparsedom.__file__)
+    names = Counter()
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        names.update({node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))})
+    assert [name for name, count in names.items() if count > 1] == []

@@ -9,12 +9,14 @@ the signed rational CSV files in ``tests/data`` (1-D level 5, 2-D level 3)
 on every grid, the families ``cz_sparse`` and ``oscillation_decompose``
 build from them, and corruptions of those families: an overlap within a
 level, a cube outside the level below, a cube more than half covered by
-the next level, and a cube of another grid.
+the next level, and a cube of another grid.  The window sums also run on
+a 2-D input whose numerators pass 2^63.
 """
 
 import itertools
 import math
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +53,17 @@ INPUTS = {1: ("rationals-1d-level5.csv", 5), 2: ("rationals-2d-level3.csv", 3)}
 def rational_input(dim: int) -> StepFunction:
     name, level = INPUTS[dim]
     return StepFunction.from_csv(os.path.join(DATA, name), dim, level)
+
+
+def wide_input() -> StepFunction:
+    """2-D level 2 values over four Mersenne-prime denominators, so that
+    the numerators over their lcm, and the prefix-table entries, pass
+    2^63."""
+    rng = random.Random(11)
+    mesh = Mesh(2, 2)
+    dens = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+    return StepFunction(mesh, [Fraction(rng.randrange(-999, 1000), rng.choice(dens))
+                               for _ in range(mesh.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +190,18 @@ def test_grid_cubes_meet_iff_nested(mesh):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_window_sums_match_cube_averages(dim):
-    f = rational_input(dim)
-    mesh = f.mesh
+@pytest.mark.parametrize("source", [1, 2, "wide"])
+def test_window_sums_match_cube_averages(source):
+    f = wide_input() if source == "wide" else rational_input(source)
+    mesh, dim = f.mesh, f.mesh.dim
     g = abs(f)
     den = f._numerators()[1]
+    if source == "wide":
+        # the table must hold Python ints, not int64 (np.pad would insert
+        # an np.int64 zero and the cumulative sums would overflow)
+        table = f._abs_table()
+        assert {type(v) for v in table.flat} == {int}
+        assert table.max() > 2**63
     coarsest = min(q.k for grid in GridId.all_grids(dim)
                    for _, q in cz_sparse(f, grid).pairs())
     k_lo = min(coarsest, _top_scale(mesh)) - 2
@@ -191,7 +210,7 @@ def test_window_sums_match_cube_averages(dim):
         for k in range(k_lo, mesh.level + 1):
             cubes = cubes_around(mesh, grid, k)
             lo, hi = _cube_windows(mesh, cubes)
-            sums = _window_sums(f, lo, hi)
+            sums = _window_sums(f._abs_table(), lo, hi)
             unit = den * (3 << (mesh.level - k)) ** dim
             for q, s, a, b in zip(cubes, sums, lo, hi):
                 assert Fraction(s, unit) == average(g, q.box), q

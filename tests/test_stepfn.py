@@ -21,8 +21,12 @@ from sparsedom.stepfn import (
     median,
     rearrangement,
     sharp_maximal,
+    _cube_sums,
+    _prefix_table,
     _runs,
+    _window_sums,
 )
+from sparsedom.weights import _grid_windows
 
 from meshtools import cell_masses, cell_of_point, cube_at, flat, indicator, le, unflat
 
@@ -652,3 +656,23 @@ def test_hl_2d_exhaustive_small():
     f = StepFunction(mesh, [Fraction(int(x), 2) for x in
                             rng.integers(0, 5, mesh.size)])
     assert hl_maximal(f).values == oracle_hl_2d(f)
+
+
+@pytest.mark.parametrize("mesh", [Mesh(1, 4), Mesh(2, 2)], ids=["1d", "2d"])
+def test_table_reads_agree_across_dtypes(mesh):
+    # one reader serves the exact tables and the float tables of the A2
+    # search: on small integers every read is exact in every dtype
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, 100, mesh.shape)
+    exact = _prefix_table(cells.astype(object))
+    lo, hi = _grid_windows(mesh)
+    want = _window_sums(exact, lo, hi)
+    for dtype in (np.float64, np.longdouble):
+        table = _prefix_table(cells, dtype)
+        assert table.dtype == dtype
+        got = _window_sums(table, lo, hi)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want.astype(dtype))
+        for d in range(1, mesh.cells_axis + 1):
+            assert np.array_equal(_cube_sums(table, d),
+                                  _cube_sums(exact, d).astype(dtype))

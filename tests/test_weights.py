@@ -14,7 +14,8 @@ from scipy.optimize import minimize_scalar
 
 from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.rational import pow2
-from sparsedom.stepfn import Mesh, StepFunction, average, _top_scale
+from sparsedom.stepfn import (Mesh, StepFunction, average, _cube_sums,
+                              _prefix_table, _top_scale, _window_sums)
 from sparsedom.sparse import SparseFamily
 from sparsedom.weights import (
     A2Report,
@@ -29,12 +30,9 @@ from sparsedom.weights import (
     tower_family,
     weighted_norm,
     _certified_band,
-    _cube_sums,
     _grid_windows,
-    _lattice_prefix,
     _side_maxima,
     _window_sum_exact,
-    _window_sums,
 )
 from sparsedom.czo import hilbert_apply
 
@@ -323,17 +321,16 @@ def _a2_one_pass(w):
                            float(np.finfo(np.longdouble).eps) / 2)
     assert band <= 1e-4
     keep = 1 - np.longdouble(band)
-    tw, tv = (_lattice_prefix(f, np.longdouble) for f in factors)
+    tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
     glo, ghi = _grid_windows(mesh)
     area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
     gscore = (_window_sums(tw, glo, ghi) * _window_sums(tv, glo, ghi)
               / (area * area))
     best = gscore.max()
-    nodes = (slice(None, None, 3),) * dim
     kept = []
     for d in range(1, n + 1):
-        raw = (_cube_sums(tw[nodes], d) * _cube_sums(tv[nodes], d)).ravel()
-        norm = np.longdouble(3 * d) ** (2 * dim)
+        raw = (_cube_sums(tw, d) * _cube_sums(tv, d)).ravel()
+        norm = np.longdouble(d) ** (2 * dim)
         best = max(best, raw.max() / norm)
         idx = np.flatnonzero(raw >= best * keep * norm)
         if idx.size:
@@ -341,7 +338,7 @@ def _a2_one_pass(w):
     thresh = best * keep
     windows = []
     for d, idx, raw in kept:
-        for i in idx[raw >= thresh * np.longdouble(3 * d) ** (2 * dim)]:
+        for i in idx[raw >= thresh * np.longdouble(d) ** (2 * dim)]:
             lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
             windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
     for i in np.flatnonzero(gscore >= thresh):
@@ -407,9 +404,8 @@ def _oracle_weights():
         yield _mirrored(Mesh(dim=1, level=seed + 2), seed)
         yield _mirrored(Mesh(dim=2, level=1 + seed % 2), seed)
         yield _periodic(Mesh(dim=1, level=seed + 3), 2 + seed, seed)
-    # a sum of cell values near the float64 maximum: the float64 tables of
-    # the unscaled factors, with entries up to three times that sum, would
-    # overflow
+    # a sum of cell values near the float64 maximum: the long-double reads
+    # of grid windows, up to three times that sum, pass it
     rng = random.Random(5)
     yield Weight(StepFunction(Mesh(dim=1, level=4), [
         Fraction(rng.randrange(1, 4) * 10 ** 306) for _ in range(48)]))
