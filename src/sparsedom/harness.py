@@ -88,6 +88,8 @@ class ExperimentConfig:
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
         self.m_list = tuple(int(m) for m in self.m_list)
+        if min(self.m_list, default=1) < 1:
+            raise ValueError("m values must be at least 1")
 
     def mesh(self) -> Mesh:
         return Mesh(dim=self.dim, level=self.level)

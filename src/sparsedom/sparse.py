@@ -36,12 +36,13 @@ cell per cube, and the output builds one Fraction per distinct value.
 ``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
 A grid cube at scale k <= level is a window [a, b) per axis on the h/3
 lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
-the cell-corner prefix table of |f| by ``stepfn._window_sums`` in 4^n
-reads, and its cells are (a+1)//3 up to (b+1)//3 per axis.  Its average
-is S·2^(n(k-k_min)) over the one denominator D·(3·2^(level-k_min))^n,
-with k_min the coarsest scale in the family.  Coefficients that are
-Fractions (the other operators, the decomposition, ``czo.dominate``) are
-brought to their lcm by ``_over_lcm`` first.
+the cell-corner prefix table of |f| by ``stepfn._window_sums``, the reader
+for a list of cubes (``cz_sparse`` reads every cube of a scale with
+``stepfn._grid_cube_sums``), and its cells are (a+1)//3 up to (b+1)//3
+per axis.  Its average is S·2^(n(k-k_min)) over the one denominator
+D·(3·2^(level-k_min))^n, with k_min the coarsest scale in the family.
+Coefficients that are Fractions (the other operators, the decomposition,
+``czo.dominate``) are brought to their lcm by ``_over_lcm`` first.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
         return SparseFamily(grid, {})
     n, level = mesh.dim, mesh.level
     top = _top_scale(mesh)
-    cubes = {k: _grid_cube_sums(f, grid, k) for k in range(top, level + 1)}
+    cubes = {k: _grid_cube_sums(f._abs_table(), mesh, grid, k)
+             for k in range(top, level + 1)}
 
     def scaled(k: int) -> np.ndarray:
         """Scale k's averages as integers over D·(3·2^(level-top))^n."""
@@ -266,7 +268,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     l1 = abs(nums).sum()
     while 3**n * l1 > threshold(k_bot):
         top -= 1
-        cubes[top] = _grid_cube_sums(f, grid, top)
+        cubes[top] = _grid_cube_sums(f._abs_table(), mesh, grid, top)
     avg = {k: scaled(k) for k in cubes}
     first = {k: c[1] for k, c in cubes.items()}
     # a parent's average is the mean of its children's: the top scales

@@ -56,14 +56,14 @@ cells per axis.
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
 dtype: object ints for f and |f| (``StepFunction._abs_table``), float64
-and long double in the A2 search of ``weights``.  On an axis of N cells
-the integral from lo up to the lattice point x = 3q + r (0 <= r < 3) is
+and long double in the A2 search.  On an axis of N cells the integral
+from lo up to the lattice point x = 3q + r (0 <= r < 3) is
 T(x) = (3 - r)·P[q] + r·P[min(q + 1, N)] in units of h/3
-(``_lattice_reads``), and a window [a, b) sums to T(b) - T(a): in n-D, 4^n
-reads whose coefficients have absolute sum 6^n.  ``_grid_cube_sums``
-applies that per axis to every cube of a (grid, scale), ``_window_sums``
-to a list of windows such as a family's (``_cube_windows``);
-``_cube_sums`` differences the cell corners for every block of d^n cells.
+(``_lattice_reads``), a window [a, b) sums to T(b) - T(a), and each
+access pattern has one reader: ``_grid_cube_sums`` for every cube of a
+(grid, scale), one read per clipped corner per axis; ``_window_sums`` for
+a list of cubes (``_cube_windows``), 4^n reads per window; ``_cube_sums``,
+cell corners differenced, for every mesh cube of one side.
 """
 
 from __future__ import annotations
@@ -593,22 +593,21 @@ def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
     return axes
 
 
-def _grid_cube_sums(f: StepFunction, grid: GridId, k: int):
-    """Integer sums of |f| over every cube of ``grid`` at scale k <= level
-    that meets the domain, in units of (h/3)^n / D, read per axis at the
-    clipped cube corners and differenced.  Returns the sums (one array
-    axis per space axis), the index j of the first cube on each axis, and
-    per axis the array position of the cube holding each cell center."""
-    s = f._abs_table()
+def _grid_cube_sums(p: np.ndarray, mesh: Mesh, grid: GridId, k: int):
+    """Sums over every cube of ``grid`` at scale k <= level that meets the
+    domain, in units of (h/3)^n, from a prefix table p of any dtype read
+    per axis at the clipped corners: the sums (one array axis per space
+    axis), the index j of the first cube on each axis, and per axis the
+    array position of the cube holding each cell center."""
     first, cells = [], []
-    for axis, (j0, corners, pos) in enumerate(_grid_lattice(f.mesh, grid, k)):
+    for axis, (j0, corners, pos) in enumerate(_grid_lattice(mesh, grid, k)):
         first.append(j0)
         cells.append(pos)
-        shape = (-1,) + (1,) * (s.ndim - 1 - axis)
-        (q0, c0), (q1, c1) = _lattice_reads(corners, f.mesh.cells_axis)
-        t = c0.reshape(shape) * s.take(q0, axis) + c1.reshape(shape) * s.take(q1, axis)
-        s = np.diff(t, axis=axis)
-    return s, first, cells
+        shape = (-1,) + (1,) * (p.ndim - 1 - axis)
+        (q0, c0), (q1, c1) = _lattice_reads(corners, mesh.cells_axis)
+        t = c0.reshape(shape) * p.take(q0, axis) + c1.reshape(shape) * p.take(q1, axis)
+        p = np.diff(t, axis=axis)
+    return p, first, cells
 
 
 def _cube_windows(mesh: Mesh, cubes) -> tuple[np.ndarray, np.ndarray]:
@@ -664,7 +663,7 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     top, dim = _top_scale(mesh), mesh.dim
     best = np.zeros(mesh.shape, dtype=object)
     for k in range(top, mesh.level + 1):
-        sums, _, cells = _grid_cube_sums(f, grid, k)
+        sums, _, cells = _grid_cube_sums(f._abs_table(), mesh, grid, k)
         best = np.maximum(best, (sums * (1 << dim * (k - top)))[np.ix_(*cells)])
     den = f._numerators()[1] * (3 << (mesh.level - top)) ** dim
     return StepFunction(mesh, _shared_fractions([(v, den) for v in best.flat]))

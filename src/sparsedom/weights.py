@@ -15,25 +15,34 @@ corners at multiples of 3, and a grid cube of scale k <= level has corners
 axis.  The prescreen scores regions from the cell-corner prefix tables P
 of the two factors w and w⁻¹ (``stepfn._prefix_table``: cumulative sums
 over the cells).  Mesh cubes of side d are scored by differencing P along
-each axis in turn (``stepfn._cube_sums``), grid windows by
-``stepfn._window_sums``: 4^D reads c·P per window, with integer
-coefficients c of absolute sum 6^D.  A score is the product of the two
-window sums over the squared measure.  It runs in two passes.  Pass 1
-builds float64 tables and keeps only the largest score m_d of each side d.
-Pass 2 builds long-double tables, scores every grid window, and scores the
-mesh cubes of only those sides that pass 1 cannot rule out.
+each axis in turn (``stepfn._cube_sums``), the cubes of one (grid, scale)
+by ``stepfn._grid_cube_sums``: per axis it reads
+T(x) = (3 - r)·P[q] + r·P[min(q + 1, n)] at each clipped corner
+x = 3q + r and differences consecutive corners.  A score is the product
+of the two window sums over the squared measure.  It runs in two passes.
+Pass 1 builds float64 tables and keeps only the largest score m_d of each
+side d.  Pass 2 builds long-double tables, scores every grid cube, and
+scores the mesh cubes of only those sides that pass 1 cannot rule out.
+
+The float images v̂ of a factor are its values times 2^-e, e the largest
+bit-length difference of numerator and denominator, each rounded once
+(relative error 2⁻⁵³) from the exact quotient.  They lie in (0, 2), so no
+table entry overflows; one power of two per factor scales every score by
+2^-(e_w + e_v), which cancels in every comparison below; and the largest
+is at least 1/2, so the gate on b_L (Σv̂/min v̂ < 2⁴⁵) keeps them normal.
 
 The band.  With u the unit roundoff of the tables (2⁻⁶⁴ in long double,
-2⁻⁵³ in float64), γ_k = ku/(1 - ku) and v̂ the float64 images of one
-factor's cell values (relative error 2⁻⁵³), every table entry is a sum of
-the v̂ in which each passes through at most D(n-1) roundings: n - 1 per
-axis of cumulative sums, whose first addition, to 0, is exact.  A grid
-window rounds each of its 4^D products c·P once (c is an exact integer)
-and adds them to 0 in 4^D - 1 more roundings; a mesh cube adds its 2^D
-signed entries in D roundings.  Every entry is at most Σv̂, so either sum
-is off by at most 6^D·γ_K·Σv̂, K = D(n-1) + 4^D; the region, at least one
-lattice cell, holds at least min v̂.  Each window sum is thus within a
-relative e = 6^D·γ_K·Σv̂/min v̂ + 2⁻⁵³ and each score within
+2⁻⁵³ in float64) and γ_k = ku/(1 - ku), every table entry is a sum of the
+v̂ of one factor in which each passes through at most D(n-1) roundings:
+n - 1 per axis of cumulative sums, whose first addition, to 0, is exact.
+Per axis, a grid cube rounds at each of its two corners two products c·P
+(c an exact integer) and their sum, then the difference of the two: 3
+more roundings per axis, with coefficients of absolute sum 6 per axis
+and 6^D in all.  A mesh cube adds its 2^D signed entries in D roundings.
+Every entry is at most Σv̂, so either sum is off by at most 6^D·γ_K·Σv̂,
+K = D(n-1) + 3D = D(n + 2); the region, at least one lattice cell, holds
+at least min v̂.  Each window sum is thus within a relative
+e = 6^D·γ_K·Σv̂/min v̂ + 2⁻⁵³ and each score within
 r = e_w + e_v + O(e²) + 2u of the exact value, so every maximiser of the
 exact product M scores at least M(1 - r) >= top·(1 - 2r).  The band
 b(u) = 4·6^D·K·u·(Σŵ/min ŵ + Σv̂/min v̂) + 16·2⁻⁵³ is twice the
@@ -50,10 +59,11 @@ pass, its rounded product and quotient included, within
     |ln(ŝ/s)| <= λ = (b/4)/(1 - b/4)
 
 of its exact value s, up to factors 1 + Ku < 1 + 2⁻³⁵ (for K < 2¹⁸)
-that the margins below absorb; the squared measures d^{2D} are exact
-in both precisions (below 2⁵³ on every mesh the CLI accepts).  Let W*
+that the margins below absorb; the squared measures, d^{2D} of a mesh cube
+and at most (3n)^{2D} of a grid cube in lattice units, are exact in both
+precisions (below 2⁵³ on every mesh the CLI accepts).  Let W*
 attain T.  Its side is visited, so the long-double incumbent B, the
-largest long-double score of the grid windows and the visited sides, has
+largest long-double score of the grid cubes and the visited sides, has
 ln B >= ln T - λ₆₄ - λ_L.  A cube W of a skipped side has
 
     ln ŝ_L(W) <= ln s(W) + λ_L <= ln m_d + λ₆₄ + λ_L
@@ -75,15 +85,11 @@ and 6^D·K >= 24,
                      >= 79·2⁻⁵³ > 3·2⁻⁵³.
 
 Hence the long-double best, the kept cubes and their order are those of a
-long-double pass over every side.  Pass 1 divides each factor by the
-least power of two above its largest value.  That is exact, since the
-gate on b_L gives c < 2⁴⁵, so min/max >= 1/c keeps every scaled value
-normal; it is a common factor of every m_d, which cancels above; and it
-keeps the float64 table entries finite wherever the long-double ones are.
+long-double pass over every side.
 
 Every region whose long-double score is at least B·(1 - b_L) is confirmed
 exactly, mesh cubes by side d and row-major position first, then grid
-windows by grid, scale (fine to coarse) and row-major index.  An exact
+cubes by grid, scale (fine to coarse) and row-major position.  An exact
 window sum weights each cell by the lattice cells it holds and adds the
 terms pairwise in a balanced tree of unreduced numerator/denominator
 pairs.  Products are
@@ -109,8 +115,8 @@ import numpy as np
 
 from .rational import pow2, rat, rat_str
 from .geometry import Box, Cube, GridId
-from .stepfn import (Mesh, StepFunction, _cube_sums, _grid_lattice,
-                     _prefix_table, _top_scale, _window_sums)
+from .stepfn import (Mesh, StepFunction, _cube_sums, _grid_cube_sums,
+                     _grid_lattice, _prefix_table, _top_scale)
 from .sparse import SparseFamily, verify_sparse_family
 
 __all__ = [
@@ -207,22 +213,6 @@ class A2Report:
         }
 
 
-def _grid_windows(mesh: Mesh):
-    """Every grid cube of every shifted grid, clipped to the domain, as
-    integer windows [lo, hi) on the h/3 lattice (two (count, dim) arrays),
-    ordered by grid, scale from the mesh up to the domain cover, and
-    row-major index."""
-    los, his = [], []
-    for grid in GridId.all_grids(mesh.dim):
-        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
-            corners = [x for _, x, _ in _grid_lattice(mesh, grid, k)]
-            for out, ends in ((los, [x[:-1] for x in corners]),
-                              (his, [x[1:] for x in corners])):
-                out.append(np.stack(np.meshgrid(*ends, indexing="ij"),
-                                    -1).reshape(-1, mesh.dim))
-    return np.concatenate(los), np.concatenate(his)
-
-
 def _side_maxima(factors) -> np.ndarray:
     """Largest float64 score of the mesh cubes of each side d = 1..n, from
     the float images of w and w⁻¹ (pass 1 of the module docstring)."""
@@ -236,7 +226,7 @@ def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
     """Relative band b(u) of the prescreen scores of tables with unit
     roundoff u (derivation in the module docstring); ``factors`` are the
     float images of w and w⁻¹."""
-    k = dim * (cells_axis - 1) + 4 ** dim
+    k = dim * (cells_axis + 2)
     cond = sum(math.fsum(f.flat) / f.min() for f in factors)
     return 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
 
@@ -277,8 +267,12 @@ def a2_constant(w: Weight) -> A2Report:
             candidates_confirmed=1,
         )
     dim, n = mesh.dim, mesh.cells_axis
-    factors = [np.array([float(v) for v in g.values]).reshape(mesh.shape)
-               for g in (w.fn, w.reciprocal)]
+    factors = []  # the float images of the module docstring
+    for g in (w.fn, w.reciprocal):
+        e = max(v.numerator.bit_length() - v.denominator.bit_length() for v in g.values)
+        up, down = max(-e, 0), max(e, 0)
+        factors.append(np.array([(v.numerator << up) / (v.denominator << down)
+                                 for v in g.values]).reshape(mesh.shape))
     band = _certified_band(dim, n, factors,
                            float(np.finfo(np.longdouble).eps) / 2)
     if band > 1e-4:
@@ -286,16 +280,18 @@ def a2_constant(w: Weight) -> A2Report:
     keep = 1 - np.longdouble(band)
     # pass 1: only the sides whose float64 maximum is within the float64
     # band of the top can hold a long-double candidate
-    top = _side_maxima([np.ldexp(f, -np.frexp(f.max())[1]) for f in factors])
+    top = _side_maxima(factors)
     cut = top.max() * (1 - _certified_band(dim, n, factors, 2.0 ** -53))
     sides = (np.flatnonzero(top >= cut) + 1).tolist()
     tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
-
-    glo, ghi = _grid_windows(mesh)
-    area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
-    gscore = (_window_sums(tw, glo, ghi) * _window_sums(tv, glo, ghi)
-              / (area * area))
-    best = gscore.max()
+    blocks = []
+    for grid in GridId.all_grids(dim):
+        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
+            corners = [x.tolist() for _, x, _ in _grid_lattice(mesh, grid, k)]
+            area = math.prod(np.ix_(*map(np.diff, corners))).astype(np.longdouble)
+            sw, sv = (_grid_cube_sums(t, mesh, grid, k)[0] for t in (tw, tv))
+            blocks.append((corners, sw * sv / (area * area)))
+    best = max(score.max() for _, score in blocks)
     # pass 2, one pass over those sides: keep every cube within the band
     # of the running best, a superset of the final candidates
     kept = []
@@ -313,8 +309,10 @@ def a2_constant(w: Weight) -> A2Report:
         for i in idx[raw >= thresh * np.longdouble(d) ** (2 * dim)]:
             lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
             windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
-    for i in np.flatnonzero(gscore >= thresh):
-        windows.append((glo[i].tolist(), ghi[i].tolist(), "grid-cube"))
+    for corners, score in blocks:
+        for pos in np.argwhere(score >= thresh).tolist():
+            lo, hi = zip(*((x[i], x[i + 1]) for x, i in zip(corners, pos)))
+            windows.append((lo, hi, "grid-cube"))
 
     terms = [[(v.numerator, v.denominator) for v in g.values]
              for g in (w.fn, w.reciprocal)]
@@ -509,9 +507,7 @@ def operator_norm_weighted(op: CellOperator, w: Weight, iters: int = 60,
 
     v = rng.standard_normal(op.size)
     v /= norm_w(v)
-    best = 0.0
-    converged = False
-    used = 0
+    best, converged, used = 0.0, False, 0
     for it in range(1, iters + 1):
         tv = op.apply(v)
         sigma = norm_w(tv)

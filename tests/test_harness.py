@@ -266,6 +266,18 @@ def test_cli_zero_denominator_flag_exits_2(capsys):
     assert "zero denominator in '1/0'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cid", ["weak11-growth", "adjoint-osc-growth"])
+def test_cli_m_below_one_exits_2(cid, tmp_path, capsys):
+    # criteria 6 and 7 divide by m; by flag or by config file, m = 0 is a
+    # usage error before any trial runs
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("m = 1,0\n")
+    for args in (["--m", "0"], ["--config", str(cfg)]):
+        assert run_cli("acceptance", "--id", cid, *args) == 2
+        err = capsys.readouterr().err
+        assert "m values must be at least 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, message", [
     ("1/0", "zero denominator in '1/0'"),
     # 10**999999999 would take Fraction minutes to build

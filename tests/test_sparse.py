@@ -178,7 +178,7 @@ def test_scale_averages_match_cube_integrals(mesh):
     for grid in GridId.all_grids(mesh.dim):
         for k in range(_top_scale(mesh) - 2, mesh.level + 1):
             # the nonzero averages cz_sparse reads off the integer cube sums
-            sums, first, _ = _grid_cube_sums(f, grid, k)
+            sums, first, _ = _grid_cube_sums(f._abs_table(), mesh, grid, k)
             unit = den * (3 << (mesh.level - k)) ** mesh.dim
             got = {tuple(int(i + j) for i, j in zip(idx, first)): Fraction(v, unit)
                    for idx, v in np.ndenumerate(sums) if v}

@@ -22,11 +22,11 @@ from sparsedom.stepfn import (
     rearrangement,
     sharp_maximal,
     _cube_sums,
+    _grid_cube_sums,
     _prefix_table,
     _runs,
-    _window_sums,
+    _top_scale,
 )
-from sparsedom.weights import _grid_windows
 
 from meshtools import cell_masses, cell_of_point, cube_at, flat, indicator, le, unflat
 
@@ -486,8 +486,6 @@ def test_sharp_2d_matches_point_oscillations():
 # ---------------------------------------------------------------------------
 
 def oracle_dyadic(f, grid):
-    from sparsedom.stepfn import _top_scale
-
     mesh = f.mesh
     g = abs(f)
     out = []
@@ -665,14 +663,15 @@ def test_table_reads_agree_across_dtypes(mesh):
     rng = np.random.default_rng(5)
     cells = rng.integers(0, 100, mesh.shape)
     exact = _prefix_table(cells.astype(object))
-    lo, hi = _grid_windows(mesh)
-    want = _window_sums(exact, lo, hi)
     for dtype in (np.float64, np.longdouble):
         table = _prefix_table(cells, dtype)
         assert table.dtype == dtype
-        got = _window_sums(table, lo, hi)
-        assert got.dtype == dtype
-        assert np.array_equal(got, want.astype(dtype))
+        for grid in GridId.all_grids(mesh.dim):
+            for k in range(_top_scale(mesh), mesh.level + 1):
+                want = _grid_cube_sums(exact, mesh, grid, k)[0]
+                got = _grid_cube_sums(table, mesh, grid, k)[0]
+                assert got.dtype == dtype
+                assert np.array_equal(got, want.astype(dtype))
         for d in range(1, mesh.cells_axis + 1):
             assert np.array_equal(_cube_sums(table, d),
                                   _cube_sums(exact, d).astype(dtype))

@@ -15,7 +15,8 @@ from scipy.optimize import minimize_scalar
 from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.rational import pow2
 from sparsedom.stepfn import (Mesh, StepFunction, average, _cube_sums,
-                              _prefix_table, _top_scale, _window_sums)
+                              _grid_cube_sums, _grid_lattice, _prefix_table,
+                              _top_scale)
 from sparsedom.sparse import SparseFamily
 from sparsedom.weights import (
     A2Report,
@@ -30,7 +31,6 @@ from sparsedom.weights import (
     tower_family,
     weighted_norm,
     _certified_band,
-    _grid_windows,
     _side_maxima,
     _window_sum_exact,
 )
@@ -69,6 +69,24 @@ def grid_cube_regions(mesh):
                 region = Cube(grid, k, j).box.intersect(dom)
                 if region is not None:
                     yield region
+
+
+def grid_blocks(mesh):
+    """(grid, k, the clipped lattice corners per axis) of every (grid,
+    scale) in the A2 search's order: grid, then scale from fine to
+    coarse."""
+    for grid in GridId.all_grids(mesh.dim):
+        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
+            yield grid, k, [x for _, x, _ in _grid_lattice(mesh, grid, k)]
+
+
+def grid_scores(mesh, tw, tv):
+    """Per (grid, scale) of ``grid_blocks``, its corners and the scores
+    sw·sv/area² of its cubes read from the prefix tables tw and tv."""
+    for grid, k, corners in grid_blocks(mesh):
+        area = math.prod(np.ix_(*map(np.diff, corners))).astype(tw.dtype)
+        sw, sv = (_grid_cube_sums(t, mesh, grid, k)[0] for t in (tw, tv))
+        yield corners, sw * sv / (area * area)
 
 
 def brute_a2(w):
@@ -279,12 +297,17 @@ def test_a2_1d_grid_cube_witness():
 
 
 def test_grid_windows_match_fraction_enumeration():
+    # cube i of a (grid, scale) spans [corners[i], corners[i + 1]) per axis
     for mesh in (Mesh(dim=1, level=4), Mesh(dim=2, level=2)):
-        lo, hi = _grid_windows(mesh)
         origin, third = mesh.domain.lo, mesh.h / 3
-        got = [Box(tuple(c + int(a) * third for c, a in zip(origin, l)),
-                   tuple(c + int(b) * third for c, b in zip(origin, u)))
-               for l, u in zip(lo, hi)]
+        got = []
+        for _, _, corners in grid_blocks(mesh):
+            for pos in itertools.product(*(range(len(x) - 1) for x in corners)):
+                got.append(Box(
+                    tuple(c + int(x[i]) * third
+                          for c, x, i in zip(origin, corners, pos)),
+                    tuple(c + int(x[i + 1]) * third
+                          for c, x, i in zip(origin, corners, pos))))
         assert got == list(grid_cube_regions(mesh))
 
 
@@ -322,11 +345,8 @@ def _a2_one_pass(w):
     assert band <= 1e-4
     keep = 1 - np.longdouble(band)
     tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
-    glo, ghi = _grid_windows(mesh)
-    area = np.prod(ghi - glo, axis=1).astype(np.longdouble)
-    gscore = (_window_sums(tw, glo, ghi) * _window_sums(tv, glo, ghi)
-              / (area * area))
-    best = gscore.max()
+    blocks = list(grid_scores(mesh, tw, tv))
+    best = max(score.max() for _, score in blocks)
     kept = []
     for d in range(1, n + 1):
         raw = (_cube_sums(tw, d) * _cube_sums(tv, d)).ravel()
@@ -341,8 +361,11 @@ def _a2_one_pass(w):
         for i in idx[raw >= thresh * np.longdouble(d) ** (2 * dim)]:
             lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
             windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
-    for i in np.flatnonzero(gscore >= thresh):
-        windows.append((glo[i].tolist(), ghi[i].tolist(), "grid-cube"))
+    for corners, score in blocks:
+        for pos in np.argwhere(score >= thresh).tolist():
+            windows.append(([int(x[i]) for x, i in zip(corners, pos)],
+                            [int(x[i + 1]) for x, i in zip(corners, pos)],
+                            "grid-cube"))
     terms = [[(v.numerator, v.denominator) for v in g.values]
              for g in (w.fn, w.reciprocal)]
     best_q, best_win = Fraction(0), None
@@ -404,8 +427,9 @@ def _oracle_weights():
         yield _mirrored(Mesh(dim=1, level=seed + 2), seed)
         yield _mirrored(Mesh(dim=2, level=1 + seed % 2), seed)
         yield _periodic(Mesh(dim=1, level=seed + 3), 2 + seed, seed)
-    # a sum of cell values near the float64 maximum: the long-double reads
-    # of grid windows, up to three times that sum, pass it
+    # a sum of cell values near the float64 maximum: a2_constant scales
+    # its float images by a power of two, the oracle's long-double reads
+    # of grid cubes, up to three times that sum, pass it
     rng = random.Random(5)
     yield Weight(StepFunction(Mesh(dim=1, level=4), [
         Fraction(rng.randrange(1, 4) * 10 ** 306) for _ in range(48)]))
@@ -436,7 +460,7 @@ def _exact_side_maxima(w):
     return out
 
 
-@pytest.mark.parametrize("make", [
+BAND_WEIGHTS = [
     lambda: mk_weight(Mesh(dim=1, level=4), 3),
     lambda: mk_weight(Mesh(dim=1, level=5), 8, hi=200),
     lambda: Weight.power(Mesh(dim=1, level=5), 0.95),
@@ -447,7 +471,10 @@ def _exact_side_maxima(w):
         Fraction(10 ** random.Random(i).uniform(-3, 3)) for i in range(96)])),
     lambda: Weight(StepFunction(Mesh(dim=2, level=1), [
         Fraction(10 ** random.Random(i).uniform(-3, 3)) for i in range(36)])),
-])
+]
+
+
+@pytest.mark.parametrize("make", BAND_WEIGHTS)
 def test_float64_side_maxima_within_half_band(make):
     w = make()
     factors = [np.array([float(v) for v in g.values]).reshape(w.mesh.shape)
@@ -456,6 +483,39 @@ def test_float64_side_maxima_within_half_band(make):
                                     2.0 ** -53) / 2)
     for got, exact in zip(_side_maxima(factors), _exact_side_maxima(w)):
         assert abs(Fraction(float(got)) - exact) <= half * exact
+
+
+@pytest.mark.parametrize("make", BAND_WEIGHTS)
+def test_grid_cube_scores_within_half_band(make):
+    # every grid-cube score of either precision, against its exact value
+    w = make()
+    mesh = w.mesh
+    factors = [np.array([float(v) for v in g.values]).reshape(mesh.shape)
+               for g in (w.fn, w.reciprocal)]
+    exact = [average(w.fn, r) * average(w.reciprocal, r)
+             for r in grid_cube_regions(mesh)]
+    for dtype in (np.float64, np.longdouble):
+        half = Fraction(_certified_band(mesh.dim, mesh.cells_axis, factors,
+                                        float(np.finfo(dtype).eps) / 2) / 2)
+        tw, tv = (_prefix_table(f, dtype) for f in factors)
+        got = [s for _, score in grid_scores(mesh, tw, tv) for s in score.flat]
+        assert len(got) == len(exact)
+        for s, want in zip(got, exact):
+            assert abs(Fraction(*s.as_integer_ratio()) - want) <= half * want
+
+
+@pytest.mark.parametrize("power", [307, 309, -310, -330])
+def test_a2_past_the_float64_range(power):
+    # (1..3)·10^power: the weight or its reciprocal, or their sums, leave
+    # the float64 range, yet the constant is scale invariant
+    mesh = Mesh(dim=1, level=4)
+    rng = random.Random(5)
+    base = [Fraction(rng.randrange(1, 4)) for _ in range(mesh.size)]
+    want = a2_constant(Weight(StepFunction(mesh, base)))
+    got = a2_constant(Weight(StepFunction(
+        mesh, [v * Fraction(10) ** power for v in base])))
+    assert (got.constant, got.witness, got.witness_kind) \
+        == (want.constant, want.witness, want.witness_kind)
 
 
 def test_a2_report_json():
