@@ -593,14 +593,15 @@ def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
     return axes
 
 
-def _grid_cube_sums(p: np.ndarray, mesh: Mesh, grid: GridId, k: int):
+def _grid_cube_sums(p: np.ndarray, mesh: Mesh, grid: GridId, k: int,
+                    lattice=None):
     """Sums over every cube of ``grid`` at scale k <= level that meets the
     domain, in units of (h/3)^n, from a prefix table p of any dtype read
-    per axis at the clipped corners: the sums (one array axis per space
-    axis), the index j of the first cube on each axis, and per axis the
-    array position of the cube holding each cell center."""
+    per axis at the clipped corners of ``lattice`` (default
+    ``_grid_lattice(mesh, grid, k)``): the sums, the index j of the first
+    cube on each axis, and per axis the cube holding each cell center."""
     first, cells = [], []
-    for axis, (j0, corners, pos) in enumerate(_grid_lattice(mesh, grid, k)):
+    for axis, (j0, corners, pos) in enumerate(lattice or _grid_lattice(mesh, grid, k)):
         first.append(j0)
         cells.append(pos)
         shape = (-1,) + (1,) * (p.ndim - 1 - axis)

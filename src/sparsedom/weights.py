@@ -26,7 +26,8 @@ scores the mesh cubes of only those sides that pass 1 cannot rule out.
 
 The float images v̂ of a factor are its values times 2^-e, e the largest
 bit-length difference of numerator and denominator, each rounded once
-(relative error 2⁻⁵³) from the exact quotient.  They lie in (0, 2), so no
+(relative error 2⁻⁵³) from the exact quotient, once per ``Weight``.
+They lie in (0, 2), so no
 table entry overflows; one power of two per factor scales every score by
 2^-(e_w + e_v), which cancels in every comparison below; and the largest
 is at least 1/2, so the gate on b_L (Σv̂/min v̂ < 2⁴⁵) keeps them normal.
@@ -90,18 +91,26 @@ long-double pass over every side.
 Every region whose long-double score is at least B·(1 - b_L) is confirmed
 exactly, mesh cubes by side d and row-major position first, then grid
 cubes by grid, scale (fine to coarse) and row-major position.  An exact
-window sum weights each cell by the lattice cells it holds and adds the
-terms pairwise in a balanced tree of unreduced numerator/denominator
-pairs.  Products are
-compared by cross-multiplication and replace the best only when strictly
-larger, so the witness is the first maximiser in that order.  The Fraction
+window sum weights each cell by the lattice cells it holds, groups the
+cells by the odd part o of their denominator o·2^t, adds each group's
+numerators shifted to its largest t, and adds the groups pairwise in a
+balanced tree that multiplies odd parts and keeps the larger power of
+two: a float-frozen w sums to one integer over 2^t (under 80 bits at
+level 10), w⁻¹ to one term per distinct value.  Windows with equal sorted
+(o, t, numerator) terms, such as mirror candidates of a symmetric weight,
+share one sum.  Products replace the best only when strictly larger, by
+cross-multiplication, skipped for a (num, den) pair equal to the best's,
+so the witness is the first maximiser in that order.  The Fraction
 constant and the witness Box are built once.
 
 Operator norms in L²(w) are estimated from below by power iteration on
 the w-normal operator T*_w T, where T*_w = w⁻¹ Tᵗ w is the exact adjoint
 for the weighted pairing ⟨f, g⟩_w = Σ f g w h^n.  Estimates are Rayleigh
 quotients, hence monotone nondecreasing in the iteration count, and every
-run spot-checks the duality identity ⟨Tf, g⟩_w = ⟨f, T*_w g⟩_w.
+run spot-checks the duality identity ⟨Tf, g⟩_w = ⟨f, T*_w g⟩_w (a NaN gap
+fails).  They read ŵ, doubled if e_w is odd: w over an even power of two,
+exact through the matvecs, the FFT and sqrt, so every figure is that of
+float(w) wherever float(w) is normal.
 """
 
 import csv
@@ -109,11 +118,12 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
 
-from .rational import pow2, rat, rat_str
+from .rational import ldexp_ratio, pow2, rat, rat_str
 from .geometry import Box, Cube, GridId
 from .stepfn import (Mesh, StepFunction, _cube_sums, _grid_cube_sums,
                      _grid_lattice, _prefix_table, _top_scale)
@@ -141,43 +151,69 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class Weight:
-    """Strictly positive step function together with its exact reciprocal."""
+    """Strictly positive step function; its reciprocal, (num, den) pairs
+    and float images are built on first use."""
 
     def __init__(self, fn: StepFunction):
-        if any(v <= 0 for v in fn.values):
+        if any(v.numerator <= 0 for v in fn.values):
             raise ValueError("weight values must be strictly positive")
         self.fn = fn
-        self.reciprocal = StepFunction(fn.mesh, [1 / v for v in fn.values])
 
     @property
     def mesh(self) -> Mesh:
         return self.fn.mesh
 
+    @cached_property
+    def reciprocal(self) -> StepFunction:
+        return StepFunction(self.fn.mesh, [1 / v for v in self.fn.values])
+
+    @cached_property
+    def _terms(self) -> tuple[list, list]:
+        """The per-cell (num, den) pairs of w and of w⁻¹."""
+        w = [(v.numerator, v.denominator) for v in self.fn.values]
+        return w, [(d, n) for n, d in w]
+
+    @cached_property
+    def _images(self) -> list:
+        """(v̂, e) for w and for w⁻¹ (module docstring), v̂ mesh-shaped."""
+        out = []
+        for t in self._terms:
+            e = max(n.bit_length() - d.bit_length() for n, d in t)
+            out.append((np.array([ldexp_ratio(n, d, e) for n, d in t])
+                        .reshape(self.mesh.shape), e))
+        return out
+
     @staticmethod
     def constant(mesh: Mesh, c) -> "Weight":
-        c = rat(c)
         return Weight(StepFunction.constant(mesh, c))
 
     @staticmethod
     def power(mesh: Mesh, a: float, center=Fraction(1, 2)) -> "Weight":
         """w(x) = max_i |x_i - center|^a sampled at cell centers, frozen to
-        exact rationals (|x - center|^a in one dimension)."""
+        exact rationals (|x - center|^a in one dimension).  Distances are
+        integers over one q; each float is one correctly rounded division."""
         c = rat(center)
-        axes = [[abs(x - c) for x in mesh.centers(axis)] for axis in range(mesh.dim)]
+        q = math.lcm(2 * mesh.h.denominator, c.denominator)  # h = 2^-level
+        # cell i has its center at lo + (2i + 1)·h/2; q·h/2 is an integer
+        axes = [[abs(int(q * (lo - c)) + (2 * i + 1) * q // (2 * mesh.h.denominator))
+                 for i in range(mesh.cells_axis)] for lo in mesh.domain.lo]
         if all(0 in dists for dists in axes):
             raise ValueError("power-weight center hits a cell center")
-        frozen = {d: rat(float(d) ** a) for dists in axes for d in dists}
+        frozen = {d: rat((d / q) ** a) for d in set().union(*axes)}
         return Weight(StepFunction(mesh, [frozen[max(ds)]
                                           for ds in iter_product(*axes)]))
 
 
 def weighted_norm(f: StepFunction, w: Weight) -> float:
-    """L²(w) norm: exact Σ f²·w·h^n, then one float64 square root."""
+    """L²(w) norm: exact Σ f²·w·h^n, then one float64 square root (of the
+    total over an even power of two, scaled back exactly)."""
     if f.mesh != w.mesh:
         raise ValueError("mesh mismatch")
     scale = f.mesh.h ** f.mesh.dim
     total = scale * sum(v * v * wv for v, wv in zip(f.values, w.fn.values))
-    return math.sqrt(float(total))
+    n, d = total.numerator, total.denominator
+    e = (n.bit_length() - d.bit_length()) // 2
+    return math.ldexp(math.sqrt(ldexp_ratio(n, d, 2 * e)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +267,44 @@ def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
     return 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
 
 
-def _window_sum_exact(terms, n: int, lo, hi) -> tuple[int, int]:
+def _window_sum_exact(terms, n: int, lo, hi, memo: dict) -> tuple[int, int]:
     """Exact Σ over the lattice window [lo, hi) in lattice units, as an
-    unreduced pair (num, den), from the cells' (num, den) ``terms``.  Each
-    cell is weighted by the lattice cells it holds; the terms are added
-    pairwise in a balanced tree, so operand sizes stay matched."""
+    unreduced pair (num, den), from the cells' (num, den) ``terms``, grouped
+    by odd denominator as in the module docstring; ``memo`` maps each
+    window's sorted group terms to their sum."""
     axes = [[(c, min(b, 3 * c + 3) - max(a, 3 * c))
              for c in range(a // 3, (b + 2) // 3)] for a, b in zip(lo, hi)]
-    pairs = []
+    groups = {}
     for cells in iter_product(*axes):
         flat, wt = 0, 1
         for c, x in cells:
             flat, wt = flat * n + c, wt * x
         num, den = terms[flat]
-        pairs.append((wt * num, den))
-    while len(pairs) > 1:
-        pairs = [(a + c, b) if b == d else (a * d + c * b, b * d)
-                 for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])] \
-            + pairs[len(pairs) - len(pairs) % 2:]
-    return pairs[0]
+        t = (den & -den).bit_length() - 1
+        g = groups.setdefault(den >> t, [t, 0])
+        if t > g[0]:
+            g[0], g[1] = t, g[1] << (t - g[0])
+        g[1] += wt * num << (g[0] - t)
+    key = tuple(sorted((odd, t, s) for odd, (t, s) in groups.items()))
+    if key not in memo:
+        parts = [(s, odd, t) for odd, t, s in key]
+        while len(parts) > 1:
+            # a/(p·2^t) + c/(q·2^u) over p·q·2^m, m = max(t, u)
+            parts = [((a * q << max(u - t, 0)) + (c * p << max(t - u, 0)),
+                      p * q, max(t, u))
+                     for (a, p, t), (c, q, u) in zip(parts[::2], parts[1::2])] \
+                + parts[len(parts) - len(parts) % 2:]
+        s, odd, t = parts[0]
+        memo[key] = (s, odd << t)
+    return memo[key]
 
 
 def a2_constant(w: Weight) -> A2Report:
     """Exact max of avg(w,R)·avg(w⁻¹,R) over the search family: all
     mesh-corner-aligned cubes and all grid cubes of all 2ⁿ shifted grids
     (clipped to the domain).  See the module docstring for the search."""
-    mesh = w.mesh
-    if all(v == w.fn.values[0] for v in w.fn.values):
+    mesh, terms = w.mesh, w._terms
+    if all(p == terms[0][0] for p in terms[0]):
         # every average is the cell value, so every product is exactly 1
         return A2Report(
             constant=Fraction(1),
@@ -267,12 +314,7 @@ def a2_constant(w: Weight) -> A2Report:
             candidates_confirmed=1,
         )
     dim, n = mesh.dim, mesh.cells_axis
-    factors = []  # the float images of the module docstring
-    for g in (w.fn, w.reciprocal):
-        e = max(v.numerator.bit_length() - v.denominator.bit_length() for v in g.values)
-        up, down = max(-e, 0), max(e, 0)
-        factors.append(np.array([(v.numerator << up) / (v.denominator << down)
-                                 for v in g.values]).reshape(mesh.shape))
+    factors = [image for image, _ in w._images]
     band = _certified_band(dim, n, factors,
                            float(np.finfo(np.longdouble).eps) / 2)
     if band > 1e-4:
@@ -287,9 +329,11 @@ def a2_constant(w: Weight) -> A2Report:
     blocks = []
     for grid in GridId.all_grids(dim):
         for k in range(mesh.level, _top_scale(mesh) - 1, -1):
-            corners = [x.tolist() for _, x, _ in _grid_lattice(mesh, grid, k)]
+            lattice = _grid_lattice(mesh, grid, k)
+            corners = [x.tolist() for _, x, _ in lattice]
             area = math.prod(np.ix_(*map(np.diff, corners))).astype(np.longdouble)
-            sw, sv = (_grid_cube_sums(t, mesh, grid, k)[0] for t in (tw, tv))
+            sw, sv = (_grid_cube_sums(t, mesh, grid, k, lattice)[0]
+                      for t in (tw, tv))
             blocks.append((corners, sw * sv / (area * area)))
     best = max(score.max() for _, score in blocks)
     # pass 2, one pass over those sides: keep every cube within the band
@@ -314,14 +358,13 @@ def a2_constant(w: Weight) -> A2Report:
             lo, hi = zip(*((x[i], x[i + 1]) for x, i in zip(corners, pos)))
             windows.append((lo, hi, "grid-cube"))
 
-    terms = [[(v.numerator, v.denominator) for v in g.values]
-             for g in (w.fn, w.reciprocal)]
+    sums = {}
     best_num, best_den, best_win = 0, 1, None
     for lo, hi, kind in windows:
-        (nw, dw), (nv, dv) = (_window_sum_exact(t, n, lo, hi) for t in terms)
+        (nw, dw), (nv, dv) = (_window_sum_exact(t, n, lo, hi, sums) for t in terms)
         area = math.prod(b - a for a, b in zip(lo, hi))
         num, den = nw * nv, dw * dv * area * area
-        if num * best_den > best_num * den:
+        if (num, den) != (best_num, best_den) and num * best_den > best_num * den:
             best_num, best_den, best_win = num, den, (lo, hi, kind)
     lo, hi, kind = best_win
     corner, third = mesh.domain.lo, mesh.h / 3
@@ -488,7 +531,8 @@ def operator_norm_weighted(op: CellOperator, w: Weight, iters: int = 60,
         raise ValueError("need at least 10 iterations")
     if op.size != w.mesh.size:
         raise ValueError("operator/weight size mismatch")
-    wv = np.array([float(v) for v in w.fn.values])
+    image, e = w._images[0]  # w over an even power of two (module docstring)
+    wv = image.ravel() * (1 + e % 2)
     h = float(w.mesh.h) ** w.mesh.dim
 
     def norm_w(v):
@@ -502,7 +546,7 @@ def operator_norm_weighted(op: CellOperator, w: Weight, iters: int = 60,
     lhs = h * float(np.dot(op.apply(f) * g, wv))
     rhs = h * float(np.dot(f * adjoint_w(g), wv))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    if gap > 1e-6:
+    if not gap <= 1e-6:
         raise ValueError("duality spot-check failed: gap %.3e" % gap)
 
     v = rng.standard_normal(op.size)

@@ -333,6 +333,27 @@ def test_band_of_a2_scan_weights(a):
     assert band <= _band_before(w)
 
 
+def _pairwise_window_sum(terms, n, lo, hi):
+    """Exact Σ over the lattice window [lo, hi) as an unreduced pair (num,
+    den): each cell weighted by the lattice cells it holds, the terms added
+    pairwise in a balanced tree (the summation a2_constant used before it
+    grouped cells by the odd part of their denominator)."""
+    axes = [[(c, min(b, 3 * c + 3) - max(a, 3 * c))
+             for c in range(a // 3, (b + 2) // 3)] for a, b in zip(lo, hi)]
+    pairs = []
+    for cells in itertools.product(*axes):
+        flat, wt = 0, 1
+        for c, x in cells:
+            flat, wt = flat * n + c, wt * x
+        num, den = terms[flat]
+        pairs.append((wt * num, den))
+    while len(pairs) > 1:
+        pairs = [(a + c, b) if b == d else (a * d + c * b, b * d)
+                 for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])] \
+            + pairs[len(pairs) - len(pairs) % 2:]
+    return pairs[0]
+
+
 def _a2_one_pass(w):
     """The single-pass search that a2_constant replaced: long-double scores
     of every mesh cube of every side, with the running best."""
@@ -370,7 +391,7 @@ def _a2_one_pass(w):
              for g in (w.fn, w.reciprocal)]
     best_q, best_win = Fraction(0), None
     for lo, hi, kind in windows:
-        (nw, dw), (nv, dv) = (_window_sum_exact(t, n, lo, hi) for t in terms)
+        (nw, dw), (nv, dv) = (_pairwise_window_sum(t, n, lo, hi) for t in terms)
         area = math.prod(b - a for a, b in zip(lo, hi))
         q = Fraction(nw * nv, dw * dv * area * area)
         if q > best_q:
@@ -442,6 +463,120 @@ def test_a2_matches_one_pass_search():
         same = got == want
         assert same, (w.mesh.dim, w.mesh.level, got.witness, want.witness,
                       got.candidates_confirmed, want.candidates_confirmed)
+
+
+def _fraction_window_sum(values, mesh, lo, hi):
+    """Σ over the lattice window [lo, hi) in lattice units, one Fraction
+    per cell: its value times the lattice cells it shares with the
+    window."""
+    total = Fraction(0)
+    for idx in itertools.product(range(mesh.cells_axis), repeat=mesh.dim):
+        wt = math.prod(max(0, min(b, 3 * c + 3) - max(a, 3 * c))
+                       for c, a, b in zip(idx, lo, hi))
+        total += wt * values[int(np.ravel_multi_index(idx, mesh.shape))]
+    return total
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Weight.power(Mesh(dim=1, level=4), 0.7),  # dyadic values
+    lambda: mk_weight(Mesh(dim=1, level=3), 2),
+    lambda: Weight(StepFunction(Mesh(dim=1, level=3), [
+        Fraction(random.Random(i).randrange(1, 99), random.Random(-i).randrange(1, 48))
+        for i in range(24)])),
+    lambda: Weight.power(Mesh(dim=2, level=2), -0.6),
+    lambda: mk_weight(Mesh(dim=2, level=1), 7, hi=200),
+], ids=["power-1d", "mixed-1d", "random-dens-1d", "power-2d", "mixed-2d"])
+def test_grouped_window_sum_matches_fraction_sum(make):
+    # w and w⁻¹ (dyadic, odd and mixed denominators) over random windows,
+    # whose ends mostly cut lattice cells out of a mesh cell
+    w = make()
+    mesh = w.mesh
+    rng = random.Random(mesh.size)
+    for _ in range(12):
+        ends = [sorted(rng.sample(range(3 * mesh.cells_axis + 1), 2))
+                for _ in range(mesh.dim)]
+        lo, hi = [a for a, _ in ends], [b for _, b in ends]
+        for terms, g in zip(w._terms, (w.fn, w.reciprocal)):
+            num, den = _window_sum_exact(terms, mesh.cells_axis, lo, hi, {})
+            assert Fraction(num, den) == _fraction_window_sum(g.values, mesh, lo, hi)
+
+
+def test_window_sum_memo_serves_mirror_windows():
+    # |x - 1/2|^a is symmetric about the middle of [-1, 2): the mirror of a
+    # window holds the same cells, so it gets the first window's pair
+    w = Weight.power(Mesh(dim=1, level=5), 0.9)
+    n = w.mesh.cells_axis
+    lo, hi = 3 * n // 2 - 40, 3 * n // 2 + 7
+    for terms in w._terms:
+        memo = {}
+        first = _window_sum_exact(terms, n, [lo], [hi], memo)
+        assert _window_sum_exact(terms, n, [3 * n - hi], [3 * n - lo], memo) is first
+        assert len(memo) == 1
+        assert _window_sum_exact(terms, n, [lo + 1], [hi], memo) is not first
+
+
+def test_weight_builds_reciprocal_on_first_read():
+    w = mk_weight(Mesh(dim=1, level=3), 4)
+    a2_constant(w)
+    operator_norm_weighted(identity_operator(w.mesh), w, iters=10)
+    assert "reciprocal" not in vars(w)
+    assert w.reciprocal.values == [1 / v for v in w.fn.values]
+    assert w.reciprocal is w.reciprocal
+
+
+def _norm_float_reference(op, w, iters=60, seed=0, tol=1e-9):
+    """operator_norm_weighted on the weight's float(v) values."""
+    wv = np.array([float(v) for v in w.fn.values])
+    h = float(w.mesh.h) ** w.mesh.dim
+
+    def norm_w(v):
+        return math.sqrt(h * float(np.dot(v * v, wv)))
+
+    def adjoint_w(v):
+        return op.apply_t(wv * v) / wv
+
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal(op.size), rng.standard_normal(op.size)
+    lhs = h * float(np.dot(op.apply(f) * g, wv))
+    rhs = h * float(np.dot(f * adjoint_w(g), wv))
+    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+    v = rng.standard_normal(op.size)
+    v /= norm_w(v)
+    best, converged, used = 0.0, False, 0
+    for it in range(1, iters + 1):
+        tv = op.apply(v)
+        sigma = norm_w(tv)
+        used = it
+        if sigma <= best * (1 + tol) and it >= 10:
+            best = max(best, sigma)
+            converged = True
+            break
+        best = max(best, sigma)
+        z = adjoint_w(tv)
+        nz = norm_w(z)
+        if nz == 0.0:
+            converged = True
+            break
+        v = z / nz
+    return (best, converged, used, gap)
+
+
+def test_operator_norm_matches_float_reference():
+    # the 1-D oracle weights, but for the last, whose float(v) reference
+    # overflows in the Hilbert FFT (test_a2_past_the_float64_range covers
+    # that range)
+    ops = {}
+    for w in _oracle_weights():
+        if w.mesh.dim != 1 or max(w.fn.values) > 10 ** 300:
+            continue
+        mesh = w.mesh
+        if mesh not in ops:
+            ops[mesh] = (sparse_family_operator(mesh, tower_family(mesh)),
+                         hilbert_full_operator(mesh))
+        for op in ops[mesh]:
+            est = operator_norm_weighted(op, w, seed=3)
+            got = (est.value, est.converged, est.iterations, est.duality_gap)
+            assert got == _norm_float_reference(op, w, seed=3)
 
 
 def _exact_side_maxima(w):
@@ -516,6 +651,27 @@ def test_a2_past_the_float64_range(power):
         mesh, [v * Fraction(10) ** power for v in base])))
     assert (got.constant, got.witness, got.witness_kind) \
         == (want.constant, want.witness, want.witness_kind)
+
+
+@pytest.mark.parametrize("power", [307, 309, -310, -330])
+def test_norms_past_the_float64_range(power):
+    # the weights above: the operator norm in L²(w) is scale invariant, and
+    # the L²(w) norm scales by 10^(power/2)
+    mesh = Mesh(dim=1, level=4)
+    rng = random.Random(5)
+    base = [Fraction(rng.randrange(1, 4)) for _ in range(mesh.size)]
+    w0 = Weight(StepFunction(mesh, base))
+    w = Weight(StepFunction(mesh, [v * Fraction(10) ** power for v in base]))
+    op = hilbert_full_operator(mesh)
+    want = operator_norm_weighted(op, w0, iters=80, seed=1)
+    got = operator_norm_weighted(op, w, iters=80, seed=1)
+    assert want.value == pytest.approx(4.031, abs=1e-3)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.iterations == want.iterations
+    assert 0 <= got.duality_gap <= 1e-6
+    f = StepFunction(mesh, [Fraction(rng.randrange(-5, 6)) for _ in range(mesh.size)])
+    assert weighted_norm(f, w) == pytest.approx(
+        weighted_norm(f, w0) * 10 ** (power / 2), rel=1e-12)
 
 
 def test_a2_report_json():
@@ -614,6 +770,11 @@ def test_power_weight_matches_per_cell_formula(dim, levels):
         power_values_reference(mesh, 0.5, c)
     with pytest.raises(ValueError):
         Weight.power(Mesh(dim=2, level=2), 0.5, c)
+    # a center that is not dyadic
+    for mesh in (Mesh(dim=1, level=5), Mesh(dim=2, level=3)):
+        c = Fraction(1, 3)
+        assert Weight.power(mesh, 0.7, c).fn.values == \
+            power_values_reference(mesh, 0.7, c)
 
 
 def test_norm_estimate_monotone_in_iters():
