@@ -13,6 +13,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .rational import parse_scalar, rat_str
@@ -69,19 +70,19 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+# the config-file keys that only one subcommand reads
+_EXTRA_KEYS = {"q_lo": "osc-estimate", "q_hi": "osc-estimate",
+               "exponents": "a2-scan"}
+
+
 def _gather_config(args, defaults: ExperimentConfig = None,
                    no_lambda: str = None) -> tuple:
     """Merge defaults <- explicit flags <- config file; returns
     (ExperimentConfig, extras) where extras holds subcommand-only keys.
-    With ``no_lambda`` a λ given by flag or config file is a usage error,
-    reported with that reason."""
-    merged = {}
-    if defaults is not None:
-        merged.update(
-            dim=defaults.dim, level=defaults.level, seed=defaults.seed,
-            trials=defaults.trials, m_list=defaults.m_list,
-            lam=defaults.lam, kind=defaults.kind,
-            operator=defaults.operator, fmt=defaults.fmt, out=defaults.out)
+    A subcommand-only key given to another subcommand is a usage error, as
+    is, with ``no_lambda``, a λ given by flag or config file (reported with
+    that reason)."""
+    merged = asdict(defaults) if defaults is not None else {}
     for key in ("dim", "level", "seed", "trials", "kind", "operator",
                 "fmt", "out"):
         val = getattr(args, key, None)
@@ -94,9 +95,11 @@ def _gather_config(args, defaults: ExperimentConfig = None,
     extras, overrides = {}, {}
     if getattr(args, "config", None):
         overrides = _parse_config_file(args.config)
-        for key in ("q_lo", "q_hi", "exponents"):
-            if key in overrides:
-                extras[key] = overrides.pop(key)
+        for key in sorted(_EXTRA_KEYS.keys() & overrides.keys()):
+            if args.command != _EXTRA_KEYS[key]:
+                raise ValueError("%s: %s in --config is read by %s only"
+                                 % (args.command, key, _EXTRA_KEYS[key]))
+            extras[key] = overrides.pop(key)
         merged.update(overrides)
     if no_lambda and (getattr(args, "lam", None) is not None
                       or "lam" in overrides):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, Cube, GridId, dilate
 from .rational import pow2, rat
-from .sparse import _accumulate, _over_lcm, oscillation_decompose, verify_decomposition
+from .sparse import _operator, oscillation_decompose, verify_decomposition
 from .stepfn import (
     StepFunction,
     average,
@@ -192,25 +192,15 @@ def dominate(f: StepFunction) -> DominationReport:
     mesh = f.mesh
     q0 = Cube(GridId.standard(1), 0, (0,))
     cells = mesh.cells(q0.box)
-    if all(v == 0 for v in f.values):
-        return DominationReport(0.0, Fraction(0), Fraction(0),
-                                f._cell_array()[cells].size, 0, 0)
     g = maximal_truncated(f)
     res = oscillation_decompose(g, q0)
     gap = verify_decomposition(g, res)
-    terms, den = _over_lcm((mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
-                           for _, qc in res.family.pairs())
-    series = _accumulate(mesh, terms)
+    series = _operator(mesh, ((mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
+                              for _, qc in res.family.pairs()))
     med = res.base_median
-    c = Fraction(0)
-    violations = 0
-    lhs = abs(g._cell_array()[cells] - med)
-    majorant = hl_maximal(f)._cell_array()[cells] + series[cells] * Fraction(1, den)
-    for d, m in zip(lhs.flat, majorant.flat):
-        if m == 0:
-            if d != 0:
-                violations += 1
-            continue
-        c = max(c, d / m)
-    return DominationReport(float(c), med, gap, lhs.size, violations,
+    lhs = abs(g._cell_array[cells] - med)
+    majorant = hl_maximal(f)._cell_array[cells] + series._cell_array[cells]
+    some = majorant != 0
+    c = max(lhs[some] / majorant[some], default=Fraction(0))
+    return DominationReport(float(c), med, gap, lhs.size, int((lhs[~some] != 0).sum()),
                             res.family.cube_count())

@@ -590,13 +590,17 @@ def _crit_domination(cfg: ExperimentConfig) -> Verdict:
                                   "violations": rep.violations}
         if rep.c > 0:
             cs.append(rep.c)
-    spread = max(cs) / min(cs) if cs else float("inf")
-    if spread >= 2 and witness is None:
-        witness = {"c_min": min(cs), "c_max": max(cs), "spread": spread}
+    c_min, c_max = min(cs, default=None), max(cs, default=None)
+    spread = c_max / c_min if cs else None
+    if not cs:
+        witness = witness or {"instances": 0, "reason": "no instance measured: "
+                              "every trial had a zero core function or c = 0"}
+    elif spread >= 2 and witness is None:
+        witness = {"c_min": c_min, "c_max": c_max, "spread": spread}
     return Verdict(
         criterion="master-domination",
         passed=witness is None,
-        measured={"instances": len(cs), "c_min": min(cs), "c_max": max(cs),
+        measured={"instances": len(cs), "c_min": c_min, "c_max": c_max,
                   "spread": spread},
         config=cfg, witness=witness)
 

@@ -31,7 +31,8 @@ and the majorant of ``czo.dominate`` -- goes through one accumulator,
 denominator, adds each at the 2^n corners of its block in an n-D
 difference array, and one cumulative sum per axis gives every cell's
 total.  That is O(|S|·2^n + cells) instead of one Fraction addition per
-cell per cube, and the output builds one Fraction per distinct value.
+cell per cube, and the operators return those totals over the caller's
+denominator as the output's integer form (``StepFunction._from_ints``).
 
 ``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
 A grid cube at scale k <= level is a window [a, b) per axis on the h/3
@@ -60,14 +61,14 @@ from .stepfn import (
     Mesh,
     StepFunction,
     average,
+    hl_maximal,
+    sharp_maximal,
     _blocks,
     _corner,
     _corners,
     _cube_windows,
     _dyadic_blocks,
     _grid_cube_sums,
-    _shared_fractions,
-    _sharp_widths,
     _top_scale,
     _window_cells,
     _window_sums,
@@ -478,20 +479,15 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
 
         |f − m_f(q0)| ≤ 4 M^{#,d}_{λ;q0} f + 2 Σ ω(f;Q) χ_Q    on q0.
 
-    Nonnegative means the bound holds on every cell.  The three terms are
-    integers over D (f), 2D (the widths 2ω·D of M^#) and the coefficients'
-    lcm, compared over the lcm of those and the median's denominator."""
+    Nonnegative means the bound holds on every cell.  Both sides are
+    step-function arithmetic on integer forms, read over q0's cells."""
     mesh = f.mesh
-    cells, nums, den, stats = _dyadic_blocks(f, res.cube, res.lam)
-    terms, c_den = _over_lcm((mesh.cells(q.box), res.coefficients[q])
-                             for _, q in res.family.pairs())
-    rhs_sum = _accumulate(mesh, terms)
-    m = res.base_median
-    lcm = math.lcm(2 * den, c_den, m.denominator)
-    rhs = (4 * (lcm // (2 * den))) * _sharp_widths(stats) \
-        + (2 * (lcm // c_den)) * rhs_sum[cells]
-    lhs = abs(nums * (lcm // den) - m.numerator * (lcm // m.denominator))
-    return Fraction((rhs - lhs).min(), lcm)
+    coeffs = _operator(mesh, ((mesh.cells(q.box), res.coefficients[q])
+                              for _, q in res.family.pairs()))
+    gap = 4 * sharp_maximal(f, res.cube, res.lam) + 2 * coeffs \
+        - abs(f - res.base_median)
+    nums, den = gap._numerators()
+    return Fraction(nums[mesh.cells(res.cube.box)].min(), den)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +500,11 @@ def _require_nonneg(f: StepFunction):
         raise ValueError("operator input must be nonnegative")
 
 
-def _operator(mesh: Mesh, terms, den: int) -> StepFunction:
-    """Σ num·χ_cells / den over the (cells, num) terms, as a step function."""
-    nums = _accumulate(mesh, terms)
-    return StepFunction(mesh, _shared_fractions([(v, den) for v in nums.flat]))
+def _operator(mesh: Mesh, terms) -> StepFunction:
+    """Σ value·χ_cells over (cells, exact value) terms, in integer form over
+    the values' lcm."""
+    terms, den = _over_lcm(terms)
+    return StepFunction._from_ints(mesh, _accumulate(mesh, terms), den)
 
 
 def sparse_operator(fam: SparseFamily, f: StepFunction) -> StepFunction:
@@ -515,7 +512,7 @@ def sparse_operator(fam: SparseFamily, f: StepFunction) -> StepFunction:
     off the lattice window sums over one shared denominator."""
     _require_nonneg(f)
     cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
-    return _operator(f.mesh, zip(cells, nums), den)
+    return StepFunction._from_ints(f.mesh, _accumulate(f.mesh, zip(cells, nums)), den)
 
 
 def shifted_operator(fam: SparseFamily, m: int, f: StepFunction) -> StepFunction:
@@ -528,7 +525,7 @@ def shifted_operator(fam: SparseFamily, m: int, f: StepFunction) -> StepFunction
     for _, q in fam.pairs():
         big = dilate(q, m)
         terms.append((mesh.cells(q.box), f.atom_sum(big) / big.measure))
-    return _operator(mesh, *_over_lcm(terms))
+    return _operator(mesh, terms)
 
 
 @dataclass
@@ -569,18 +566,16 @@ def amalgam(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:
     """A_{m,α} f = Σ_{F_α} (cell-center ∫_{Q_α} f / |Q_α|) χ_Q."""
     _require_nonneg(f)
     mesh = f.mesh
-    return _operator(mesh, *_over_lcm(
-        (mesh.cells(q.box), f.atom_sum(cover.box) / cover.measure)
-        for _, q, cover in sh.family_of(alpha)))
+    return _operator(mesh, ((mesh.cells(q.box), f.atom_sum(cover.box) / cover.measure)
+                            for _, q, cover in sh.family_of(alpha)))
 
 
 def amalgam_adjoint(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:
     """A*_{m,α} f = Σ_{F_α} (cell-center ∫_Q f / |Q_α|) χ_{Q_α}."""
     _require_nonneg(f)
     mesh = f.mesh
-    return _operator(mesh, *_over_lcm(
-        (mesh.cells(cover.box), f.atom_sum(q.box) / cover.measure)
-        for _, q, cover in sh.family_of(alpha)))
+    return _operator(mesh, ((mesh.cells(cover.box), f.atom_sum(q.box) / cover.measure)
+                            for _, q, cover in sh.family_of(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +591,16 @@ class GoodBadSplit:
 
 
 def cz_good_bad_split(f: StepFunction, beta) -> GoodBadSplit:
-    from .stepfn import hl_maximal
-
     _require_nonneg(f)
     beta = rat(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
     mesh = f.mesh
-    mask = hl_maximal(f)._cell_array() > beta
+    mask = hl_maximal(f)._cell_array > beta
     if not mask.any():
         return GoodBadSplit(f, [], Fraction(0), Fraction(0))
     cubes = whitney_decompose(mask, mesh.domain, mesh.level)
-    vals = f._cell_array()
+    vals = f._cell_array
     good = vals.copy()
     parts = []
     constant = Fraction(0)
@@ -637,13 +630,9 @@ def scale_family_count(sh: ShiftedFamily, q_l: Cube) -> int:
 
 
 def weak_norm(g: StepFunction) -> Fraction:
-    """sup_{β>0} β |{|g| > β}| computed exactly over the attained levels."""
-    vals = sorted({abs(v) for v in g.values if v != 0})
-    if not vals:
-        return Fraction(0)
-    cell = g.mesh.h**g.mesh.dim
-    best = Fraction(0)
-    for v in vals:
-        meas = cell * sum(1 for x in g.values if abs(x) >= v)
-        best = max(best, v * meas)
-    return best
+    """sup_{β>0} β |{|g| > β}| computed exactly over the attained levels:
+    with |nums| sorted in descending order as a_1 >= a_2 >= ..., the
+    maximum of a_i·i, times h^n/D."""
+    nums, den = g._numerators()
+    ranked = enumerate(sorted(map(abs, nums.flat), reverse=True), 1)
+    return g.mesh.h**g.mesh.dim * Fraction(max(v * i for i, v in ranked), den)

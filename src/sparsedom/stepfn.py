@@ -19,15 +19,18 @@ the n-D block of cells whose centers lie in the box, one slice per axis,
 and the values are also held as an n-D array shaped like the mesh.  Code
 that needs a cube's cells indexes that array with the slices.
 
-The integer form of f -- signed numerators over one common denominator D,
-the lcm of the cell denominators -- is built on first use and kept
-(``StepFunction._numerators``).  It stays lazy because D can dwarf the
-values: the reciprocal of the level-10 power weight |x - 1/2|^(1/2) has a
-63,891-bit common denominator against 59 bits for the weight itself, so
-an eager integer form would put thousands of such integers into every
-weight.  ``integral`` and ``atom_sum`` read the prefix table (below) of
-the numerators, by inclusion-exclusion over the 2^n corners of a block
-and at most 3^n blocks of whole and partial cells.
+A StepFunction holds one of two forms and derives the other on first
+read.  The integer form is signed numerators over one denominator D, an
+object array shaped like the mesh (``_numerators``): D is the kernel's
+own denominator for a kernel's output (``_from_ints``), and the lcm of
+the cell denominators for a function built from Fractions.  That lcm is
+built lazily because it can dwarf the values: the reciprocal of the
+level-10 power weight |x - 1/2|^(1/2) has a 63,891-bit lcm against 59
+bits for the weight.  ``values`` is the Fraction view for JSON, CSV and
+the public API, one Fraction per distinct numerator.  Kernels, norms,
+``abs``, ``-``, ``+`` and scalar ``*`` read and return numerators, so a
+kernel's output reaches the next kernel as it was built.  ``integral``
+and ``atom_sum`` read the prefix table (below) of the numerators.
 
 The distribution toolkit adds no Fractions.  On a box, f is a list of
 sorted integer runs (``_runs``): its distinct values over the lcm of the
@@ -48,10 +51,10 @@ There every grid-cube corner at a scale k <= level is an integer,
 (3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1} (``_lattice_corner``);
 ``_grid_lattice`` gives those corners per axis, for this module and for
 the A2 search.  Averages are compared as integers over a shared
-denominator or by cross-multiplication, and Fractions are built only for
-the output, one per distinct value.  ``dyadic_maximal`` costs one gather
-per scale; ``hl_maximal`` is O(N log² N) in 1-D and O(n³) in 2-D, for n
-cells per axis.
+denominator (the integer form of ``dyadic_maximal``'s output) or by
+cross-multiplication (``hl_maximal`` builds one Fraction per distinct
+value).  ``dyadic_maximal`` costs one gather per scale; ``hl_maximal`` is
+O(N log² N) in 1-D and O(n³) in 2-D, for n cells per axis.
 
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
@@ -72,6 +75,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -228,7 +232,8 @@ class Mesh:
 
 
 class StepFunction:
-    """Immutable rational-valued step function on a Mesh."""
+    """Immutable rational-valued step function on a Mesh, held as Fractions
+    or as the integer form (module docstring)."""
 
     def __init__(self, mesh: Mesh, values):
         values = [rat(v) for v in values]
@@ -236,16 +241,20 @@ class StepFunction:
             raise ValueError(f"expected {mesh.size} cell values, got {len(values)}")
         self.mesh = mesh
         self.values = values
-        self._arr = None
-        self._num = None
-        self._prefix = None
-        self._abs_prefix = None
+
+    @classmethod
+    def _from_ints(cls, mesh: Mesh, nums: np.ndarray, den: int) -> "StepFunction":
+        """nums / den, with nums an object array of Python ints shaped like
+        the mesh, kept as the integer form; callers must not write to it."""
+        f = cls.__new__(cls)
+        f.mesh, f._num = mesh, (nums, den)
+        return f
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zeros(mesh: Mesh) -> "StepFunction":
-        return StepFunction(mesh, [Fraction(0)] * mesh.size)
+        return StepFunction._from_ints(mesh, np.zeros(mesh.shape, dtype=object), 1)
 
     @staticmethod
     def constant(mesh: Mesh, c) -> "StepFunction":
@@ -253,30 +262,46 @@ class StepFunction:
 
     # -- cached views -------------------------------------------------------
 
+    @functools.cached_property
+    def values(self) -> list[Fraction]:
+        """The cell values in row-major order."""
+        nums, den = self._num
+        return _shared_fractions([(v, den) for v in nums.flat])
+
+    @functools.cached_property
     def _cell_array(self) -> np.ndarray:
         """The values as an n-D object array shaped like the mesh, indexed
         by ``Mesh.cells`` slices; callers must not write to it."""
-        if self._arr is None:
-            self._arr = _array(self.values, self.mesh.shape)
-        return self._arr
+        return _array(self.values, self.mesh.shape)
+
+    @functools.cached_property
+    def _num(self) -> tuple[np.ndarray, int]:
+        # built from Fractions: over the lcm of the cell denominators
+        dens = {v.denominator for v in self.values}
+        den = math.lcm(*dens)
+        scale = {d: den // d for d in dens}
+        nums = [v.numerator * scale[v.denominator] for v in self.values]
+        return _array(nums, self.mesh.shape), den
 
     def _numerators(self) -> tuple[np.ndarray, int]:
-        """f as signed integers over one common denominator D, the lcm of
-        the cell denominators: an object array of Python ints shaped like
-        the mesh, and D.  Lazy and cached (see the module docstring)."""
-        if self._num is None:
-            dens = {v.denominator for v in self.values}
-            den = math.lcm(*dens)
-            scale = {d: den // d for d in dens}
-            nums = [v.numerator * scale[v.denominator] for v in self.values]
-            self._num = (_array(nums, self.mesh.shape), den)
+        """The integer form (nums, D) of the module docstring."""
         return self._num
+
+    @functools.cached_property
+    def _prefix(self) -> np.ndarray:
+        return _prefix_table(self._num[0])
+
+    @functools.cached_property
+    def _abs_prefix(self) -> np.ndarray:
+        return _prefix_table(abs(self._num[0]))
+
+    def _abs_table(self) -> np.ndarray:
+        """The prefix table of the numerators of |f|, built once."""
+        return self._abs_prefix
 
     def _block_sum(self, cells: tuple[slice, ...]) -> int:
         """Sum of the numerators over a block of cells, by inclusion-
         exclusion over its 2^n corners in the prefix table of f."""
-        if self._prefix is None:
-            self._prefix = _prefix_table(self._numerators()[0])
         total = 0
         for bits, odd in _corners(self.mesh.dim):
             # a corner with an even number of starts counts positive
@@ -284,40 +309,38 @@ class StepFunction:
             total += v if odd == self.mesh.dim % 2 else -v
         return total
 
-    def _abs_table(self) -> np.ndarray:
-        """The prefix table of the numerators of |f|, built once."""
-        if self._abs_prefix is None:
-            self._abs_prefix = _prefix_table(abs(self._numerators()[0]))
-        return self._abs_prefix
-
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic on the integer form -------------------------------------
 
     def _zip(self, other, op):
+        """op(f, other) over the lcm of the two denominators; other is a
+        StepFunction on the same mesh or a scalar."""
+        a, da = self._num
         if isinstance(other, StepFunction):
             if other.mesh != self.mesh:
                 raise ValueError("mesh mismatch")
-            return StepFunction(self.mesh,
-                                [op(a, b) for a, b in zip(self.values, other.values)])
-        c = rat(other)
-        return StepFunction(self.mesh, [op(a, c) for a in self.values])
+            b, db = other._num
+        else:
+            c = rat(other)
+            b, db = c.numerator, c.denominator
+        den = math.lcm(da, db)
+        return self._from_ints(self.mesh, op(a * (den // da), b * (den // db)), den)
 
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+    __add__ = functools.partialmethod(_zip, op=operator.add)
+    __sub__ = functools.partialmethod(_zip, op=operator.sub)
 
     def __neg__(self):
-        return StepFunction(self.mesh, [-v for v in self.values])
+        return self * -1
 
     def __mul__(self, scalar):
         c = rat(scalar)
-        return StepFunction(self.mesh, [v * c for v in self.values])
+        nums, den = self._num
+        return self._from_ints(self.mesh, nums * c.numerator, den * c.denominator)
 
     __rmul__ = __mul__
 
     def __abs__(self):
-        return StepFunction(self.mesh, [abs(v) for v in self.values])
+        nums, den = self._num
+        return self._from_ints(self.mesh, abs(nums), den)
 
     def __eq__(self, other):
         return (isinstance(other, StepFunction) and self.mesh == other.mesh
@@ -329,20 +352,21 @@ class StepFunction:
         """Exact integral over box ∩ domain (whole domain when box is None)."""
         pieces = _pieces(self.mesh, self.mesh.domain if box is None else box)
         total = sum((w * self._block_sum(cells) for cells, w in pieces), Fraction(0))
-        return total / self._numerators()[1]
+        return total / self._num[1]
 
     def atom_sum(self, box: Box) -> Fraction:
         """h^n times the sum of values over cells whose centers lie in box."""
         mesh = self.mesh
         return mesh.h**mesh.dim * Fraction(self._block_sum(mesh.cells(box)),
-                                           self._numerators()[1])
+                                           self._num[1])
 
     def norm_l1(self) -> Fraction:
-        nums, den = self._numerators()
+        nums, den = self._num
         return self.mesh.h**self.mesh.dim * Fraction(abs(nums).sum(), den)
 
     def norm_l2_sq(self) -> Fraction:
-        return self.mesh.h**self.mesh.dim * sum(v * v for v in self.values)
+        nums, den = self._num
+        return self.mesh.h**self.mesh.dim * Fraction((nums * nums).sum(), den * den)
 
     # -- reshaping ----------------------------------------------------------
 
@@ -352,11 +376,11 @@ class StepFunction:
             raise ValueError("refinement factor must be nonnegative")
         if delta == 0:
             return self
-        vals = self._cell_array()
+        nums, den = self._num
         for axis in range(self.mesh.dim):
-            vals = np.repeat(vals, 1 << delta, axis)
-        return StepFunction(Mesh(self.mesh.dim, self.mesh.level + delta,
-                                 self.mesh.domain), vals.flat)
+            nums = np.repeat(nums, 1 << delta, axis)
+        return StepFunction._from_ints(Mesh(self.mesh.dim, self.mesh.level + delta,
+                                            self.mesh.domain), nums, den)
 
     # -- CSV input ----------------------------------------------------------
 
@@ -385,7 +409,7 @@ def _runs(f: StepFunction, box: Box, absolute: bool,
 
     With pad_zero the part of the box outside the mesh domain is counted
     as mass at value 0 (the zero extension)."""
-    pieces = [(f._cell_array()[cells], w) for cells, w in _pieces(f.mesh, box)]
+    pieces = [(f._cell_array[cells], w) for cells, w in _pieces(f.mesh, box)]
     u = math.lcm(box.measure.denominator, *(w.denominator for _, w in pieces))
     den = math.lcm(*(v.denominator for block, _ in pieces for v in block.flat))
     masses = Counter()
@@ -471,10 +495,7 @@ def _aligned_cell_range(mesh: Mesh, q0: Cube):
         if t.denominator != 1:
             raise ValueError("cube is not aligned with the mesh")
         starts.append(int(t))
-    span = q0.side / mesh.h
-    if span.denominator != 1:
-        raise ValueError("cube side is not a whole number of cells")
-    span = int(span)
+    span = 1 << (mesh.level - q0.k)  # side / h, whole as side >= h
     for s in starts:
         if s < 0 or s + span > mesh.cells_axis:
             raise ValueError("cube leaves the mesh domain")
@@ -519,20 +540,6 @@ def _dyadic_blocks(f: StepFunction, q0: Cube, lam: Fraction):
     return cells, nums, den, stats
 
 
-def _sharp_widths(stats: dict) -> np.ndarray:
-    """Per cell of q0's block, the largest width 2ω·D of the dyadic
-    subcubes holding it (see ``_dyadic_blocks``), pushed down from q0 one
-    halving of the side at a time."""
-    side = max(stats)
-    running = np.zeros((1,) * stats[side][1].ndim, dtype=object)
-    while side > 1:
-        running = np.maximum(running, stats[side][1])
-        side //= 2
-        for axis in range(running.ndim):
-            running = np.repeat(running, 2, axis)
-    return running
-
-
 def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
     """Dyadic local sharp maximal function M^{#,d}_{lambda; q0} f.
 
@@ -540,13 +547,19 @@ def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
     oscillations over the dyadic subcubes of q0 containing the cell
     (including q0 itself); zero outside q0.  The running maximum is taken
     over the integer widths 2ω·D of ``_dyadic_blocks``, read off one sort
-    of the cells' ranks per side; Fractions are built only for the output.
+    of the cells' ranks per side, pushed down from q0 one halving of the
+    side at a time, and returned over 2D as they are.
     """
     lam = _check_lambda(lam)
     cells, _, den, stats = _dyadic_blocks(f, q0, lam)
+    running = np.zeros((1,) * f.mesh.dim, dtype=object)
+    for side in sorted(stats, reverse=True)[:-1]:  # down to side 2
+        running = np.maximum(running, stats[side][1])
+        for axis in range(running.ndim):
+            running = np.repeat(running, 2, axis)
     out = np.zeros(f.mesh.shape, dtype=object)
-    out[cells] = _sharp_widths(stats)
-    return StepFunction(f.mesh, _shared_fractions([(w, 2 * den) for w in out.flat]))
+    out[cells] = running
+    return StepFunction._from_ints(f.mesh, out, 2 * den)
 
 
 def _top_scale(mesh: Mesh) -> int:
@@ -656,7 +669,7 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
 
     Scale k's integer cube sums times 2^(n(k-top)) share the denominator
     D·(3·2^(level-top))^n, so the maximum over scales is an integer
-    maximum, one gather per scale; Fractions are built only for the output.
+    maximum, one gather per scale, returned over that denominator.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
@@ -666,8 +679,8 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     for k in range(top, mesh.level + 1):
         sums, _, cells = _grid_cube_sums(f._abs_table(), mesh, grid, k)
         best = np.maximum(best, (sums * (1 << dim * (k - top)))[np.ix_(*cells)])
-    den = f._numerators()[1] * (3 << (mesh.level - top)) ** dim
-    return StepFunction(mesh, _shared_fractions([(v, den) for v in best.flat]))
+    return StepFunction._from_ints(
+        mesh, best, f._numerators()[1] * (3 << (mesh.level - top)) ** dim)
 
 
 # -- Hardy-Littlewood surrogate ---------------------------------------------

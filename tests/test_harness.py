@@ -421,3 +421,34 @@ def test_cli_entrypoint_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_domination_without_an_instance_fails_honestly():
+    # seed 144 draws an all-zero core function at level 1: nothing to measure
+    cfg = default_config("master-domination").replaced(level=1, trials=1, seed=144)
+    v = run_criterion("master-domination", cfg)
+    assert not v.passed
+    assert v.measured == {"instances": 0, "c_min": None, "c_max": None,
+                          "spread": None}
+    assert "no instance measured" in v.witness["reason"]
+    json.dumps(v.to_json(), allow_nan=False)
+
+
+@pytest.mark.parametrize("command, key, reader", [
+    ("cz-sparse", "exponents = 0.5,0.9", "a2-scan"),
+    ("acceptance", "exponents = 0.5,0.9", "a2-scan"),
+    ("decompose", "q_lo = 1/4", "osc-estimate"),
+    ("a2-scan", "q_hi = 3/4", "osc-estimate"),
+])
+def test_cli_rejects_config_keys_it_would_ignore(command, key, reader,
+                                                 tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(key + "\n")
+    argv = ["--level", "3", "--config", str(cfg)]
+    if command == "acceptance":
+        argv += ["--id", "a2-scan"]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert "%s: %s in --config is read by %s only" % (
+        command, key.split()[0], reader) in err
+    assert "Traceback" not in err

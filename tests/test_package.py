@@ -43,3 +43,17 @@ def test_one_definition_per_name():
         names.update({node.name for node in tree.body if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))})
     assert [name for name, count in names.items() if count > 1] == []
+
+
+def test_only_stepfn_builds_shared_fractions():
+    # the other modules hand on a kernel's integer form (``_from_ints``)
+    src = os.path.dirname(sparsedom.__file__)
+    importers = set()
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        if any(isinstance(node, ast.ImportFrom)
+               and "_shared_fractions" in {a.name for a in node.names}
+               for node in ast.walk(tree)):
+            importers.add(os.path.basename(path))
+    assert importers == set()

@@ -629,3 +629,62 @@ def test_decomposition_json():
     assert data["median"] == "%d/%d" % (res.base_median.numerator,
                                         res.base_median.denominator)
     assert len(data["coefficients"]) == res.family.cube_count()
+
+
+# ---------------------------------------------------------------------------
+# the integer form the operators hand on
+# ---------------------------------------------------------------------------
+
+def _cellwise(mesh, terms) -> list:
+    """Σ value·χ_box over (box, value) terms, one Fraction sum per cell."""
+    out = [Fraction(0)] * mesh.size
+    for box, value in terms:
+        for i in flat_cells(mesh, box):
+            out[i] += value
+    return out
+
+
+def test_operators_hand_on_their_integer_form():
+    mesh = Mesh(dim=1, level=6)
+    f = mk_random(mesh, 71)
+    fam = cz_sparse(f, STD)
+    maximal = dyadic_maximal(f, STD)
+    assert cz_pointwise_gap(f, fam, maximal) >= 0
+    # the gap reads the maximal function's integer form: no lcm, no Fraction
+    assert "values" not in vars(maximal)
+    out = sparse_operator(fam, f)
+    assert "values" not in vars(out)
+    assert out.values == _cellwise(mesh, ((q.box, average(f, q.box))
+                                          for _, q in fam.pairs()))
+    sh = split_families(fam, 2)
+    for alpha in GridId.all_grids(1):
+        adj = amalgam_adjoint(sh, alpha, f)
+        assert "values" not in vars(adj)
+        assert adj.values == _cellwise(
+            mesh, ((cover.box, f.atom_sum(q.box) / cover.measure)
+                   for _, q, cover in sh.family_of(alpha)))
+
+
+def _weak_norm_oracle(g) -> Fraction:
+    """max over the attained levels v > 0 of v·|{|g| >= v}|, the sup of
+    β·|{|g| > β}| as β rises to v."""
+    h = g.mesh.h**g.mesh.dim
+    levels = {abs(v) for v in g.values} - {0}
+    return max((v * h * sum(abs(x) >= v for x in g.values) for v in levels),
+               default=Fraction(0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weak_norm_matches_level_sup(dim):
+    mesh = Mesh(dim, 3 if dim == 1 else 2)
+    rng = random.Random(dim)
+    for _ in range(20):
+        # signed rationals, with ties and zeros from a small value pool
+        pool = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+                for _ in range(rng.randint(1, 5))]
+        f = StepFunction(mesh, [rng.choice(pool) for _ in range(mesh.size)])
+        for g in (f, -f, abs(f) * Fraction(2, 3),
+                  dyadic_maximal(f, GridId.standard(dim))):
+            assert weak_norm(g) == _weak_norm_oracle(g)
+    assert weak_norm(StepFunction.zeros(mesh)) == 0
+    assert weak_norm(StepFunction(mesh, [0] * mesh.size)) == 0

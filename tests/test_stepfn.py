@@ -675,3 +675,61 @@ def test_table_reads_agree_across_dtypes(mesh):
         for d in range(1, mesh.cells_axis + 1):
             assert np.array_equal(_cube_sums(table, d),
                                   _cube_sums(exact, d).astype(dtype))
+
+
+# ---------------------------------------------------------------------------
+# the integer form kernels hand on
+# ---------------------------------------------------------------------------
+
+def _rational(mesh, seed):
+    """Signed rationals with unrelated denominators, zeros included."""
+    rng = random.Random(seed)
+    return StepFunction(mesh, [
+        Fraction(rng.randint(-60, 60), rng.choice([1, 3, 7, 96, 97]))
+        if rng.random() < 0.8 else Fraction(0) for _ in range(mesh.size)])
+
+
+@pytest.mark.parametrize("dim, level", [(1, 4), (2, 2)], ids=["1d", "2d"])
+def test_maximal_kernels_hand_on_their_integer_form(dim, level):
+    f = _rational(Mesh(dim, level), 3)
+    q0 = Cube(GridId.standard(dim), 0, (0,) * dim)
+    outputs = [(dyadic_maximal(f, grid), oracle_dyadic(f, grid))
+               for grid in GridId.all_grids(dim)]
+    outputs.append((sharp_maximal(f, q0, Fraction(1, 4)),
+                    oracle_sharp(f, q0, Fraction(1, 4))))
+    for out, want in outputs:
+        assert "values" not in vars(out)
+        assert out.values == want
+        assert out.values is out.values
+
+
+def test_arithmetic_matches_fraction_cells():
+    mesh = Mesh(1, 4)
+    f, g = _rational(mesh, 5), _rational(mesh, 6)
+    # integer-built operands over unrelated denominators: D·3·2^(level-top)
+    # for the dyadic maximal function, 2D for the sharp one
+    m = dyadic_maximal(g, GridId.shifted(1))
+    s = sharp_maximal(f, Q0, Fraction(1, 8))
+    for u in (f, m, s):
+        assert abs(u).values == [abs(a) for a in u.values]
+        assert (-u).values == [-a for a in u.values]
+        for c in (Fraction(-3, 7), 2, Fraction(0)):
+            assert (c * u).values == (u * c).values == [c * a for a in u.values]
+        assert (u + Fraction(1, 3)).values == [a + Fraction(1, 3) for a in u.values]
+        for v in (f, g, m, s):
+            assert (u + v).values == [a + b for a, b in zip(u.values, v.values)]
+            assert (u - v).values == [a - b for a, b in zip(u.values, v.values)]
+    assert m.norm_l2_sq() == mesh.h * sum(a * a for a in m.values)
+    assert f.refine(1).values == [a for a in f.values for _ in range(2)]
+    with pytest.raises(ValueError):
+        f + StepFunction.zeros(Mesh(1, 3))
+
+
+def test_arithmetic_keeps_the_integer_form():
+    f = _rational(Mesh(1, 3), 7)
+    m = dyadic_maximal(f, GridId.standard(1))
+    for out in (abs(m), -m, 3 * m, m + m, m - f, m.refine(1),
+                StepFunction.zeros(f.mesh)):
+        assert "values" not in vars(out)
+    assert StepFunction.constant(f.mesh, Fraction(5, 3)).values == \
+        [Fraction(5, 3)] * f.mesh.size
