@@ -26,7 +26,8 @@ import numpy as np
 
 from .geometry import Box, Cube, GridId, dilate
 from .rational import pow2, rat
-from .sparse import _operator, oscillation_decompose, verify_decomposition
+from .sparse import _operator, _require_nonneg, oscillation_decompose, \
+    verify_decomposition
 from .stepfn import (
     StepFunction,
     average,
@@ -82,15 +83,14 @@ def maximal_truncated(f: StepFunction) -> StepFunction:
 
     Lossless over the continuous truncation parameters (see module
     docstring); float64 band sums, values then frozen as exact rationals
-    of the samples.
+    of the samples, all over one power of two.
     """
     mesh = f.mesh
     if mesh.dim != 1:
         raise ValueError("the Hilbert transform is one-dimensional")
     n = mesh.size
-    v = np.array([float(t) for t in f.values])
     pad = np.zeros(3 * n)
-    pad[n:2 * n] = v
+    pad[n:2 * n] = f._floats()
     u = np.arange(1, n, dtype=float)
     logtab = np.log((2 * u + 1) / (2 * u - 1))
     idx = np.arange(n)
@@ -101,7 +101,10 @@ def maximal_truncated(f: StepFunction) -> StepFunction:
         prefix += logtab[uu - 1] * (pad[idx - uu + n] - pad[idx + uu + n])
         np.maximum(hi, prefix, out=hi)
         np.minimum(lo, prefix, out=lo)
-    return StepFunction(mesh, [rat(t) for t in (hi - lo)])
+    mant, exp = np.frexp(hi - lo)  # t = (mant·2^53)·2^(exp-53) exactly
+    e = max(0, 53 - int(exp.min()))
+    nums = (mant * 2.0**53).astype(np.int64).astype(object)
+    return StepFunction._from_ints(mesh, nums << (exp + e - 53).astype(object), 1 << e)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +151,7 @@ class OscillationReport:
 
 def oscillation_estimate_report(f: StepFunction, q: Box, lam) -> OscillationReport:
     """ω_λ(T♮f; q) against the dilated-average series Σ 2^{-m} f_{2^m q}."""
-    if any(v < 0 for v in f.values):
-        raise ValueError("estimate requires f >= 0")
+    _require_nonneg(f)
     lam = rat(lam)
     tf = maximal_truncated(f)
     lhs = local_mean_oscillation(tf, q, lam)
@@ -187,8 +189,7 @@ def dominate(f: StepFunction) -> DominationReport:
     cell of q0.  The median term is the compact-domain stand-in for the
     vanishing median over growing cubes.
     """
-    if any(v < 0 for v in f.values):
-        raise ValueError("domination requires f >= 0")
+    _require_nonneg(f)
     mesh = f.mesh
     q0 = Cube(GridId.standard(1), 0, (0,))
     cells = mesh.cells(q0.box)
@@ -198,9 +199,11 @@ def dominate(f: StepFunction) -> DominationReport:
     series = _operator(mesh, ((mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
                               for _, qc in res.family.pairs()))
     med = res.base_median
-    lhs = abs(g._cell_array[cells] - med)
-    majorant = hl_maximal(f)._cell_array[cells] + series._cell_array[cells]
+    lhs, d_lhs = abs(g - med)._numerators()
+    majorant, d_maj = (hl_maximal(f) + series)._numerators()
+    lhs, majorant = lhs[cells], majorant[cells]
     some = majorant != 0
-    c = max(lhs[some] / majorant[some], default=Fraction(0))
-    return DominationReport(float(c), med, gap, lhs.size, int((lhs[~some] != 0).sum()),
+    # rounding is monotone: the largest rounded quotient rounds the maximum
+    c = max(lhs[some] * d_maj / (majorant[some] * d_lhs), default=0.0)
+    return DominationReport(c, med, gap, lhs.size, int((lhs[~some] != 0).sum()),
                             res.family.cube_count())

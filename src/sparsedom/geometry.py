@@ -42,6 +42,19 @@ def _shift_sign(k: int) -> int:
     return 1 if k % 2 == 0 else -1
 
 
+def _first_child(k: int, j, shifted: bool):
+    """On one axis, the index of the first of the two scale-(k+1) children
+    of the scale-k grid cube of index j (the other is one more): 2j + (-1)^k
+    on a shifted axis, 2j on a standard one.  j may be an integer array."""
+    return 2 * j + (_shift_sign(k) if shifted else 0)
+
+
+def _parent_index(k: int, j, shifted: bool):
+    """On one axis, the index of the scale-(k-1) parent of the scale-k grid
+    cube of index j, by inverting ``_first_child``."""
+    return (j - _first_child(k - 1, 0, shifted)) // 2
+
+
 def _thirds(u: int, k: int) -> Fraction:
     """u thirds of the scale-k sidelength, u * 2**-k / 3, exactly."""
     if k >= 0:
@@ -223,23 +236,15 @@ class Cube:
 
     def children(self) -> list["Cube"]:
         """The 2^n cubes of the next scale tiling this cube exactly."""
-        s = _shift_sign(self.k)
-        base = []
-        for a, ji in zip(self.grid.alpha, self.j):
-            i0 = 2 * ji + (s if a == THIRD else 0)
-            base.append((i0, i0 + 1))
-        out = []
-        for combo in itertools.product(*base):
-            out.append(Cube(self.grid, self.k + 1, combo))
-        return out
+        base = [_first_child(self.k, ji, a != 0)
+                for a, ji in zip(self.grid.alpha, self.j)]
+        return [Cube(self.grid, self.k + 1, combo)
+                for combo in itertools.product(*((i, i + 1) for i in base))]
 
     def parent(self) -> "Cube":
-        s = _shift_sign(self.k)
-        idx = []
-        for a, ji in zip(self.grid.alpha, self.j):
-            shift = s if a == THIRD else 0
-            idx.append((ji + shift) // 2 if a == THIRD else ji // 2)
-        return Cube(self.grid, self.k - 1, tuple(idx))
+        return Cube(self.grid, self.k - 1, tuple(
+            _parent_index(self.k, ji, a != 0)
+            for a, ji in zip(self.grid.alpha, self.j)))
 
     def to_json(self) -> dict:
         return {"grid": self.grid.to_json(), "k": self.k, "j": list(self.j)}

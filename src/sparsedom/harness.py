@@ -142,10 +142,10 @@ def generate_function(seed: int, spec: str, mesh: Mesh) -> StepFunction:
     rng = random.Random("%d:%s" % (seed, spec))
     core = mesh.cells(mesh.core)
     cells = list(itertools.product(*(range(s.start, s.stop) for s in core)))
-    vals = np.full(mesh.shape, Fraction(0), dtype=object)
+    vals = np.zeros(mesh.shape, dtype=object)  # numerators over 1, or 8
 
     if spec == "spike":
-        vals[rng.choice(cells)] = Fraction(rng.randrange(1, 9))
+        vals[rng.choice(cells)] = rng.randrange(1, 9)
     elif spec == "indicator-sums":
         for _ in range(3):
             k = rng.randrange(1, min(mesh.level, 6) + 1)
@@ -156,7 +156,7 @@ def generate_function(seed: int, spec: str, mesh: Mesh) -> StepFunction:
             vals[mesh.cells(Box(corner, tuple(c + side for c in corner)))] += 1
     elif spec == "random-cells":
         for idx in cells:
-            vals[idx] = Fraction(rng.randrange(-8, 9))
+            vals[idx] = rng.randrange(-8, 9)
     else:  # power-profile
         p = rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))
         x0 = tuple(Fraction(rng.randrange(0, 16), 16) for _ in range(mesh.dim))
@@ -164,8 +164,8 @@ def generate_function(seed: int, spec: str, mesh: Mesh) -> StepFunction:
         centers = [mesh.centers(a) for a in range(mesh.dim)]
         for idx in cells:
             d = max(abs(xs[i] - c) for xs, i, c in zip(centers, idx, x0))
-            vals[idx] = Fraction(round(8 * amp * float(d) ** float(p)), 8)
-    return StepFunction(mesh, vals.flat)
+            vals[idx] = round(8 * amp * float(d) ** float(p))
+    return StepFunction._from_ints(mesh, vals, 8 if spec == "power-profile" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,6 @@ def _crit_maximal_sandwich(cfg: ExperimentConfig) -> Verdict:
     """Mf <= 6^n · Σ_α M^{D_α}f and Mf <= 2·12^n · Σ_α A_{S_α}f cellwise."""
     mesh = cfg.mesh()
     n = cfg.dim
-    c_grid = Fraction(6 ** n)
-    c_sparse = Fraction(2 * 12 ** n)
     witness = None
     worst_grid = worst_sparse = None
     for t in range(cfg.trials):
@@ -260,18 +258,17 @@ def _crit_maximal_sandwich(cfg: ExperimentConfig) -> Verdict:
             fam = cz_sparse(g, grid)
             if not fam.is_empty:
                 sum_sparse = sum_sparse + sparse_operator(fam, g)
-        for i in range(mesh.size):
-            lhs = big.values[i]
-            gap_g = c_grid * sum_dyadic.values[i] - lhs
-            gap_s = c_sparse * sum_sparse.values[i] - lhs
-            if worst_grid is None or gap_g < worst_grid:
-                worst_grid = gap_g
-            if worst_sparse is None or gap_s < worst_sparse:
-                worst_sparse = gap_s
-            if (gap_g < 0 or gap_s < 0) and witness is None:
-                witness = {"trial": t, "cell": i,
-                           "grid_gap": rat_str(gap_g),
-                           "sparse_gap": rat_str(gap_s)}
+        gap_g, den_g = (6 ** n * sum_dyadic - big)._numerators()
+        gap_s, den_s = (2 * 12 ** n * sum_sparse - big)._numerators()
+        low_g, low_s = Fraction(gap_g.min(), den_g), Fraction(gap_s.min(), den_s)
+        worst_grid = low_g if worst_grid is None else min(worst_grid, low_g)
+        worst_sparse = low_s if worst_sparse is None else min(worst_sparse, low_s)
+        failing = np.flatnonzero((gap_g < 0) | (gap_s < 0))
+        if failing.size and witness is None:
+            i = int(failing[0])
+            witness = {"trial": t, "cell": i,
+                       "grid_gap": rat_str(Fraction(gap_g.flat[i], den_g)),
+                       "sparse_gap": rat_str(Fraction(gap_s.flat[i], den_s))}
     return Verdict(
         criterion="maximal-sandwich",
         passed=witness is None,
@@ -424,28 +421,28 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
         if fam.is_empty:
             continue
         sh = split_families(fam, 1)
+        nums, den = f._numerators()
         for alpha in GridId.all_grids(1):
             adj = amalgam_adjoint(sh, alpha, f)
             pairs = list(sh.family_of(alpha))
             for jq in range(0, 4):
                 q = Cube(alpha, 1, (jq,))
                 cells, = mesh.cells(q.box)
-                atoms = range(cells.start, cells.stop)
-                if not atoms:
+                if cells.start >= cells.stop:
                     continue
                 c = sum(f.atom_sum(qb.box) / cov.measure
                         for _, qb, cov in pairs
                         if cov.box.contains_box(q.box))
-                sel = set(atoms)
-                fq = StepFunction(mesh,
-                                  [f.values[i] if i in sel else Fraction(0)
-                                   for i in range(mesh.size)])
-                adj_q = amalgam_adjoint(sh, alpha, fq)
+                fq = np.zeros(mesh.shape, dtype=object)
+                fq[cells] = nums[cells]
+                adj_q = amalgam_adjoint(sh, alpha,
+                                        StepFunction._from_ints(mesh, fq, den))
                 display_checked += 1
-                for i in atoms:
-                    if abs(adj.values[i] - c) > adj_q.values[i]:
-                        witness = witness or {
-                            "trial": t, "cube": q.to_json(), "cell": i}
+                gap = (adj_q - abs(adj - c))._numerators()[0][cells]
+                failing = np.flatnonzero(gap < 0)
+                if failing.size:
+                    witness = witness or {"trial": t, "cube": q.to_json(),
+                                          "cell": cells.start + int(failing[0])}
 
     for m in cfg.m_list:
         if ratios[m] > 0 and ratios[2 * m] > 3 * ratios[m]:
@@ -516,15 +513,15 @@ def _crit_hilbert_exact(cfg: ExperimentConfig) -> Verdict:
     for t in range(10):
         f = generate_function(cfg.seed ^ (401 + t), "random-cells", mesh)
         g = generate_function(cfg.seed ^ (601 + t), "random-cells", mesh)
-        tf, tg, tfg = maximal_truncated(f), maximal_truncated(g), \
-            maximal_truncated(f + g)
-        for i in range(mesh.size):
-            over = float(tfg.values[i]) - float(tf.values[i]) \
-                - float(tg.values[i])
-            max_sub = max(max_sub, over)
-            if over > 1e-10 and witness is None:
-                witness = {"sublinearity_excess": over, "cell": i,
-                           "trial": t}
+        over = maximal_truncated(f + g)._floats() - maximal_truncated(f)._floats() \
+            - maximal_truncated(g)._floats()
+        # the first cell of the largest excess, as a running max would keep
+        max_sub = max(max_sub, float(over[over.argmax()]))
+        failing = np.flatnonzero(over > 1e-10)
+        if failing.size and witness is None:
+            i = int(failing[0])
+            witness = {"sublinearity_excess": float(over[i]), "cell": i,
+                       "trial": t}
     return Verdict(
         criterion="hilbert-exact",
         passed=witness is None,
@@ -578,9 +575,7 @@ def _crit_domination(cfg: ExperimentConfig) -> Verdict:
     witness = None
     cs = []
     for t in range(cfg.trials):
-        f = generate_function(cfg.seed ^ t, cfg.kind, mesh)
-        if any(v < 0 for v in f.values):
-            f = abs(f)
+        f = abs(generate_function(cfg.seed ^ t, cfg.kind, mesh))
         if f.norm_l1() == 0:
             continue
         rep = dominate(f)

@@ -55,7 +55,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Cube, GridId, cover_cube, dilate, whitney_decompose
+from .geometry import Cube, GridId, cover_cube, dilate, whitney_decompose, \
+    _first_child, _parent_index
 from .rational import pow2, rat, rat_str
 from .stepfn import (
     Mesh,
@@ -134,10 +135,8 @@ class SparseFamily:
 
 
 def _parent_key(shifted: tuple[bool, ...], k: int, j: tuple[int, ...]):
-    """The (scale, index) key of the parent of grid cube (k, j), with the
-    parent index (j + shift) // 2 of ``Cube.parent``."""
-    s = 1 if k % 2 == 0 else -1
-    return k - 1, tuple((x + s) // 2 if sh else x // 2 for x, sh in zip(j, shifted))
+    """The (scale, index) key of the parent of grid cube (k, j)."""
+    return k - 1, tuple(_parent_index(k, x, sh) for x, sh in zip(j, shifted))
 
 
 def _container(keys: dict, shifted, k_min: int, k: int, j) -> int | None:
@@ -206,13 +205,13 @@ def _subtree_maxima(avg: dict, first: dict, grid: GridId, top: int,
                     level: int) -> dict:
     """Per cube, the largest average in its subtree down to ``level``, for
     pruned descent: each scale's array is a per-axis max-pool of the next
-    finer one, whose parents (j + 3·offset) // 2 (as in ``Cube.parent``)
-    run through the coarser scale's cubes in order."""
+    finer one, whose parents run through the coarser scale's cubes in
+    order."""
     submax = {level: avg[level]}
     for k in range(level, top, -1):
         pooled = submax[k]
-        for axis, (j0, off) in enumerate(zip(first[k], grid.offset_at(k))):
-            parent = (j0 + np.arange(pooled.shape[axis]) + int(3 * off)) // 2
+        for axis, (j0, a) in enumerate(zip(first[k], grid.alpha)):
+            parent = _parent_index(k, j0 + np.arange(pooled.shape[axis]), a != 0)
             starts = np.flatnonzero(np.diff(parent, prepend=parent[0] - 1))
             pooled = np.maximum.reduceat(pooled, starts, axis=axis)
         submax[k - 1] = np.maximum(avg[k - 1], pooled)
@@ -287,9 +286,9 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
                 return
             if k == level:
                 return
-            # the children's first indices, as in ``Cube.children``
-            base = [2 * (j0 + p) + int(3 * off) - c0 for j0, p, off, c0
-                    in zip(first[k], pos, grid.offset_at(k), first[k + 1])]
+            # the children's first positions in scale k + 1's arrays
+            base = [_first_child(k, j0 + p, a != 0) - c0 for j0, p, a, c0
+                    in zip(first[k], pos, grid.alpha, first[k + 1])]
             below = submax[k + 1]
             for child in itertools.product(*((b, b + 1) for b in base)):
                 if all(0 <= c < m for c, m in zip(child, below.shape)) \
@@ -596,24 +595,23 @@ def cz_good_bad_split(f: StepFunction, beta) -> GoodBadSplit:
     if beta <= 0:
         raise ValueError("beta must be positive")
     mesh = f.mesh
-    mask = hl_maximal(f)._cell_array > beta
+    mask = (hl_maximal(f) - beta)._numerators()[0] > 0
     if not mask.any():
         return GoodBadSplit(f, [], Fraction(0), Fraction(0))
-    cubes = whitney_decompose(mask, mesh.domain, mesh.level)
-    vals = f._cell_array
-    good = vals.copy()
-    parts = []
-    constant = Fraction(0)
-    for q in cubes:
+    good, parts, constant = f, [], Fraction(0)
+    for q in whitney_decompose(mask, mesh.domain, mesh.level):
         avg = average(f, q.box)
         constant = max(constant, avg / beta)
+        # (f - avg)·χ_Q; the Whitney cubes are disjoint, so good = f - Σ bad
+        nums, den = (f - avg)._numerators()
         cells = mesh.cells(q.box)
-        bad = np.full(mesh.shape, Fraction(0), dtype=object)
-        bad[cells] = vals[cells] - avg
-        good[cells] = avg
-        parts.append((q, StepFunction(mesh, bad.flat)))
+        bad = np.zeros(mesh.shape, dtype=object)
+        bad[cells] = nums[cells]
+        part = StepFunction._from_ints(mesh, bad, den)
+        parts.append((q, part))
+        good = good - part
     omega = mesh.h**mesh.dim * int(mask.sum())
-    return GoodBadSplit(StepFunction(mesh, good.flat), parts, constant, omega)
+    return GoodBadSplit(good, parts, constant, omega)
 
 
 def scale_family_count(sh: ShiftedFamily, q_l: Cube) -> int:

@@ -26,15 +26,17 @@ own denominator for a kernel's output (``_from_ints``), and the lcm of
 the cell denominators for a function built from Fractions.  That lcm is
 built lazily because it can dwarf the values: the reciprocal of the
 level-10 power weight |x - 1/2|^(1/2) has a 63,891-bit lcm against 59
-bits for the weight.  ``values`` is the Fraction view for JSON, CSV and
-the public API, one Fraction per distinct numerator.  Kernels, norms,
-``abs``, ``-``, ``+`` and scalar ``*`` read and return numerators, so a
-kernel's output reaches the next kernel as it was built.  ``integral``
-and ``atom_sum`` read the prefix table (below) of the numerators.
+bits for the weight.  The integer form is how code in this package reads
+and builds exact cell values: kernels, norms, ``abs``, ``-``, ``+`` and
+scalar ``*`` read and return numerators, so a kernel's output reaches the
+next kernel as it was built, and ``integral`` and ``atom_sum`` read the
+prefix table (below) of the numerators.  ``values`` is the Fraction view,
+one Fraction per distinct numerator, for the API boundary alone: JSON,
+CSV, the weights and the Hilbert transform's cell integrals.
 
-The distribution toolkit adds no Fractions.  On a box, f is a list of
-sorted integer runs (``_runs``): its distinct values over the lcm of the
-box's cell denominators, each with its measure as an integer over one
+The distribution toolkit adds no Fractions before its one return value.
+On a box, f is a list of sorted integer runs (``_runs``): its distinct
+numerators over f's own D, each with its measure as an integer over one
 common denominator, partial cells and the zero padding included.  On the
 dyadic subcubes of a mesh-aligned cube q0 every cell has unit mass, so
 ``_dyadic_blocks`` gives the cells int64 ranks of their sorted distinct
@@ -110,10 +112,6 @@ def _corners(dim: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
 
 def _corner(cells: tuple[slice, ...], bits: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s.stop if b else s.start for s, b in zip(cells, bits))
-
-
-def _array(values: list, shape: tuple[int, ...]) -> np.ndarray:
-    return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
 
 
 def _prefix_table(values: np.ndarray, dtype=object) -> np.ndarray:
@@ -269,23 +267,25 @@ class StepFunction:
         return _shared_fractions([(v, den) for v in nums.flat])
 
     @functools.cached_property
-    def _cell_array(self) -> np.ndarray:
-        """The values as an n-D object array shaped like the mesh, indexed
-        by ``Mesh.cells`` slices; callers must not write to it."""
-        return _array(self.values, self.mesh.shape)
-
-    @functools.cached_property
     def _num(self) -> tuple[np.ndarray, int]:
         # built from Fractions: over the lcm of the cell denominators
         dens = {v.denominator for v in self.values}
         den = math.lcm(*dens)
         scale = {d: den // d for d in dens}
-        nums = [v.numerator * scale[v.denominator] for v in self.values]
-        return _array(nums, self.mesh.shape), den
+        nums = np.fromiter((v.numerator * scale[v.denominator] for v in self.values),
+                           dtype=object, count=self.mesh.size)
+        return nums.reshape(self.mesh.shape), den
 
     def _numerators(self) -> tuple[np.ndarray, int]:
         """The integer form (nums, D) of the module docstring."""
         return self._num
+
+    def _floats(self) -> np.ndarray:
+        """The cell values as float64 shaped like the mesh, each the one
+        correctly rounded int/int true division that ``float`` of its
+        Fraction also gives."""
+        nums, den = self._num
+        return (nums / den).astype(float)
 
     @functools.cached_property
     def _prefix(self) -> np.ndarray:
@@ -400,24 +400,22 @@ class StepFunction:
 
 def _runs(f: StepFunction, box: Box, absolute: bool,
           pad_zero: bool) -> tuple[list[int], list[int], int, int]:
-    """f on box as sorted integer runs: the ascending distinct values (of
-    |f| when ``absolute``) as numerators over the lcm D of the box's cell
-    denominators, the measure of each as an integer over one common
-    denominator u, u and D.  Counts the values of each block of
-    ``_pieces``; D is taken over the box alone, so a small box of a
-    function with large denominators stays cheap.
+    """f on box as sorted integer runs: the ascending distinct numerators
+    (of |f| when ``absolute``) over f's own denominator D, the measure of
+    each as an integer over one common denominator u, u and D.  Counts the
+    numerators of each block of ``_pieces``; the callers in this package
+    pass kernel outputs, whose D is already at hand.
 
     With pad_zero the part of the box outside the mesh domain is counted
     as mass at value 0 (the zero extension)."""
-    pieces = [(f._cell_array[cells], w) for cells, w in _pieces(f.mesh, box)]
+    nums, den = f._numerators()
+    pieces = [(nums[cells], w) for cells, w in _pieces(f.mesh, box)]
     u = math.lcm(box.measure.denominator, *(w.denominator for _, w in pieces))
-    den = math.lcm(*(v.denominator for block, _ in pieces for v in block.flat))
     masses = Counter()
     covered = 0
     for block, w in pieces:
         wu = w.numerator * (u // w.denominator)
-        nums = (v.numerator * (den // v.denominator) for v in block.flat)
-        for v, count in Counter(map(abs, nums) if absolute else nums).items():
+        for v, count in Counter((abs(block) if absolute else block).flat).items():
             masses[v] += count * wu
         covered += block.size * wu
     if pad_zero and covered < box.measure * u:

@@ -9,12 +9,23 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from sparsedom import czo
 from sparsedom.geometry import Box, Cube, GridId
-from sparsedom.stepfn import Mesh, StepFunction, local_mean_oscillation
+from sparsedom.harness import generate_function
+from sparsedom.rational import rat
+from sparsedom.sparse import oscillation_decompose
+from sparsedom.stepfn import (
+    Mesh,
+    StepFunction,
+    dyadic_maximal,
+    hl_maximal,
+    local_mean_oscillation,
+)
 from sparsedom.czo import (
     DominationReport,
     dominate,
@@ -236,6 +247,90 @@ def test_maximal_truncated_sublinear(seed):
     tf, tg, tfg = maximal_truncated(f), maximal_truncated(g), maximal_truncated(f + g)
     for i in range(mesh.size):
         assert float(tfg.values[i]) <= float(tf.values[i]) + float(tg.values[i]) + 1e-10
+
+
+def float_samples(f):
+    """T♮f at the cell centers in float64: the band sums of
+    ``maximal_truncated``, from the float of each Fraction value."""
+    n = f.mesh.size
+    pad = np.zeros(3 * n)
+    pad[n:2 * n] = [float(v) for v in f.values]
+    u = np.arange(1, n, dtype=float)
+    logtab = np.log((2 * u + 1) / (2 * u - 1))
+    idx = np.arange(n)
+    prefix, hi, lo = np.zeros(n), np.zeros(n), np.zeros(n)
+    for uu in range(1, n):
+        prefix += logtab[uu - 1] * (pad[idx - uu + n] - pad[idx + uu + n])
+        np.maximum(hi, prefix, out=hi)
+        np.minimum(lo, prefix, out=lo)
+    return hi - lo
+
+
+def test_maximal_truncated_returns_the_integer_form():
+    # inputs over unrelated denominators, and an integer-form input
+    mesh = Mesh(dim=1, level=5)
+    rng = random.Random(3)
+    f = StepFunction(mesh, [Fraction(rng.randrange(-60, 61),
+                                     rng.choice([1, 3, 7, 96]))
+                            for _ in range(mesh.size)])
+    for g in (f, dyadic_maximal(f, GridId.shifted(1))):
+        want = [rat(t) for t in float_samples(g)]
+        tf = maximal_truncated(g)
+        nums, den = tf._numerators()
+        assert "values" not in vars(tf)
+        assert den & (den - 1) == 0  # one power of two
+        assert [Fraction(v, den) for v in nums] == want
+        assert tf._floats().tolist() == [float(v) for v in want]
+
+
+def test_nonnegativity_checks_read_the_numerators():
+    mesh = Mesh(dim=1, level=4)
+    neg = -dyadic_maximal(mk_random(mesh, 5), GridId.standard(1))
+    with pytest.raises(ValueError):
+        oscillation_estimate_report(neg, Box.interval(0, 1), Fraction(1, 8))
+    with pytest.raises(ValueError):
+        dominate(neg)
+    assert "values" not in vars(neg)
+
+
+def oracle_dominate(f):
+    """(c, violations) of ``dominate`` from per-cell Fractions."""
+    mesh = f.mesh
+    q0 = Cube(GridId.standard(1), 0, (0,))
+    cells = range(*mesh.cells(q0.box)[0].indices(mesh.size))
+    g = maximal_truncated(f)
+    res = oscillation_decompose(g, q0)
+    series = [Fraction(0)] * mesh.size
+    for _, qc in res.family.pairs():
+        s = czo._dilate_series(f, qc.box)[0]
+        for i in range(*mesh.cells(qc.box)[0].indices(mesh.size)):
+            series[i] += s
+    big = czo.hl_maximal(f).values
+    lhs = [abs(g.values[i] - res.base_median) for i in cells]
+    majorant = [big[i] + series[i] for i in cells]
+    c = max((a / b for a, b in zip(lhs, majorant) if b != 0), default=Fraction(0))
+    return float(c), sum(1 for a, b in zip(lhs, majorant) if b == 0 and a != 0)
+
+
+def test_dominate_matches_a_fraction_oracle(monkeypatch):
+    mesh = Mesh(dim=1, level=6)
+    for seed in range(3):
+        f = abs(generate_function(seed, "random-cells", mesh))
+        rep = dominate(f)
+        assert "values" not in vars(f)
+        assert (rep.c, rep.violations) == oracle_dominate(f)
+        assert rep.violations == 0
+    # a majorant zero on the even cells outside the family: where the
+    # left side is not zero there, they count as violations
+    def thinned(f):
+        vals = hl_maximal(f).values
+        return StepFunction(mesh, [v if i % 2 else 0 for i, v in enumerate(vals)])
+
+    monkeypatch.setattr(czo, "hl_maximal", thinned)
+    f = mk_random(mesh, 7, lo=0, hi=8, support=Box.interval(0, 1))
+    rep = dominate(f)
+    assert (rep.c, rep.violations) == oracle_dominate(f)
+    assert rep.violations > 0
 
 
 def test_czo_rejects_2d():

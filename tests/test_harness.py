@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsedom import harness
 from sparsedom.cli import main
+from sparsedom.geometry import Cube, GridId
 from sparsedom.harness import (
     CRITERION_IDS,
     ExperimentConfig,
@@ -19,7 +21,14 @@ from sparsedom.harness import (
     generate_function,
     run_criterion,
 )
-from sparsedom.stepfn import Mesh
+from sparsedom.rational import rat_str
+from sparsedom.sparse import (
+    amalgam_adjoint,
+    cz_sparse,
+    sparse_operator,
+    split_families,
+)
+from sparsedom.stepfn import Mesh, StepFunction, dyadic_maximal, hl_maximal
 
 from meshtools import unflat
 
@@ -119,6 +128,13 @@ def test_power_profile_eighths():
         assert all(v >= 0 and (8 * v).denominator == 1 for v in f.values)
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generator_builds_the_integer_form(kind):
+    f = generate_function(3, kind, Mesh(dim=1, level=5))
+    assert "values" not in vars(f)
+    assert f._numerators()[1] == (8 if kind == "power-profile" else 1)
+
+
 def test_generator_unknown_spec():
     with pytest.raises(ValueError):
         generate_function(0, "white-noise", Mesh(dim=1, level=3))
@@ -193,6 +209,108 @@ def test_trial_seeds_derived_by_xor():
     f_multi = generate_function(12 ^ 3, "power-profile", mesh)
     f_single = generate_function(15, "power-profile", mesh)
     assert f_multi.values == f_single.values
+
+
+def sandwich_oracle(cfg, maximal):
+    """Criterion 3's measurements and witness from per-cell Fractions."""
+    mesh, n = cfg.mesh(), cfg.dim
+    worst_g = worst_s = witness = None
+    for t in range(cfg.trials):
+        g = abs(generate_function(cfg.seed ^ t, cfg.kind, mesh))
+        big = maximal(g).values
+        dyadic = [dyadic_maximal(g, grid).values for grid in GridId.all_grids(n)]
+        fams = [cz_sparse(g, grid) for grid in GridId.all_grids(n)]
+        sparse = [sparse_operator(fam, g).values for fam in fams if not fam.is_empty]
+        for i in range(mesh.size):
+            gap_g = 6 ** n * sum(a[i] for a in dyadic) - big[i]
+            gap_s = 2 * 12 ** n * sum(a[i] for a in sparse) - big[i]
+            worst_g = gap_g if worst_g is None else min(worst_g, gap_g)
+            worst_s = gap_s if worst_s is None else min(worst_s, gap_s)
+            if (gap_g < 0 or gap_s < 0) and witness is None:
+                witness = {"trial": t, "cell": i, "grid_gap": rat_str(gap_g),
+                           "sparse_gap": rat_str(gap_s)}
+    return {"min_grid_gap": float(worst_g), "min_sparse_gap": float(worst_s),
+            "trials": cfg.trials}, witness
+
+
+@pytest.mark.parametrize("dim, level", [(1, 6), (2, 3)], ids=["1d", "2d"])
+def test_sandwich_gaps_match_the_per_cell_loop(dim, level, monkeypatch):
+    cfg = default_config("maximal-sandwich").replaced(dim=dim, level=level,
+                                                      trials=3)
+    v = run_criterion("maximal-sandwich", cfg)
+    assert (v.measured, v.witness) == sandwich_oracle(cfg, hl_maximal)
+    assert v.passed
+
+    # a maximal function raised far above the bounds on one cell
+    spike = cfg.mesh().size // 2 + 3
+
+    def raised(g):
+        return hl_maximal(g) + StepFunction(g.mesh, [
+            Fraction(10 ** 6, 7) if i == spike else 0 for i in range(g.mesh.size)])
+
+    monkeypatch.setattr(harness, "hl_maximal", raised)
+    v = run_criterion("maximal-sandwich", cfg)
+    measured, witness = sandwich_oracle(cfg, raised)
+    assert (v.measured, v.witness) == (measured, witness)
+    assert witness["trial"] == 0 and witness["cell"] == spike
+    assert Fraction(witness["grid_gap"]) < 0
+    assert Fraction(witness["sparse_gap"]) < 0
+    assert not v.passed
+
+
+def display_oracle(cfg, adjoint):
+    """Criterion 7's display checks and witness from per-cell Fractions."""
+    mesh = cfg.mesh()
+    checked, witness = 0, None
+    for t in range(min(cfg.trials, 10)):
+        f = abs(generate_function(cfg.seed ^ (701 + t), cfg.kind, mesh))
+        fam = cz_sparse(f, GridId.standard(1))
+        if fam.is_empty:
+            continue
+        sh = split_families(fam, 1)
+        for alpha in GridId.all_grids(1):
+            adj = adjoint(sh, alpha, f).values
+            pairs = list(sh.family_of(alpha))
+            for jq in range(4):
+                q = Cube(alpha, 1, (jq,))
+                atoms = range(*mesh.cells(q.box)[0].indices(mesh.size))
+                if not atoms:
+                    continue
+                c = sum(f.atom_sum(qb.box) / cov.measure
+                        for _, qb, cov in pairs if cov.box.contains_box(q.box))
+                fq = StepFunction(mesh, [v if i in atoms else 0
+                                         for i, v in enumerate(f.values)])
+                adj_q = adjoint(sh, alpha, fq).values
+                checked += 1
+                for i in atoms:
+                    if abs(adj[i] - c) > adj_q[i] and witness is None:
+                        witness = {"trial": t, "cube": q.to_json(), "cell": i}
+    return checked, witness
+
+
+def test_display_gaps_match_the_per_cell_loop(monkeypatch):
+    cfg = default_config("adjoint-osc-growth").replaced(trials=3)
+    outputs = []
+
+    def recorded(sh, alpha, f):
+        outputs.append(amalgam_adjoint(sh, alpha, f))
+        return outputs[-1]
+
+    monkeypatch.setattr(harness, "amalgam_adjoint", recorded)
+    v = run_criterion("adjoint-osc-growth", cfg)
+    assert outputs and all("values" not in vars(out) for out in outputs)
+    assert (v.measured["display_checks"], v.witness) == \
+        display_oracle(cfg, amalgam_adjoint)
+
+    # a halved adjoint breaks the display: the constant c stays whole
+    def halved(sh, alpha, f):
+        return amalgam_adjoint(sh, alpha, f) * Fraction(1, 2)
+
+    monkeypatch.setattr(harness, "amalgam_adjoint", halved)
+    v = run_criterion("adjoint-osc-growth", cfg)
+    checked, witness = display_oracle(cfg, halved)
+    assert witness is not None
+    assert (v.measured["display_checks"], v.witness) == (checked, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -57,3 +57,8 @@ def test_only_stepfn_builds_shared_fractions():
                for node in ast.walk(tree)):
             importers.add(os.path.basename(path))
     assert importers == set()
+
+
+def test_step_functions_have_no_cell_array():
+    # exact cell values are read through the integer form (``_numerators``)
+    assert not hasattr(stepfn.StepFunction, "_cell_array")

@@ -28,6 +28,8 @@ from sparsedom.stepfn import (
     _top_scale,
 )
 
+from sparsedom.sparse import amalgam_adjoint, cz_sparse, split_families
+
 from meshtools import cell_masses, cell_of_point, cube_at, flat, indicator, le, unflat
 
 # ---------------------------------------------------------------------------
@@ -733,3 +735,32 @@ def test_arithmetic_keeps_the_integer_form():
         assert "values" not in vars(out)
     assert StepFunction.constant(f.mesh, Fraction(5, 3)).values == \
         [Fraction(5, 3)] * f.mesh.size
+
+
+def oracle_median(f, q):
+    """The largest value c with |{f > c} ∩ q|, |{f < c} ∩ q| <= |q|/2, from
+    per-cell Fraction masses."""
+    masses = cell_masses(f, q)
+    half = q.measure / 2
+    return max(c for c in masses
+               if sum(m for v, m in masses.items() if v > c) <= half
+               and sum(m for v, m in masses.items() if v < c) <= half)
+
+
+def test_distribution_toolkit_reads_the_integer_form():
+    # kernel outputs keep their integer form through the toolkit, on boxes
+    # with partial cells and beyond the domain
+    mesh = Mesh(1, 5)
+    f = abs(_rational(mesh, 8))
+    sh = split_families(cz_sparse(f, GridId.standard(1)), 1)
+    outputs = [amalgam_adjoint(sh, grid, f) for grid in GridId.all_grids(1)] \
+        + [dyadic_maximal(f, grid) for grid in GridId.all_grids(1)]
+    boxes = [UNIT, Box.interval(rat("-1/3"), rat("5/7")),
+             Box.interval(rat("3/2"), rat("11/4"))]
+    lam, t = Fraction(1, 4), Fraction(1, 3)
+    for out in outputs:
+        got = [(median(out, b), local_mean_oscillation(out, b, lam),
+                rearrangement(out, b, t)) for b in boxes]
+        assert "values" not in vars(out)
+        assert got == [(oracle_median(out, b), oracle_oscillation(out, b, lam),
+                        oracle_rearrangement(out, b, t)) for b in boxes]
