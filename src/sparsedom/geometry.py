@@ -1,4 +1,4 @@
-"""Dyadic grids, shifted grids, cube covering and Whitney decomposition.
+"""Dyadic grids, shifted grids and cube covering.
 
 The toolkit works on R^n (n = 1 or 2) with exact rational coordinates.
 Besides the standard dyadic grid there is one shifted grid per axis
@@ -21,8 +21,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .rational import THIRD, ZERO, floor_log2_ratio, pow2, rat, rat_str
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "cover_cube",
     "concentric",
     "dilate",
-    "whitney_decompose",
 ]
 
 ALPHA_CHOICES = (ZERO, THIRD)
@@ -100,10 +97,6 @@ class GridId:
 
     def to_json(self) -> list:
         return [0 if a == 0 else "1/3" for a in self.alpha]
-
-    @staticmethod
-    def from_json(data) -> "GridId":
-        return GridId(tuple(rat(a) for a in data))
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,11 +168,6 @@ class Box:
                 "hi": [rat_str(b) for b in self.hi]}
 
     @staticmethod
-    def from_json(data) -> "Box":
-        return Box(tuple(rat(a) for a in data["lo"]),
-                   tuple(rat(b) for b in data["hi"]))
-
-    @staticmethod
     def interval(lo, hi) -> "Box":
         return Box((rat(lo),), (rat(hi),))
 
@@ -249,11 +237,6 @@ class Cube:
     def to_json(self) -> dict:
         return {"grid": self.grid.to_json(), "k": self.k, "j": list(self.j)}
 
-    @staticmethod
-    def from_json(data) -> "Cube":
-        return Cube(GridId.from_json(data["grid"]), int(data["k"]),
-                    tuple(int(x) for x in data["j"]))
-
 
 def cover_cube(q: Box) -> tuple[GridId, Cube]:
     """Smallest-scale grid cube containing ``q`` with sidelength <= 6 * side(q).
@@ -322,83 +305,3 @@ def dilate(q: Cube | Box, m: int) -> Box:
     box = q.box if isinstance(q, Cube) else q
     return concentric(box, pow2(m))
 
-
-# ---------------------------------------------------------------------------
-# Whitney decomposition of a union of mesh cells.
-# ---------------------------------------------------------------------------
-
-def whitney_decompose(mask: np.ndarray, domain: Box, level: int) -> list[Cube]:
-    """Whitney decomposition of ``omega`` as maximal standard dyadic cubes.
-
-    ``mask`` marks the cells of the level-``level`` mesh over ``domain``
-    that belong to omega (1-D array for n=1, 2-D for n=2); the domain
-    must have integer corners so mesh cells are themselves standard
-    dyadic cubes.  Output cubes are pairwise disjoint, their union is
-    exactly omega, and every cube strictly coarser than a mesh cell has
-    its concentric triple 3Q contained in omega.  Each output cube is
-    maximal: its parent either is not contained in omega or fails the
-    triple test.
-
-    Mesh cells are admitted without the triple test.  At a finite mesh
-    the cells along the boundary of omega have triples leaving omega no
-    matter what; they stand in for the infinite shrinking tail of the
-    continuum decomposition.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    dim = mask.ndim
-    for a, b in zip(domain.lo, domain.hi):
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError("whitney_decompose requires integer domain corners")
-    if not mask.any():
-        return []
-    if mask.all():
-        raise ValueError("omega equal to the whole domain admits no Whitney cube")
-    n_axis = mask.shape[0]
-    if n_axis % (1 << level):
-        raise ValueError("mask shape does not match an integer-sided domain")
-    grid = GridId.standard(dim)
-    lo_int = [a.numerator for a in domain.lo]
-
-    def count(rng):
-        return int(mask[tuple(slice(a, b) for a, b in rng)].sum())
-
-    def cells(rng):
-        total = 1
-        for a, b in rng:
-            total *= b - a
-        return total
-
-    def omega_full(rng):
-        for a, b in rng:
-            if a < 0 or b > n_axis:
-                return False
-        return count(rng) == cells(rng)
-
-    out: list[Cube] = []
-
-    def emit(depth, starts):
-        size = 1 << (level - depth)
-        j = tuple(lo_int[d] * (1 << depth) + starts[d] // size for d in range(dim))
-        out.append(Cube(grid, depth, j))
-
-    def rec(depth, starts):
-        size = 1 << (level - depth)
-        rng = tuple((s, s + size) for s in starts)
-        inside = count(rng)
-        if inside == 0:
-            return
-        if inside == cells(rng):
-            triple = tuple((s - size, s + 2 * size) for s in starts)
-            if depth == level or omega_full(triple):
-                emit(depth, starts)
-                return
-        if depth == level:
-            return
-        half = size // 2
-        for combo in itertools.product((0, half), repeat=dim):
-            rec(depth + 1, tuple(s + c for s, c in zip(starts, combo)))
-
-    roots = range(0, n_axis, 1 << level)
-    for combo in itertools.product(roots, repeat=dim):
-        rec(0, combo)
-    return out

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -93,11 +93,6 @@ class ExperimentConfig:
 
     def mesh(self) -> Mesh:
         return Mesh(dim=self.dim, level=self.level)
-
-    def replaced(self, **kw) -> "ExperimentConfig":
-        data = asdict(self)
-        data.update(kw)
-        return ExperimentConfig(**data)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "level": self.level, "seed": self.seed,

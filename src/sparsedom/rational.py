@@ -1,9 +1,10 @@
 """Exact rational arithmetic helpers shared across the toolkit.
 
 All geometric coordinates and step-function values are ``fractions.Fraction``
-instances.  Serialized form is the string ``"num/den"`` (always with an
-explicit denominator); parsing additionally accepts plain integers and
-decimal strings, both converted exactly.
+instances.  Every report writes them through ``rat_str``, as the string
+``"num/den"`` (always with an explicit denominator), or None past 4,096
+bits; parsing additionally accepts plain integers and decimal strings,
+both converted exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ THIRD = Fraction(1, 3)
 # Fraction builds 10**e for a decimal exponent e: seconds once e passes 10^6
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+MAX_BITS = 4096  # rat_str prints None from here, about 1,233 decimal digits
 
 
 def rat(value) -> Fraction:
@@ -38,9 +40,13 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_str(q) -> str:
-    """Serialize a rational as ``"num/den"`` (denominator always explicit)."""
+def rat_str(q) -> str | None:
+    """Serialize a rational as ``"num/den"`` (denominator always explicit),
+    or as None once either has ``MAX_BITS`` bits or more: past any sensible
+    printout, and past Python's int-to-str digit limit."""
     q = Fraction(q)
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) >= MAX_BITS:
+        return None
     return f"{q.numerator}/{q.denominator}"
 
 

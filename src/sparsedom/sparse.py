@@ -55,14 +55,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Cube, GridId, cover_cube, dilate, whitney_decompose, \
-    _first_child, _parent_index
-from .rational import pow2, rat, rat_str
+from .geometry import Cube, GridId, cover_cube, dilate, _first_child, _parent_index
+from .rational import pow2, rat_str
 from .stepfn import (
     Mesh,
     StepFunction,
-    average,
-    hl_maximal,
     sharp_maximal,
     _blocks,
     _corner,
@@ -71,6 +68,7 @@ from .stepfn import (
     _dyadic_blocks,
     _grid_cube_sums,
     _top_scale,
+    _LATTICE_DEPTH,
     _window_cells,
     _window_sums,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "SparseFamily",
     "ShiftedFamily",
     "DecompositionResult",
-    "GoodBadSplit",
     "cz_sparse",
     "cz_pointwise_gap",
     "oscillation_decompose",
@@ -90,8 +87,6 @@ __all__ = [
     "split_families",
     "amalgam",
     "amalgam_adjoint",
-    "cz_good_bad_split",
-    "scale_family_count",
     "weak_norm",
 ]
 
@@ -125,13 +120,6 @@ class SparseFamily:
             "levels": {str(k): [q.to_json() for q in v]
                        for k, v in self.levels.items()},
         }
-
-    @staticmethod
-    def from_json(data) -> "SparseFamily":
-        grid = GridId.from_json(data["grid"])
-        levels = {int(k): [Cube.from_json(c) for c in v]
-                  for k, v in data["levels"].items()}
-        return SparseFamily(grid, levels)
 
 
 def _parent_key(shifted: tuple[bool, ...], k: int, j: tuple[int, ...]):
@@ -230,7 +218,10 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     The scale range extends above the domain-sized top scale until every
     coarsest-scale average drops to the bottom threshold: then every
     selected cube has an in-range parent of average ≤ 2^{(n+1)k}, which
-    is exactly what makes |Ω_{k+1} ∩ Q_j^k| ≤ |Q_j^k|/2 provable.
+    is exactly what makes |Ω_{k+1} ∩ Q_j^k| ≤ |Q_j^k|/2 provable.  An input
+    that needs a scale k < level − 61, roughly one whose ‖f‖₁ exceeds its
+    smallest nonzero cube average by 2^(n(61 − level)), raises ValueError:
+    the int64 lattice corners of ``_grid_lattice`` need 3·2^(level−k) < 2^63.
 
     Averages are the integer cube sums of ``_grid_cube_sums`` brought to one
     denominator, as in ``dyadic_maximal``, and each threshold becomes one
@@ -268,6 +259,10 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     l1 = abs(nums).sum()
     while 3**n * l1 > threshold(k_bot):
         top -= 1
+        if level - top > _LATTICE_DEPTH:
+            raise ValueError(f"cz_sparse needs grid scale {top}, past level - "
+                             f"{_LATTICE_DEPTH} = {level - _LATTICE_DEPTH}, the "
+                             "coarsest scale of exact int64 lattice corners")
         cubes[top] = _grid_cube_sums(f._abs_table(), mesh, grid, top)
     avg = {k: scaled(k) for k in cubes}
     first = {k: c[1] for k, c in cubes.items()}
@@ -575,56 +570,6 @@ def amalgam_adjoint(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFu
     mesh = f.mesh
     return _operator(mesh, ((mesh.cells(cover.box), f.atom_sum(q.box) / cover.measure)
                             for _, q, cover in sh.family_of(alpha)))
-
-
-# ---------------------------------------------------------------------------
-# good/bad splitting and scale counting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GoodBadSplit:
-    good: StepFunction
-    bad_parts: list[tuple[Cube, StepFunction]]
-    constant: Fraction  # recorded: max avg(f, Q_l)/beta over Whitney cubes
-    omega_measure: Fraction
-
-
-def cz_good_bad_split(f: StepFunction, beta) -> GoodBadSplit:
-    _require_nonneg(f)
-    beta = rat(beta)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    mesh = f.mesh
-    mask = (hl_maximal(f) - beta)._numerators()[0] > 0
-    if not mask.any():
-        return GoodBadSplit(f, [], Fraction(0), Fraction(0))
-    good, parts, constant = f, [], Fraction(0)
-    for q in whitney_decompose(mask, mesh.domain, mesh.level):
-        avg = average(f, q.box)
-        constant = max(constant, avg / beta)
-        # (f - avg)·χ_Q; the Whitney cubes are disjoint, so good = f - Σ bad
-        nums, den = (f - avg)._numerators()
-        cells = mesh.cells(q.box)
-        bad = np.zeros(mesh.shape, dtype=object)
-        bad[cells] = nums[cells]
-        part = StepFunction._from_ints(mesh, bad, den)
-        parts.append((q, part))
-        good = good - part
-    omega = mesh.h**mesh.dim * int(mask.sum())
-    return GoodBadSplit(good, parts, constant, omega)
-
-
-def scale_family_count(sh: ShiftedFamily, q_l: Cube) -> int:
-    """Distinct sidelengths among base cubes inside q_l at comparable
-    scale (ℓ_{q_l} ≤ 18·2^m·ℓ_Q); always at most m+5."""
-    side_lim = q_l.side / (18 * pow2(sh.m))
-    distinct = {q for _, q in sh.base.pairs()
-                if q_l.box.contains_box(q.box) and q.side >= side_lim}
-    scales = {q.side for q in distinct}
-    count = len(scales)
-    if count > sh.m + 5:
-        raise AssertionError("scale count exceeded m+5")
-    return count
 
 
 def weak_norm(g: StepFunction) -> Fraction:

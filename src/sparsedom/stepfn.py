@@ -588,12 +588,17 @@ def _lattice_reads(x, n: int):
     return (q, 3 - r), (np.minimum(q + 1, n), r)
 
 
+# _grid_lattice steps its int64 corners by the side 3·2^(level-k), which
+# fits int64 while level - k <= 61: 3·2^61 < 2^63 <= 3·2^62
+_LATTICE_DEPTH = 61
+
+
 def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
     """Per axis, for the cubes of ``grid`` at scale k <= level that meet the
     domain: the index j0 of the first, their corners on the h/3 lattice
     clipped to [0, 3n), so that cube j0 + i spans [corners[i],
     corners[i + 1]), and for each cell the position i of the cube holding
-    its center."""
+    its center.  Exact for k >= level - ``_LATTICE_DEPTH``."""
     n3, g = 3 * mesh.cells_axis, 1 << (mesh.level - k)
     axes = []
     # cube j spans [3jg + c, 3jg + 3g + c) on each axis

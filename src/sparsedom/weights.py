@@ -133,7 +133,6 @@ __all__ = [
     "Weight",
     "A2Report",
     "a2_constant",
-    "weighted_norm",
     "CellOperator",
     "sparse_family_operator",
     "amalgam_pair_operator",
@@ -204,31 +203,9 @@ class Weight:
                                           for ds in iter_product(*axes)]))
 
 
-def weighted_norm(f: StepFunction, w: Weight) -> float:
-    """L²(w) norm: exact Σ f²·w·h^n, then one float64 square root (of the
-    total over an even power of two, scaled back exactly)."""
-    if f.mesh != w.mesh:
-        raise ValueError("mesh mismatch")
-    scale = f.mesh.h ** f.mesh.dim
-    total = scale * sum(v * v * wv for v, wv in zip(f.values, w.fn.values))
-    n, d = total.numerator, total.denominator
-    e = (n.bit_length() - d.bit_length()) // 2
-    return math.ldexp(math.sqrt(ldexp_ratio(n, d, 2 * e)), e)
-
-
 # ---------------------------------------------------------------------------
 # A2 constant
 # ---------------------------------------------------------------------------
-
-def _verbatim(q: Fraction):
-    """``rat_str(q)`` while numerator and denominator stay below 4,096
-    bits, else None: exact constants from power weights can have
-    numerators far past any sensible decimal printout (and past Python's
-    int-to-str digit limit)."""
-    small = (q.numerator.bit_length() < 4096
-             and q.denominator.bit_length() < 4096)
-    return rat_str(q) if small else None
-
 
 @dataclass
 class A2Report:
@@ -240,7 +217,7 @@ class A2Report:
 
     def to_json(self) -> dict:
         return {
-            "constant": _verbatim(self.constant),
+            "constant": rat_str(self.constant),
             "constant_float": float(self.constant),
             "witness": self.witness.to_json(),
             "witness_kind": self.witness_kind,
@@ -587,7 +564,7 @@ class ScanRow:
     def to_json(self) -> dict:
         return {"a": self.a, "A2": self.a2, "opnorm": self.opnorm,
                 "ratio": self.ratio,
-                "A2_exact": _verbatim(self.a2_exact),
+                "A2_exact": rat_str(self.a2_exact),
                 "converged": self.converged}
 
 

@@ -27,7 +27,6 @@ from sparsedom.stepfn import (
     local_mean_oscillation,
 )
 from sparsedom.czo import (
-    DominationReport,
     dominate,
     hilbert_apply,
     maximal_truncated,

@@ -15,6 +15,7 @@ Regenerate (only when a verdict is meant to change) with
 import json
 import pathlib
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -75,7 +76,7 @@ def _cli_json(argv: list) -> dict:
 
 
 def _verdict_json(cid: str, overrides: dict) -> dict:
-    cfg = default_config(cid).replaced(**overrides)
+    cfg = replace(default_config(cid), **overrides)
     # through JSON text, so floats and keys compare as the file stores them
     return json.loads(json.dumps(run_criterion(cid, cfg).to_json()))
 

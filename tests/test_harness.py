@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -67,7 +68,7 @@ def test_config_rejects(kw):
 
 def test_config_replaced_and_json():
     cfg = ExperimentConfig(level=4, seed=7)
-    other = cfg.replaced(seed=9)
+    other = replace(cfg, seed=9)
     assert other.seed == 9 and other.level == 4 and cfg.seed == 7
     data = cfg.to_json()
     assert data["lam"] == "1/8"
@@ -235,8 +236,8 @@ def sandwich_oracle(cfg, maximal):
 
 @pytest.mark.parametrize("dim, level", [(1, 6), (2, 3)], ids=["1d", "2d"])
 def test_sandwich_gaps_match_the_per_cell_loop(dim, level, monkeypatch):
-    cfg = default_config("maximal-sandwich").replaced(dim=dim, level=level,
-                                                      trials=3)
+    cfg = replace(default_config("maximal-sandwich"), dim=dim, level=level,
+                  trials=3)
     v = run_criterion("maximal-sandwich", cfg)
     assert (v.measured, v.witness) == sandwich_oracle(cfg, hl_maximal)
     assert v.passed
@@ -289,7 +290,7 @@ def display_oracle(cfg, adjoint):
 
 
 def test_display_gaps_match_the_per_cell_loop(monkeypatch):
-    cfg = default_config("adjoint-osc-growth").replaced(trials=3)
+    cfg = replace(default_config("adjoint-osc-growth"), trials=3)
     outputs = []
 
     def recorded(sh, alpha, f):
@@ -376,6 +377,29 @@ def test_cli_input_wrong_length(tmp_path, capsys):
     path = tmp_path / "f.csv"
     path.write_text("1,2,3\n")
     assert run_cli("dominate", "--level", "3", "--input", str(path)) == 2
+
+
+def test_cli_prints_exact_values_past_4096_bits_as_null(tmp_path, capsys):
+    # (p+1)/p for four large prime powers: the pointwise gaps carry their
+    # common denominator, far past Python's int-to-str digit limit
+    primes = [3**3000, 5**2100, 7**1800, 11**1400]
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(["%d/%d" % (p + 1, p) for p in primes]
+                             + ["1", "2"]) + "\n")
+    assert run_cli("cz-sparse", "--level", "1", "--input", str(path)) == 0
+    grids = json.loads(capsys.readouterr().out)["grids"]
+    assert [g["invariants"] for g in grids] == ["ok", "ok"]
+    assert [g["pointwise_gap"] for g in grids] == [None, None]
+
+
+def test_cli_cz_sparse_past_the_lattice_scale_bound_exits_2(tmp_path, capsys):
+    # 1 beside 2^-59: on the shifted grid the scale climb of cz_sparse
+    # passes level - 61 (test_cz_sparse_stops_at_the_lattice_scale_bound)
+    path = tmp_path / "tiny.csv"
+    path.write_text("1,1/%d,0,0,0,0\n" % 2**59)
+    assert run_cli("cz-sparse", "--level", "1", "--input", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "past level - 61 = -60" in err and "Traceback" not in err
 
 
 def test_cli_zero_denominator_flag_exits_2(capsys):
@@ -497,7 +521,7 @@ def test_cli_one_dimensional_criteria_exit_2_at_dim_2(cid, capsys):
 def test_run_criterion_checks_supported_dimensions():
     with pytest.raises(ValueError):
         run_criterion("master-domination",
-                      default_config("master-domination").replaced(dim=2, level=3))
+                      replace(default_config("master-domination"), dim=2, level=3))
 
 
 def test_cli_a2_scan_rejects_dim_2(capsys):
@@ -543,7 +567,7 @@ def test_cli_entrypoint_subprocess():
 
 def test_domination_without_an_instance_fails_honestly():
     # seed 144 draws an all-zero core function at level 1: nothing to measure
-    cfg = default_config("master-domination").replaced(level=1, trials=1, seed=144)
+    cfg = replace(default_config("master-domination"), level=1, trials=1, seed=144)
     v = run_criterion("master-domination", cfg)
     assert not v.passed
     assert v.measured == {"instances": 0, "c_min": None, "c_max": None,

@@ -7,7 +7,6 @@ by direct rational summation on both sides.
 """
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -21,23 +20,18 @@ from sparsedom.stepfn import (
     StepFunction,
     average,
     dyadic_maximal,
-    hl_maximal,
     local_mean_oscillation,
-    median,
     sharp_maximal,
     _grid_cube_sums,
     _top_scale,
 )
 from sparsedom.sparse import (
-    DecompositionResult,
     SparseFamily,
     amalgam,
     amalgam_adjoint,
-    cz_good_bad_split,
     cz_pointwise_gap,
     cz_sparse,
     oscillation_decompose,
-    scale_family_count,
     shifted_operator,
     sparse_operator,
     split_families,
@@ -202,6 +196,30 @@ def test_cz_sparse_rejects_grid_of_another_dimension():
         cz_sparse(f, GridId.standard(1))
     with pytest.raises(ValueError):
         cz_sparse(mk_random(Mesh(dim=1, level=2), 1), GridId.standard(2))
+
+
+@pytest.mark.parametrize("dim, level, e", [(1, 1, 58), (1, 3, 58), (2, 1, 116)])
+def test_cz_sparse_stops_at_the_lattice_scale_bound(dim, level, e):
+    # 1 beside 2^-e: the scale climb above the mesh grows with e, and the
+    # int64 lattice corners hold the scales down to level - 61.  At e the
+    # climb stays within that on every grid, at e + 1 it leaves it on the
+    # fully shifted grid.
+    mesh = Mesh(dim=dim, level=level)
+
+    def tiny(e):
+        return StepFunction(mesh, [Fraction(1), Fraction(1, 2**e)]
+                            + [Fraction(0)] * (mesh.size - 2))
+
+    f = tiny(e)
+    for grid in GridId.all_grids(dim):
+        fam = cz_sparse(f, grid)
+        verify_sparse_family(fam)
+        assert cz_pointwise_gap(f, fam, dyadic_maximal(f, grid)) >= 0
+    *grids, shifted = GridId.all_grids(dim)
+    for grid in grids:
+        verify_sparse_family(cz_sparse(tiny(e + 1), grid))
+    with pytest.raises(ValueError, match="level - 61 = %d" % (level - 61)):
+        cz_sparse(tiny(e + 1), shifted)
 
 
 @pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1)], ids=["1d", "2d"])
@@ -540,86 +558,8 @@ def test_adjoint_oscillation_doubling():
 
 
 # ---------------------------------------------------------------------------
-# good/bad split and scale counting
-# ---------------------------------------------------------------------------
-
-def test_good_bad_split_identities():
-    mesh = Mesh(dim=1, level=5)
-    f = mk_random(mesh, 11, support=Box.interval(0, Fraction(1, 2)))
-    beta = Fraction(4)
-    res = cz_good_bad_split(f, beta)
-    assert res.bad_parts, "level set should be nonempty for this input"
-    total_bad = StepFunction.zeros(mesh)
-    for q, b in res.bad_parts:
-        assert b.integral() == 0
-        assert average(f, q.box) == average(res.good, q.box)
-        total_bad = total_bad + b
-    assert (res.good + total_bad).values == f.values
-    assert res.good.norm_l1() <= f.norm_l1()
-    assert sum(b.norm_l1() for _, b in res.bad_parts) <= 2 * f.norm_l1()
-    mf = hl_maximal(f)
-    for i in range(mesh.size):
-        if mf.values[i] <= beta:
-            assert res.good.values[i] == f.values[i]
-        else:
-            assert res.good.values[i] <= res.constant * beta
-
-
-def test_good_bad_split_trivial_and_errors():
-    mesh = Mesh(dim=1, level=4)
-    f = mk_random(mesh, 12, support=Box.interval(0, 1))
-    res = cz_good_bad_split(f, Fraction(1000))
-    assert res.bad_parts == [] and res.good.values == f.values
-    with pytest.raises(ValueError):
-        cz_good_bad_split(f, Fraction(0))
-    dense = StepFunction.constant(mesh, 5)
-    with pytest.raises(ValueError):
-        cz_good_bad_split(dense, Fraction(1, 100))  # level set = whole domain
-
-
-def test_scale_family_count_bounds():
-    mesh = Mesh(dim=1, level=6)
-    f = mk_random(mesh, 17)
-    fam = cz_sparse(f, STD)
-    for m in (0, 1, 2):
-        sh = split_families(fam, m)
-        for k_q in (0, 1):
-            for jq in range(2**k_q):
-                q_l = Cube(STD, k_q, (jq,))
-                count = scale_family_count(sh, q_l)
-                assert count <= m + 5
-                side_lim = q_l.side / (18 * 2**m)
-                members = {q for _, q in fam.pairs()
-                           if q_l.box.contains_box(q.box) and q.side >= side_lim}
-                # overlap of the deduplicated sub-collection <= count
-                for i in flat_cells(mesh, q_l.box):
-                    center = (mesh.domain.lo[0] + (i + Fraction(1, 2)) * mesh.h,)
-                    overlap = sum(1 for q in members if q.box.contains_point(center))
-                    assert overlap <= count
-
-
-def test_scale_family_count_empty():
-    mesh = Mesh(dim=1, level=4)
-    f = indicator(mesh, Box.interval(0, Fraction(1, 16)))
-    fam = cz_sparse(f, STD)
-    sh = split_families(fam, 0)
-    # a cube far away from the support holds no family cubes
-    assert scale_family_count(sh, Cube(STD, 2, (-4,))) == 0
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def test_family_json_roundtrip():
-    mesh = Mesh(dim=1, level=4)
-    f = mk_random(mesh, 19)
-    fam = cz_sparse(f, STD)
-    blob = json.dumps(fam.to_json())
-    back = SparseFamily.from_json(json.loads(blob))
-    assert back.grid == fam.grid
-    assert back.levels == fam.levels
-
 
 def test_decomposition_json():
     mesh = Mesh(dim=1, level=4)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedom.geometry import Box, Cube, GridId
@@ -23,6 +23,8 @@ from sparsedom.stepfn import (
     sharp_maximal,
     _cube_sums,
     _grid_cube_sums,
+    _grid_lattice,
+    _LATTICE_DEPTH,
     _prefix_table,
     _runs,
     _top_scale,
@@ -254,6 +256,24 @@ def test_box_beyond_the_domain_holds_no_cells():
     beyond = Box.interval(5, 6)
     assert f.mesh.cells(beyond) == (slice(12, 12),)
     assert f.atom_sum(beyond) == 0 and f.integral(beyond) == 0
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_grid_lattice_is_exact_through_its_depth(level):
+    # against Cube.box on the h/3 lattice, down to scale level - 61; one
+    # scale coarser the int64 side 3·2^62 of the lattice overflows
+    mesh = Mesh(1, level)
+    lo, n3 = mesh.domain.lo[0], 3 * mesh.cells_axis
+    centers = [lo + (i + Fraction(1, 2)) * mesh.h for i in range(mesh.cells_axis)]
+    for grid in GridId.all_grids(1):
+        for k in (level - _LATTICE_DEPTH, level - _LATTICE_DEPTH + 1):
+            (j0, corners, pos), = _grid_lattice(mesh, grid, k)
+            boxes = [Cube(grid, k, (j0 + i,)).box for i in range(len(corners))]
+            assert list(corners) == [min(max(3 * (b.lo[0] - lo) / mesh.h, 0), n3)
+                                     for b in boxes]
+            assert list(j0 + pos) == [cube_at(grid, k, (x,)).j[0] for x in centers]
+        with pytest.raises(OverflowError):
+            _grid_lattice(mesh, grid, level - _LATTICE_DEPTH - 1)
 
 
 # ---------------------------------------------------------------------------
