@@ -2,9 +2,10 @@
 acceptance suite.
 
 Every subcommand reads the same flag set, optionally overridden by a
-``--config`` file of key=value lines, and emits a JSON (or key,value CSV)
-report to stdout or ``--out``.  Exit codes: 0 pass, 1 criterion or
-invariant failure, 2 usage or configuration error.
+``--config`` file of key=value lines, both parsed through one key table,
+and emits a JSON (or key,value CSV) report to stdout or the ``out`` of
+flag or file.  Exit codes: 0 pass, 1 criterion or invariant failure, 2
+usage or configuration error.
 """
 
 import argparse
@@ -38,8 +39,36 @@ from .harness import (
 
 __all__ = ["main"]
 
-_CONFIG_INT_KEYS = ("dim", "level", "seed", "trials")
-_CONFIG_STR_KEYS = ("kind", "operator", "fmt", "out")
+
+def _comma_list(parse):
+    return lambda value: tuple(parse(s) for s in value.split(","))
+
+
+# every --config key -> (parser, flag or None, flag help); the keys without
+# a flag are read by one subcommand only (_EXTRA_KEYS)
+_KEYS = {
+    "dim": (int, "--dim", None),
+    "level": (int, "--level", None),
+    "seed": (int, "--seed", None),
+    "trials": (int, "--trials", None),
+    "m_list": (_comma_list(int), "--m",
+               "comma-separated shift exponents, e.g. 1,2,4"),
+    "lam": (parse_scalar, "--lambda",
+            "oscillation quantile in (0,1), e.g. 1/8"),
+    "kind": (str, "--kind", "generator: spike | indicator-sums | "
+                            "random-cells | power-profile"),
+    "operator": (str, "--operator", "scan operator: sparse | hilbert"),
+    "fmt": (str, "--format", "report format: json | csv"),
+    "out": (str, "--out", None),
+    "q_lo": (parse_scalar, None, None),
+    "q_hi": (parse_scalar, None, None),
+    "exponents": (_comma_list(float), None, None),
+}
+_KEY_ALIASES = {"lambda": "lam", "m": "m_list"}
+
+# the config-file keys that only one subcommand reads
+_EXTRA_KEYS = {"q_lo": "osc-estimate", "q_hi": "osc-estimate",
+               "exponents": "a2-scan"}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -53,26 +82,11 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError("%s:%d: expected key=value" % (path, lineno))
             key, value = (s.strip() for s in line.split("=", 1))
-            if key in _CONFIG_INT_KEYS:
-                out[key] = int(value)
-            elif key == "lam" or key == "lambda":
-                out["lam"] = parse_scalar(value)
-            elif key == "m" or key == "m_list":
-                out["m_list"] = tuple(int(s) for s in value.split(","))
-            elif key in _CONFIG_STR_KEYS:
-                out[key] = value
-            elif key in ("q_lo", "q_hi"):
-                out[key] = parse_scalar(value)
-            elif key == "exponents":
-                out[key] = tuple(float(s) for s in value.split(","))
-            else:
+            key = _KEY_ALIASES.get(key, key)
+            if key not in _KEYS:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
+            out[key] = _KEYS[key][0](value)
     return out
-
-
-# the config-file keys that only one subcommand reads
-_EXTRA_KEYS = {"q_lo": "osc-estimate", "q_hi": "osc-estimate",
-               "exponents": "a2-scan"}
 
 
 def _gather_config(args, defaults: ExperimentConfig = None,
@@ -83,17 +97,12 @@ def _gather_config(args, defaults: ExperimentConfig = None,
     is, with ``no_lambda``, a λ given by flag or config file (reported with
     that reason)."""
     merged = asdict(defaults) if defaults is not None else {}
-    for key in ("dim", "level", "seed", "trials", "kind", "operator",
-                "fmt", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    if getattr(args, "lam", None) is not None:
-        merged["lam"] = parse_scalar(args.lam)
-    if getattr(args, "m", None) is not None:
-        merged["m_list"] = tuple(int(s) for s in args.m.split(","))
+    flags = {key: parse(getattr(args, key))
+             for key, (parse, flag, _) in _KEYS.items()
+             if flag and getattr(args, key) is not None}
+    merged.update(flags)
     extras, overrides = {}, {}
-    if getattr(args, "config", None):
+    if args.config:
         overrides = _parse_config_file(args.config)
         for key in sorted(_EXTRA_KEYS.keys() & overrides.keys()):
             if args.command != _EXTRA_KEYS[key]:
@@ -101,8 +110,7 @@ def _gather_config(args, defaults: ExperimentConfig = None,
                                  % (args.command, key, _EXTRA_KEYS[key]))
             extras[key] = overrides.pop(key)
         merged.update(overrides)
-    if no_lambda and (getattr(args, "lam", None) is not None
-                      or "lam" in overrides):
+    if no_lambda and ("lam" in flags or "lam" in overrides):
         raise ValueError("%s: --lambda (lam, lambda in --config) is not "
                          "accepted: %s" % (args.command, no_lambda))
     return ExperimentConfig(**merged), extras
@@ -126,29 +134,23 @@ def _flatten(prefix: str, obj, rows: list):
 
 
 def _emit(report: dict, cfg: ExperimentConfig, text: str = None) -> None:
-    """Write the report as JSON, or in CSV as ``text`` when given and as
-    flattened key,value rows otherwise."""
+    """Stamp the report with the time and write it to ``cfg.out`` or
+    stdout: as JSON, or in CSV as ``text`` when given and as flattened
+    key,value rows otherwise."""
+    report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if cfg.fmt != "csv":
         text = json.dumps(report, indent=2) + "\n"
     elif text is None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        rows = []
+        rows = [("key", "value")]
         _flatten("", report, rows)
-        for key, value in rows:
-            writer.writerow([key, value])
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
         text = buf.getvalue()
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _stamp(report: dict) -> dict:
-    report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def _stamp(report: dict) -> dict:
 def _cmd_cover_test(args) -> int:
     cfg, _ = _gather_config(args, default_config("cover-6x"))
     verdict = run_criterion("cover-6x", cfg)
-    _emit(_stamp(verdict.to_json()), cfg)
+    _emit(verdict.to_json(), cfg)
     return 0 if verdict.passed else 1
 
 
@@ -175,7 +177,7 @@ def _cmd_decompose(args) -> int:
               "verify_gap": rat_str(gap),
               "family_size": res.family.cube_count(),
               "config": cfg.to_json()}
-    _emit(_stamp(report), cfg)
+    _emit(report, cfg)
     return 0 if gap >= 0 else 1
 
 
@@ -200,7 +202,7 @@ def _cmd_cz_sparse(args) -> int:
             ok = ok and gap >= 0
         grids.append(entry)
     report = {"grids": grids, "config": cfg.to_json()}
-    _emit(_stamp(report), cfg)
+    _emit(report, cfg)
     return 0 if ok else 1
 
 
@@ -209,7 +211,7 @@ def _cmd_dominate(args) -> int:
     f = abs(_input_function(args, cfg))
     rep = dominate(f)
     report = {"domination": rep.to_json(), "config": cfg.to_json()}
-    _emit(_stamp(report), cfg)
+    _emit(report, cfg)
     return 0 if rep.violations == 0 and rep.decomposition_gap >= 0 else 1
 
 
@@ -222,7 +224,7 @@ def _cmd_osc_estimate(args) -> int:
     rep = oscillation_estimate_report(f, q, cfg.lam)
     report = {"q": q.to_json(), "estimate": rep.to_json(),
               "config": cfg.to_json()}
-    _emit(_stamp(report), cfg)
+    _emit(report, cfg)
     return 0 if not rep.defect else 1
 
 
@@ -233,7 +235,7 @@ def _cmd_a2_scan(args) -> int:
     exponents = extras.get("exponents", (0, 0.3, 0.6, 0.8, 0.9, 0.95))
     table, = a2_scan([cfg.operator], exponents, level=cfg.level,
                      seed=cfg.seed)
-    _emit(_stamp({"scan": table.to_json(), "config": cfg.to_json()}), cfg,
+    _emit({"scan": table.to_json(), "config": cfg.to_json()}, cfg,
           table.to_csv())
     return 0
 
@@ -246,39 +248,18 @@ def _cmd_acceptance(args) -> int:
         return 2
     verdicts = []
     for cid in ids:
-        cfg = default_config(cid)
-        merged, _ = _gather_config(args, cfg)
-        verdict = run_criterion(cid, merged)
+        cfg, _ = _gather_config(args, default_config(cid))
+        verdict = run_criterion(cid, cfg)
         verdicts.append(verdict)
         print("%s  %-20s %6.1fs" % ("PASS" if verdict.passed else "FAIL",
                                     verdict.criterion, verdict.elapsed),
               file=sys.stderr)
     report = {"verdicts": [v.to_json() for v in verdicts],
               "all_passed": all(v.passed for v in verdicts)}
-    out_cfg = ExperimentConfig(fmt=args.fmt or "json", out=args.out)
-    _emit(_stamp(report), out_cfg)
+    # no pinned config sets fmt or out, so every cfg carries those of the
+    # flags and the config file
+    _emit(report, cfg)
     return 0 if all(v.passed for v in verdicts) else 1
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim", type=int, default=None)
-    sub.add_argument("--level", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--m", type=str, default=None,
-                     help="comma-separated shift exponents, e.g. 1,2,4")
-    sub.add_argument("--lambda", dest="lam", type=str, default=None,
-                     help="oscillation quantile in (0,1), e.g. 1/8")
-    sub.add_argument("--kind", type=str, default=None,
-                     help="generator: spike | indicator-sums | "
-                          "random-cells | power-profile")
-    sub.add_argument("--operator", type=str, default=None,
-                     help="scan operator: sparse | hilbert")
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                     default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--config", type=str, default=None,
-                     help="key=value file overriding flags")
 
 
 def main(argv=None) -> int:
@@ -305,7 +286,10 @@ def main(argv=None) -> int:
     ]
     for name, fn, help_text in specs:
         sub = subs.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+        for key, (_, flag, flag_help) in _KEYS.items():
+            if flag:
+                sub.add_argument(flag, dest=key, help=flag_help)
+        sub.add_argument("--config", help="key=value file overriding flags")
         if name in ("decompose", "cz-sparse", "dominate", "osc-estimate"):
             sub.add_argument("--input", type=str, default=None,
                              help="CSV of cell values (rational or decimal)")

@@ -1,10 +1,12 @@
 """Experiment harness: configuration, seeded instance generation, the
 acceptance-criteria registry, and verdict serialization.
 
-Every criterion is a pure function of an ExperimentConfig; trials derive
-per-trial seeds as seed^index, so reports do not depend on execution
-order.  Failing verdicts carry a replayable witness (criterion id, seed,
-config, and the offending instance descriptor).
+Every criterion is a pure function of an ExperimentConfig returning
+(measured, witness), and passes when it finds no witness; ``run_criterion``
+adds the registry id and the elapsed time to make the Verdict.  Trials
+derive per-trial seeds as seed^index, so reports do not depend on
+execution order.  A failing verdict's witness, with its criterion id and
+config, replays the offending instance.
 """
 
 import itertools
@@ -104,11 +106,14 @@ class ExperimentConfig:
 @dataclass
 class Verdict:
     criterion: str
-    passed: bool
     measured: dict
     config: ExperimentConfig
     witness: dict = None
     elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         # elapsed is deliberately left out: a (config, seed) pair must
@@ -167,7 +172,7 @@ def generate_function(seed: int, spec: str, mesh: Mesh) -> StepFunction:
 # criteria
 # ---------------------------------------------------------------------------
 
-def _crit_cover(cfg: ExperimentConfig) -> Verdict:
+def _crit_cover(cfg: ExperimentConfig) -> tuple:
     """Random rational boxes are contained in their cover cube with side
     at most 6x, exactly."""
     worst = Fraction(0)
@@ -185,8 +190,7 @@ def _crit_cover(cfg: ExperimentConfig) -> Verdict:
         grid, cube = cover_cube(box)
         ratio = cube.side / side
         ok = cube.box.contains_box(box) and ratio <= 6
-        if ratio > worst:
-            worst = ratio
+        worst = max(worst, ratio)
         if not ok and witness is None:
             witness = {"box": box.to_json(), "grid": grid.to_json()}
 
@@ -194,15 +198,11 @@ def _crit_cover(cfg: ExperimentConfig) -> Verdict:
         one(1)
     for _ in range(trials_2d):
         one(2)
-    return Verdict(
-        criterion="cover-6x",
-        passed=witness is None,
-        measured={"trials_1d": trials_1d, "trials_2d": trials_2d,
-                  "max_side_ratio": float(worst)},
-        config=cfg, witness=witness)
+    return {"trials_1d": trials_1d, "trials_2d": trials_2d,
+            "max_side_ratio": float(worst)}, witness
 
 
-def _crit_sparse_invariants(cfg: ExperimentConfig) -> Verdict:
+def _crit_sparse_invariants(cfg: ExperimentConfig) -> tuple:
     """cz_sparse families satisfy the sparse-family invariants and the
     pointwise bound M^d f <= 2^{n+1} A_S f, exactly."""
     mesh = cfg.mesh()
@@ -223,21 +223,16 @@ def _crit_sparse_invariants(cfg: ExperimentConfig) -> Verdict:
             if fam.is_empty:
                 continue
             gap = cz_pointwise_gap(f, fam, dyadic_maximal(f, grid))
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
+            min_gap = gap if min_gap is None else min(min_gap, gap)
             if gap < 0 and witness is None:
                 witness = {"trial": t, "grid": grid.to_json(),
                            "gap": rat_str(gap)}
-    return Verdict(
-        criterion="sparse-invariants",
-        passed=witness is None and (min_gap is None or min_gap >= 0),
-        measured={"families_checked": families,
-                  "min_pointwise_gap": None if min_gap is None
-                  else float(min_gap)},
-        config=cfg, witness=witness)
+    return {"families_checked": families,
+            "min_pointwise_gap": None if min_gap is None
+            else float(min_gap)}, witness
 
 
-def _crit_maximal_sandwich(cfg: ExperimentConfig) -> Verdict:
+def _crit_maximal_sandwich(cfg: ExperimentConfig) -> tuple:
     """Mf <= 6^n · Σ_α M^{D_α}f and Mf <= 2·12^n · Σ_α A_{S_α}f cellwise."""
     mesh = cfg.mesh()
     n = cfg.dim
@@ -264,16 +259,12 @@ def _crit_maximal_sandwich(cfg: ExperimentConfig) -> Verdict:
             witness = {"trial": t, "cell": i,
                        "grid_gap": rat_str(Fraction(gap_g.flat[i], den_g)),
                        "sparse_gap": rat_str(Fraction(gap_s.flat[i], den_s))}
-    return Verdict(
-        criterion="maximal-sandwich",
-        passed=witness is None,
-        measured={"min_grid_gap": float(worst_grid),
-                  "min_sparse_gap": float(worst_sparse),
-                  "trials": cfg.trials},
-        config=cfg, witness=witness)
+    return {"min_grid_gap": float(worst_grid),
+            "min_sparse_gap": float(worst_sparse),
+            "trials": cfg.trials}, witness
 
 
-def _crit_decomposition(cfg: ExperimentConfig) -> Verdict:
+def _crit_decomposition(cfg: ExperimentConfig) -> tuple:
     """|f - m_f(Q0)| <= 4·M^{#,d}f + 2·Σ ω·χ on every cell of Q0."""
     mesh = cfg.mesh()
     q0 = Cube(GridId.standard(cfg.dim), 0, (0,) * cfg.dim)
@@ -286,21 +277,16 @@ def _crit_decomposition(cfg: ExperimentConfig) -> Verdict:
         res = oscillation_decompose(f, q0)
         gap = verify_decomposition(f, res)
         sizes.append(res.family.cube_count())
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
+        min_gap = gap if min_gap is None else min(min_gap, gap)
         if gap < 0 and witness is None:
             witness = {"trial": t, "seed": cfg.seed ^ t,
                        "gap": rat_str(gap)}
-    return Verdict(
-        criterion="osc-decomposition",
-        passed=witness is None,
-        measured={"trials": cfg.trials, "min_gap": float(min_gap),
-                  "mean_family_size": sum(sizes) / len(sizes),
-                  "lambda": rat_str(res.lam)},
-        config=cfg, witness=witness)
+    return {"trials": cfg.trials, "min_gap": float(min_gap),
+            "mean_family_size": sum(sizes) / len(sizes),
+            "lambda": rat_str(res.lam)}, witness
 
 
-def _crit_l2_bound(cfg: ExperimentConfig) -> Verdict:
+def _crit_l2_bound(cfg: ExperimentConfig) -> tuple:
     """‖A*_{m,α} f‖₂ <= 8 ‖f‖₂ with exact norm-squares, m in 0..6."""
     mesh = cfg.mesh()
     witness = None
@@ -320,31 +306,38 @@ def _crit_l2_bound(cfg: ExperimentConfig) -> Verdict:
                 asq = amalgam_adjoint(sh, alpha, f).norm_l2_sq()
                 checked += 1
                 if fsq > 0:
-                    ratio = asq / fsq
-                    if ratio > worst:
-                        worst = ratio
+                    worst = max(worst, asq / fsq)
                 if asq > 64 * fsq and witness is None:
                     witness = {"m": m, "trial": t,
                                "norm_ratio_sq": rat_str(asq / fsq)}
-    return Verdict(
-        criterion="l2-bound-8",
-        passed=witness is None,
-        measured={"pairs_checked": checked,
-                  "max_norm_ratio": math.sqrt(float(worst)),
-                  "bound": 8.0},
-        config=cfg, witness=witness)
+    return {"pairs_checked": checked,
+            "max_norm_ratio": math.sqrt(float(worst)),
+            "bound": 8.0}, witness
 
 
-def _crit_weak_growth(cfg: ExperimentConfig) -> Verdict:
+def _doubling(cfg: ExperimentConfig, ratio, names: tuple) -> tuple:
+    """Criteria 6 and 7's check r(2m) <= 3·r(m), m in cfg.m_list, with r =
+    ``ratio`` at those m and their doubles: r and r(2m)/r(m) as JSON dicts,
+    and the first failing m, with r(m), r(2m) under ``names``, or None."""
+    ratios = {m: ratio(m) for m in sorted(set(cfg.m_list)
+                                          | {2 * m for m in cfg.m_list})}
+    witness = next(({"m": m, names[0]: float(ratios[m]),
+                     names[1]: float(ratios[2 * m])}
+                    for m in cfg.m_list if 0 < 3 * ratios[m] < ratios[2 * m]),
+                   None)
+    return ({str(m): float(v) for m, v in ratios.items()},
+            {str(m): float(ratios[2 * m] / ratios[m])
+             for m in cfg.m_list if ratios[m] > 0}, witness)
+
+
+def _crit_weak_growth(cfg: ExperimentConfig) -> tuple:
     """Weak (1,1) ratio r(m) doubles by at most 3: r(2m) <= 3 r(m)."""
     mesh = cfg.mesh()
-    ms = sorted(set(cfg.m_list) | set(2 * m for m in cfg.m_list))
-    ratios = {}
-    for m in ms:
+
+    def ratio(m):
         best = Fraction(0)
         for t in range(cfg.trials):
-            f = abs(generate_function(cfg.seed ^ (31 * m + t), cfg.kind,
-                                      mesh))
+            f = abs(generate_function(cfg.seed ^ (31 * m + t), cfg.kind, mesh))
             l1 = f.norm_l1()
             if l1 == 0:
                 continue
@@ -355,31 +348,16 @@ def _crit_weak_growth(cfg: ExperimentConfig) -> Verdict:
             for alpha in GridId.all_grids(1):
                 best = max(best,
                            weak_norm(amalgam_adjoint(sh, alpha, f)) / l1)
-        ratios[m] = best
-    witness = None
-    for m in cfg.m_list:
-        if ratios[m] > 0 and ratios[2 * m] > 3 * ratios[m]:
-            witness = witness or {"m": m,
-                                  "r_m": float(ratios[m]),
-                                  "r_2m": float(ratios[2 * m])}
-    return Verdict(
-        criterion="weak11-growth",
-        passed=witness is None,
-        measured={"r": {str(m): float(v) for m, v in ratios.items()},
-                  "doubling": {str(m): float(ratios[2 * m] / ratios[m])
-                               for m in cfg.m_list if ratios[m] > 0}},
-        config=cfg, witness=witness)
+        return best
+
+    r, doubling, witness = _doubling(cfg, ratio, ("r_m", "r_2m"))
+    return {"r": r, "doubling": doubling}, witness
 
 
-def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
+def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> tuple:
     """Oscillation ratio ω_λ(A*f;Q)/(m·f_Q) doubles by at most 3, and the
     display |A*f - c|·χ_q <= A*(f·χ_q) holds exactly."""
     mesh = cfg.mesh()
-    lam = cfg.lam
-    ms = sorted(set(cfg.m_list) | set(2 * m for m in cfg.m_list))
-    witness = None
-    display_checked = 0
-
     probes = []
     for beta in GridId.all_grids(1):
         for k_q in (1, 2, 3, 4):
@@ -389,15 +367,17 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
                 if cells.start < cells.stop:
                     probes.append(q)
 
-    ratios = {m: Fraction(0) for m in ms}
+    instances = []
     for t in range(cfg.trials):
         kind = GENERATOR_KINDS[t % len(GENERATOR_KINDS)]
         f = abs(generate_function(cfg.seed ^ t, kind, mesh))
         fam = cz_sparse(f, GridId.standard(1))
-        if fam.is_empty:
-            continue
-        averages = {q: average(f, q.box) for q in probes}
-        for m in ms:
+        if not fam.is_empty:
+            instances.append((f, fam, {q: average(f, q.box) for q in probes}))
+
+    def ratio(m):
+        best = Fraction(0)
+        for f, fam, averages in instances:
             sh = split_families(fam, m)
             for alpha in GridId.all_grids(1):
                 adj = amalgam_adjoint(sh, alpha, f)
@@ -405,11 +385,16 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
                     av = averages[q]
                     if av == 0:
                         continue
-                    osc = local_mean_oscillation(adj, q.box, lam)
+                    osc = local_mean_oscillation(adj, q.box, cfg.lam)
                     if osc:
-                        ratios[m] = max(ratios[m], osc / (m * av))
+                        best = max(best, osc / (m * av))
+        return best
+
+    ratios, doubling, growth = _doubling(cfg, ratio, ("ratio_m", "ratio_2m"))
 
     # exact pointwise display on a fixed slice of instances
+    witness = None
+    display_checked = 0
     for t in range(min(cfg.trials, 10)):
         f = abs(generate_function(cfg.seed ^ (701 + t), cfg.kind, mesh))
         fam = cz_sparse(f, GridId.standard(1))
@@ -439,21 +424,11 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> Verdict:
                     witness = witness or {"trial": t, "cube": q.to_json(),
                                           "cell": cells.start + int(failing[0])}
 
-    for m in cfg.m_list:
-        if ratios[m] > 0 and ratios[2 * m] > 3 * ratios[m]:
-            witness = witness or {"m": m, "ratio_m": float(ratios[m]),
-                                  "ratio_2m": float(ratios[2 * m])}
-    return Verdict(
-        criterion="adjoint-osc-growth",
-        passed=witness is None,
-        measured={"ratio": {str(m): float(v) for m, v in ratios.items()},
-                  "doubling": {str(m): float(ratios[2 * m] / ratios[m])
-                               for m in cfg.m_list if ratios[m] > 0},
-                  "display_checks": display_checked},
-        config=cfg, witness=witness)
+    return {"ratio": ratios, "doubling": doubling,
+            "display_checks": display_checked}, witness or growth
 
 
-def _crit_hilbert_exact(cfg: ExperimentConfig) -> Verdict:
+def _crit_hilbert_exact(cfg: ExperimentConfig) -> tuple:
     """hilbert_apply agrees with adaptive quadrature to 1e-8; truncation
     additivity to 1e-10; T-natural sublinearity to 1e-10."""
     from scipy.integrate import quad  # the reference quadrature, loaded only here
@@ -517,16 +492,12 @@ def _crit_hilbert_exact(cfg: ExperimentConfig) -> Verdict:
             i = int(failing[0])
             witness = {"sublinearity_excess": float(over[i]), "cell": i,
                        "trial": t}
-    return Verdict(
-        criterion="hilbert-exact",
-        passed=witness is None,
-        measured={"max_quadrature_diff": max_quad,
-                  "max_additivity_diff": max_add,
-                  "max_sublinearity_excess": max_sub},
-        config=cfg, witness=witness)
+    return {"max_quadrature_diff": max_quad,
+            "max_additivity_diff": max_add,
+            "max_sublinearity_excess": max_sub}, witness
 
 
-def _crit_osc_stability(cfg: ExperimentConfig) -> Verdict:
+def _crit_osc_stability(cfg: ExperimentConfig) -> tuple:
     """The max oscillation-estimate ratio over the pair set is finite and
     moves by at most 25% under mesh refinement level -> level+2."""
     mesh = cfg.mesh()
@@ -554,16 +525,12 @@ def _crit_osc_stability(cfg: ExperimentConfig) -> Verdict:
     if witness is None and rel > 0.25:
         witness = {"max_ratio_coarse": max_coarse, "max_ratio_fine": max_fine,
                    "rel_change": rel}
-    return Verdict(
-        criterion="osc-stability",
-        passed=witness is None,
-        measured={"pairs": pairs, "max_ratio_coarse": max_coarse,
-                  "max_ratio_fine": max_fine, "rel_change": rel,
-                  "levels": [cfg.level, cfg.level + 2]},
-        config=cfg, witness=witness)
+    return {"pairs": pairs, "max_ratio_coarse": max_coarse,
+            "max_ratio_fine": max_fine, "rel_change": rel,
+            "levels": [cfg.level, cfg.level + 2]}, witness
 
 
-def _crit_domination(cfg: ExperimentConfig) -> Verdict:
+def _crit_domination(cfg: ExperimentConfig) -> tuple:
     """dominate() passes its exact decomposition stage on every seed and
     the majorization constant varies by less than a factor 2."""
     mesh = cfg.mesh()
@@ -587,15 +554,11 @@ def _crit_domination(cfg: ExperimentConfig) -> Verdict:
                               "every trial had a zero core function or c = 0"}
     elif spread >= 2 and witness is None:
         witness = {"c_min": c_min, "c_max": c_max, "spread": spread}
-    return Verdict(
-        criterion="master-domination",
-        passed=witness is None,
-        measured={"instances": len(cs), "c_min": c_min, "c_max": c_max,
-                  "spread": spread},
-        config=cfg, witness=witness)
+    return {"instances": len(cs), "c_min": c_min, "c_max": c_max,
+            "spread": spread}, witness
 
 
-def _crit_a2_scan(cfg: ExperimentConfig) -> Verdict:
+def _crit_a2_scan(cfg: ExperimentConfig) -> tuple:
     """Power-family scan: A2 span >= 20x while opnorm/A2 stays within 10x
     for the sparse operator and the full-truncation Hilbert matrix."""
     exps = [0, 0.3, 0.6, 0.8, 0.9, 0.95]
@@ -621,11 +584,7 @@ def _crit_a2_scan(cfg: ExperimentConfig) -> Verdict:
             fails["a0_ratio"] = a0
         if fails and witness is None:
             witness = {"kind": kind, "clauses": fails}
-    return Verdict(
-        criterion="a2-scan",
-        passed=witness is None,
-        measured=measured,
-        config=cfg, witness=witness)
+    return measured, witness
 
 
 # id -> (runner, supported dimensions, pinned config)
@@ -680,7 +639,6 @@ def run_criterion(criterion: str, config: ExperimentConfig = None) -> Verdict:
         raise ValueError("criterion %s runs in dimension %s only, not %d"
                          % (cid, " or ".join(map(str, dims)), cfg.dim))
     t0 = time.perf_counter()
-    verdict = fn(cfg)
-    verdict.elapsed = time.perf_counter() - t0
-    return verdict
+    measured, witness = fn(cfg)
+    return Verdict(cid, measured, cfg, witness, time.perf_counter() - t0)
 

@@ -528,7 +528,6 @@ class ShiftedFamily:
     its 2^m dilate within the 6·2^m sidelength guarantee."""
 
     base: SparseFamily
-    m: int
     assignment: dict[Cube, tuple[GridId, Cube]]
 
     def family_of(self, alpha: GridId):
@@ -553,7 +552,7 @@ def split_families(fam: SparseFamily, m: int) -> ShiftedFamily:
         if cover.side > 6 * pow2(m) * q.side:
             raise AssertionError("cover cube too large")
         assignment[q] = (grid, cover)
-    return ShiftedFamily(fam, m, assignment)
+    return ShiftedFamily(fam, assignment)
 
 
 def amalgam(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:

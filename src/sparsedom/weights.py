@@ -371,7 +371,6 @@ class CellOperator:
     weighted adjoint w⁻¹ Aᵗ w is formed where needed.
     """
 
-    name: str
     size: int
     _apply: callable
     _apply_t: callable
@@ -383,56 +382,42 @@ class CellOperator:
         return self._apply_t(np.asarray(v, dtype=float))
 
 
+def _span_operator(mesh: Mesh, boxes: list) -> CellOperator:
+    """Σ avg(v, source)·χ_target over the (target, source) box pairs as a
+    float matvec; the transpose swaps target and source."""
+    if mesh.dim != 1:
+        raise ValueError("operator adapters are one-dimensional")
+    h = float(mesh.h)
+    spans = [(mesh.cells(target), mesh.cells(source),
+              h / float(source.measure)) for target, source in boxes]
+
+    def matvec(rows):
+        def apply(v):
+            out = np.zeros_like(v)
+            for target, source, coeff in rows:
+                out[target] += coeff * v[source].sum()
+            return out
+        return apply
+
+    return CellOperator(mesh.size, matvec(spans),
+                        matvec([(s, t, c) for t, s, c in spans]))
+
+
 def sparse_family_operator(mesh: Mesh, fam: SparseFamily) -> CellOperator:
     """A_S f = Σ avg(f, Q)·χ_Q as a float matvec (n=1).
 
     Averages are geometric (integral over Q / |Q|); for cubes inside the
     domain this is the atom mean.  The matrix is symmetric.
     """
-    if mesh.dim != 1:
-        raise ValueError("operator adapters are one-dimensional")
-    h = float(mesh.h)
-    spans = []
-    for _, q in fam.pairs():
-        cells, = mesh.cells(q.box)
-        if cells.start < cells.stop:
-            spans.append((cells, h / float(q.box.measure)))
-
-    def apply(v):
-        out = np.zeros_like(v)
-        for cells, coeff in spans:
-            out[cells] += coeff * v[cells].sum()
-        return out
-
-    return CellOperator("sparse:%d-cubes" % len(spans), mesh.size,
-                        apply, apply)
+    return _span_operator(mesh, [(q.box, q.box) for _, q in fam.pairs()])
 
 
 def amalgam_pair_operator(mesh: Mesh, sh) -> CellOperator:
     """T_m f = Σ avg(f, cover)·χ_q as a float matvec; transpose is the
     adjoint Σ avg over q placed on the cover."""
-    if mesh.dim != 1:
-        raise ValueError("operator adapters are one-dimensional")
-    h = float(mesh.h)
-    spans = []
-    for alpha in GridId.all_grids(1):
-        for _, q, cover in sh.family_of(alpha):
-            spans.append((mesh.cells(q.box), mesh.cells(cover.box),
-                          h / float(cover.box.measure)))
-
-    def apply(v):
-        out = np.zeros_like(v)
-        for q, cover, coeff in spans:
-            out[q] += coeff * v[cover].sum()
-        return out
-
-    def apply_t(v):
-        out = np.zeros_like(v)
-        for q, cover, coeff in spans:
-            out[cover] += coeff * v[q].sum()
-        return out
-
-    return CellOperator("amalgam:m=%d" % sh.m, mesh.size, apply, apply_t)
+    return _span_operator(mesh, [(q.box, cover.box)
+                                 for alpha in GridId.all_grids(1)
+                                 for _, q, cover in sh.family_of(alpha)])
 
 
 def hilbert_full_operator(mesh: Mesh) -> CellOperator:
@@ -458,7 +443,7 @@ def hilbert_full_operator(mesh: Mesh) -> CellOperator:
     def apply_t(v):
         return -apply(v)
 
-    return CellOperator("hilbert-full", n, apply, apply_t)
+    return CellOperator(n, apply, apply_t)
 
 
 def tower_family(mesh: Mesh, center=Fraction(1, 2)) -> SparseFamily:

@@ -195,6 +195,12 @@ def test_verdict_json_shape():
     json.dumps(data)  # serializable throughout
 
 
+def test_verdict_passes_without_a_witness():
+    cfg = ExperimentConfig()
+    assert Verdict("cover-6x", {}, cfg).passed
+    assert not Verdict("cover-6x", {}, cfg, witness={"trial": 0}).passed
+
+
 def test_sparse_invariants_criterion_small():
     v = run_criterion("sparse-invariants",
                       ExperimentConfig(level=4, trials=3, seed=5))
@@ -531,6 +537,21 @@ def test_cli_a2_scan_rejects_dim_2(capsys):
 
 def test_cli_acceptance_requires_id_or_all(capsys):
     assert run_cli("acceptance") == 2
+
+
+def test_cli_acceptance_honours_out_and_fmt_from_the_config_file(tmp_path,
+                                                                  capsys):
+    out, cfg = tmp_path / "acc.json", tmp_path / "acc.cfg"
+    cfg.write_text("out = %s\ntrials = 200\n" % out)
+    assert run_cli("acceptance", "--id", "cover-6x", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == ""
+    data = json.loads(out.read_text())
+    assert data["verdicts"][0]["measured"]["trials_1d"] == 200
+    cfg.write_text("fmt = csv\ntrials = 200\n")
+    assert run_cli("acceptance", "--id", "cover-6x", "--config", str(cfg)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "key,value"
+    assert "verdicts[0].criterion,cover-6x" in lines
 
 
 def test_cli_acceptance_numeric_alias(tmp_path):

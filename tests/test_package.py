@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import sparsedom
-from sparsedom import czo, geometry, harness, rational, sparse, stepfn, weights
+from sparsedom import cli, czo, geometry, harness, rational, sparse, stepfn, \
+    weights
 
 MODULES = (rational, geometry, stepfn, sparse, czo, weights, harness)
 
@@ -74,6 +76,12 @@ def _sources():
             yield path, ast.parse(fh.read(), path)
 
 
+def _package_sources():
+    src = os.path.dirname(sparsedom.__file__)
+    return [(path, tree) for path, tree in _sources()
+            if os.path.dirname(path) == src]
+
+
 def _names_read(node, attributes=False) -> set:
     """Every name that ``node`` reads, quoted annotations included, and
     with ``attributes`` every attribute too."""
@@ -120,14 +128,47 @@ UNCALLED_PAPER_OBJECTS = {
 
 def test_every_export_is_used_in_the_package():
     # a name that only tests reach is not part of the toolkit
-    src = os.path.dirname(sparsedom.__file__)
     read_outside = set()
-    for path, tree in _sources():
-        if os.path.dirname(path) != src:
-            continue
+    for _, tree in _package_sources():
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
             read_outside |= _names_read(stmt, attributes=True) - {own}
     unread = {name for module in MODULES for name in module.__all__} - read_outside
     assert sorted(unread - UNCALLED_PAPER_OBJECTS) == []
     assert UNCALLED_PAPER_OBJECTS <= unread
+
+
+def test_only_run_criterion_builds_a_verdict():
+    # criteria return (measured, witness); the registry id names the verdict
+    builders = []
+    for path, tree in _package_sources():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and "Verdict" in _names_read(
+                        node.func, attributes=True):
+                    builders.append((os.path.basename(path),
+                                     getattr(stmt, "name", None)))
+    assert builders == [("harness.py", "run_criterion")]
+
+
+def test_every_dataclass_field_is_read():
+    fields_of, read = {}, set()
+    for _, tree in _package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "dataclass" in {
+                    d.id for d in node.decorator_list if isinstance(d, ast.Name)}:
+                fields_of[node.name] = [stmt.target.id for stmt in node.body
+                                        if isinstance(stmt, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert fields_of
+    unread = ["%s.%s" % (cls, name) for cls, names in fields_of.items()
+              for name in names if name not in read]
+    assert unread == []
+
+
+def test_every_config_field_is_a_cli_key():
+    # flags and --config lines reach ExperimentConfig through one table
+    names = {f.name for f in fields(harness.ExperimentConfig)}
+    assert names <= cli._KEYS.keys()

@@ -44,8 +44,7 @@ def mk_weight(mesh, seed, hi=9):
 
 
 def identity_operator(mesh):
-    return CellOperator("identity", mesh.size, lambda v: v.copy(),
-                        lambda v: v.copy())
+    return CellOperator(mesh.size, lambda v: v.copy(), lambda v: v.copy())
 
 
 def dense(op):
