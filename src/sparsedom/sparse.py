@@ -37,8 +37,9 @@ denominator as the output's integer form (``StepFunction._from_ints``).
 ``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
 A grid cube at scale k <= level is a window [a, b) per axis on the h/3
 lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
-the cell-corner prefix table of |f| by ``stepfn._window_sums``, the reader
-for a list of cubes (``cz_sparse`` reads every cube of a scale with
+the cell-corner prefix table of |f|, in int64 or object ints by the dtype
+rule of ``stepfn``, by ``stepfn._window_sums``, the reader for a list of
+cubes (``cz_sparse`` reads every cube of a scale with
 ``stepfn._grid_cube_sums``), and its cells are (a+1)//3 up to (b+1)//3
 per axis.  Its average is S·2^(n(k-k_min)) over the one denominator
 D·(3·2^(level-k_min))^n, with k_min the coarsest scale in the family.
@@ -225,7 +226,10 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
 
     Averages are the integer cube sums of ``_grid_cube_sums`` brought to one
     denominator, as in ``dyadic_maximal``, and each threshold becomes one
-    integer; Cubes are built only for the selected cubes.
+    integer; Cubes are built only for the selected cubes.  The largest
+    factor on a table entry is, as there, (3·2^(level-top))^n; the table's
+    dtype is chosen again at every step of the climb that lowers top, and
+    the sums already read move to object ints with it.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
@@ -235,12 +239,13 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
         return SparseFamily(grid, {})
     n, level = mesh.dim, mesh.level
     top = _top_scale(mesh)
-    cubes = {k: _grid_cube_sums(f._abs_table(), mesh, grid, k)
+    table = f._abs_table((3 << (level - top)) ** n)
+    cubes = {k: _grid_cube_sums(table, mesh, grid, k)
              for k in range(top, level + 1)}
 
     def scaled(k: int) -> np.ndarray:
         """Scale k's averages as integers over D·(3·2^(level-top))^n."""
-        return cubes[k][0] * (1 << n * (k - top))
+        return cubes[k][0].astype(table.dtype, copy=False) * (1 << n * (k - top))
 
     def threshold(k: int) -> int:
         """avg > 2^{(n+1)k} exactly when scaled > threshold(k)."""
@@ -248,7 +253,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
         return den * 3**n << e if e >= 0 else den * 3**n >> -e
 
     # largest k with 2^{(n+1)k} below the smallest nonzero average
-    m0 = min(a[a != 0].min() for a in map(scaled, cubes) if a.any())
+    m0 = int(min(a[a != 0].min() for a in map(scaled, cubes) if a.any()))
     k_bot = 0
     while m0 > threshold(k_bot + 1):
         k_bot += 1
@@ -263,12 +268,13 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
             raise ValueError(f"cz_sparse needs grid scale {top}, past level - "
                              f"{_LATTICE_DEPTH} = {level - _LATTICE_DEPTH}, the "
                              "coarsest scale of exact int64 lattice corners")
-        cubes[top] = _grid_cube_sums(f._abs_table(), mesh, grid, top)
+        table = f._abs_table((3 << (level - top)) ** n)
+        cubes[top] = _grid_cube_sums(table, mesh, grid, top)
     avg = {k: scaled(k) for k in cubes}
     first = {k: c[1] for k, c in cubes.items()}
     # a parent's average is the mean of its children's: the top scales
     # added above do not raise the maximum
-    vmax = max(a.max() for a in avg.values())
+    vmax = int(max(a.max() for a in avg.values()))
     submax = _subtree_maxima(avg, first, grid, top, level)
 
     def select(t: int) -> list[Cube]:
@@ -331,11 +337,12 @@ def _family_averages(f: StepFunction, cubes: list) -> tuple[list, list, int]:
     """The cells of each cube and its |f|-average as an integer over one
     shared denominator D·(3·2^(level-k_min))^n, k_min the coarsest scale
     among the cubes, from the lattice window sums (see the module
-    docstring)."""
+    docstring).  The largest factor on a table entry is the 6^n of the
+    window reads; the sums are Python ints before the scale factor."""
     mesh, n = f.mesh, f.mesh.dim
     lo, hi = _cube_windows(mesh, cubes)
     k_min = min((q.k for q in cubes), default=mesh.level)
-    sums = _window_sums(f._abs_table(), lo, hi)
+    sums = _window_sums(f._abs_table(6**n), lo, hi).tolist()
     nums = [s << n * (q.k - k_min) for s, q in zip(sums, cubes)]
     den = f._numerators()[1] * (3 << (mesh.level - k_min)) ** n
     return [_window_cells(a, b) for a, b in zip(lo, hi)], nums, den

@@ -60,15 +60,25 @@ O(N log² N) in 1-D and O(n³) in 2-D, for n cells per axis.
 
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
-dtype: object ints for f and |f| (``StepFunction._abs_table``), float64
-and long double in the A2 search.  On an axis of N cells the integral
-from lo up to the lattice point x = 3q + r (0 <= r < 3) is
-T(x) = (3 - r)·P[q] + r·P[min(q + 1, N)] in units of h/3
-(``_lattice_reads``), a window [a, b) sums to T(b) - T(a), and each
-access pattern has one reader: ``_grid_cube_sums`` for every cube of a
-(grid, scale), one read per clipped corner per axis; ``_window_sums`` for
-a list of cubes (``_cube_windows``), 4^n reads per window; ``_cube_sums``,
-cell corners differenced, for every mesh cube of one side.
+dtype: float64 and long double in the A2 search, and for the exact
+tables one dtype rule.  A kernel reading the table of |f|
+(``StepFunction._abs_table``) names in its docstring its largest factor
+M on a table entry (lattice coefficients, a scale factor, an area it
+cross-multiplies by), and gets the table in int64 when bits(P_max) +
+bits(M) <= 62, P_max = Σ|nums| being the last corner, in object ints
+otherwise.  Every intermediate then stays below 2^62 in magnitude, so
+both dtypes give the same integers.  The kernel keeps the table's dtype
+through its work and hands Python ints back at its output: no np.int64
+reaches a Fraction, a shift or a product with a large D.
+
+On an axis of N cells the integral from lo up to the lattice point
+x = 3q + r (0 <= r < 3) is T(x) = (3 - r)·P[q] + r·P[min(q + 1, N)] in
+units of h/3 (``_lattice_reads``), a window [a, b) sums to T(b) - T(a),
+and each access pattern has one reader: ``_grid_cube_sums`` for every
+cube of a (grid, scale), one read per clipped corner per axis;
+``_window_sums`` for a list of cubes (``_cube_windows``), 4^n reads per
+window; ``_cube_sums``, cell corners differenced, for every mesh cube of
+one side.
 """
 
 from __future__ import annotations
@@ -97,6 +107,11 @@ __all__ = [
     "dyadic_maximal",
     "hl_maximal",
 ]
+
+
+# A kernel reads the int64 table of |f| when every product of a table entry
+# with its largest factor has at most this many bits (``_abs_table``)
+_INT64_BITS = 62
 
 
 def _default_domain(dim: int) -> Box:
@@ -165,6 +180,8 @@ class Mesh:
         self.level = level
         self.domain = domain
         self.h = h
+        # the lower corner 3·lo/h per axis, in units of the h/3 lattice
+        self.lattice_lo = tuple(3 * int(a / h) for a in domain.lo)
         self.cells_axis = counts[0]
         self.shape = (self.cells_axis,) * dim
         self.size = self.cells_axis**dim
@@ -295,9 +312,20 @@ class StepFunction:
     def _abs_prefix(self) -> np.ndarray:
         return _prefix_table(abs(self._num[0]))
 
-    def _abs_table(self) -> np.ndarray:
-        """The prefix table of the numerators of |f|, built once."""
-        return self._abs_prefix
+    @functools.cached_property
+    def _abs_prefix64(self) -> np.ndarray:
+        return self._abs_prefix.astype(np.int64)
+
+    def _abs_table(self, multiplier: int) -> np.ndarray:
+        """The prefix table of the numerators of |f|, built once, in the
+        dtype of the module docstring's rule for a kernel whose largest
+        factor on a table entry is ``multiplier``: int64 when
+        bits(P_max) + bits(multiplier) <= 62, object ints otherwise."""
+        table = self._abs_prefix
+        p_max = int(table[(-1,) * table.ndim])  # |f| >= 0: the last corner
+        if p_max.bit_length() + multiplier.bit_length() <= _INT64_BITS:
+            return self._abs_prefix64
+        return table
 
     def _block_sum(self, cells: tuple[slice, ...]) -> int:
         """Sum of the numerators over a block of cells, by inclusion-
@@ -578,7 +606,7 @@ def _lattice_corner(mesh: Mesh, k: int, thirds) -> list[int]:
     """The h/3-lattice point of a scale-k <= level grid-cube corner given
     per axis in thirds 3j + b of the side: (3j + b)·2^(level-k) - 3·lo/h."""
     g = 1 << (mesh.level - k)
-    return [u * g - 3 * int(x / mesh.h) for u, x in zip(thirds, mesh.domain.lo)]
+    return [u * g - x for u, x in zip(thirds, mesh.lattice_lo)]
 
 
 def _lattice_reads(x, n: int):
@@ -601,10 +629,11 @@ def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
     its center.  Exact for k >= level - ``_LATTICE_DEPTH``."""
     n3, g = 3 * mesh.cells_axis, 1 << (mesh.level - k)
     axes = []
-    # cube j spans [3jg + c, 3jg + 3g + c) on each axis
-    for c in _lattice_corner(mesh, k, [int(3 * off) for off in grid.offset_at(k)]):
+    # cube j spans [3jg + c, 3jg + 3g + c) on each axis, c the corner of cube 0
+    for c in _lattice_corner(mesh, k, Cube(grid, k, (0,) * mesh.dim)._corner_thirds()):
         j0, j1 = -c // (3 * g), (n3 - 1 - c) // (3 * g) + 1
-        axes.append((j0, np.clip(3 * g * np.arange(j0, j1 + 1) + c, 0, n3),
+        corners = 3 * g * np.arange(j0, j1 + 1) + c
+        axes.append((j0, np.minimum(np.maximum(corners, 0), n3),
                      (np.arange(1, n3, 3) - c) // (3 * g) - j0))
     return axes
 
@@ -672,18 +701,22 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
 
     Scale k's integer cube sums times 2^(n(k-top)) share the denominator
     D·(3·2^(level-top))^n, so the maximum over scales is an integer
-    maximum, one gather per scale, returned over that denominator.
+    maximum, one gather per scale, returned over that denominator.  The
+    largest factor on a table entry is (3·2^(level-top))^n: 3^n from the
+    lattice coefficients times the scale factor at k = level.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
     top, dim = _top_scale(mesh), mesh.dim
-    best = np.zeros(mesh.shape, dtype=object)
+    unit = (3 << (mesh.level - top)) ** dim
+    table = f._abs_table(unit)
+    best = np.zeros(mesh.shape, dtype=table.dtype)
     for k in range(top, mesh.level + 1):
-        sums, _, cells = _grid_cube_sums(f._abs_table(), mesh, grid, k)
+        sums, _, cells = _grid_cube_sums(table, mesh, grid, k)
         best = np.maximum(best, (sums * (1 << dim * (k - top)))[np.ix_(*cells)])
-    return StepFunction._from_ints(
-        mesh, best, f._numerators()[1] * (3 << (mesh.level - top)) ** dim)
+    return StepFunction._from_ints(mesh, best.astype(object, copy=False),
+                                   f._numerators()[1] * unit)
 
 
 # -- Hardy-Littlewood surrogate ---------------------------------------------
@@ -773,13 +806,13 @@ def _hl_1d(pref: list[int]) -> list[tuple[int, int]]:
 
 def _sliding_max(w: np.ndarray, d: int, axis: int) -> np.ndarray:
     """Along ``axis``, out[i] = max w[i-d+1 .. i] over the indices inside
-    w, for len(w) + d - 1 outputs; w >= 0.  Van Herk / Gil-Werman: pad
-    with d - 1 zeros each side, cut into blocks of d, and take the larger
-    of a suffix maximum and a prefix maximum, whatever d."""
+    w, for len(w) + d - 1 outputs in w's dtype; w >= 0.  Van Herk /
+    Gil-Werman: pad with d - 1 zeros each side, cut into blocks of d, and
+    take the larger of a suffix maximum and a prefix maximum, whatever d."""
     a = np.moveaxis(w, axis, 0)
     m = len(a)
     blocks = -(-(m + 2 * d - 2) // d)
-    e = np.zeros((blocks * d,) + a.shape[1:], dtype=object)
+    e = np.zeros((blocks * d,) + a.shape[1:], dtype=w.dtype)
     e[d - 1:d - 1 + m] = a
     e = e.reshape((blocks, d) + a.shape[1:])
     pre = np.maximum.accumulate(e, axis=1).reshape((-1,) + a.shape[1:])
@@ -795,9 +828,9 @@ def _hl_2d(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For each side d the window sums are ``_cube_sums``, their maximum over
     the windows holding each cell is a separable sliding max, and sizes
-    are compared by cross-multiplication: O(n³) in all."""
+    are compared by cross-multiplication: O(n³) in all, in p's dtype."""
     n = len(p) - 1
-    num, den = _cube_sums(p, 1), np.ones((n, n), dtype=object)
+    num, den = _cube_sums(p, 1), np.ones((n, n), dtype=p.dtype)
     for d in range(2, n + 1):
         w = _cube_sums(p, d)
         m = _sliding_max(_sliding_max(w, d, 0), d, 1)
@@ -813,14 +846,17 @@ def hl_maximal(f: StepFunction) -> StepFunction:
 
     Runs on integer sums over the common denominator D and builds
     Fractions only for the output.  1-D sweeps every interval by divide
-    and conquer over convex hulls, O(N log² N); 2-D sweeps every square by
-    per-side summed-area window sums and a sliding max, O(n³) for n cells
-    per axis.
+    and conquer over convex hulls, O(N log² N), on the table as a list of
+    Python ints; 2-D sweeps every square by per-side summed-area window
+    sums and a sliding max, O(n³) for n cells per axis.  The largest
+    factor on a table entry is the measure n^dim of the largest cube, in
+    cells, by which sums are cross-multiplied.
     """
     mesh, D = f.mesh, f._numerators()[1]
+    table = f._abs_table(mesh.size)
     if mesh.dim == 1:
-        out = _hl_1d(f._abs_table().tolist())
+        out = _hl_1d(table.tolist())
     else:
-        num, den = _hl_2d(f._abs_table())
-        out = zip(num.flat, den.flat)
+        num, den = _hl_2d(table)
+        out = zip(num.ravel().tolist(), den.ravel().tolist())
     return StepFunction(mesh, _shared_fractions([(s, l * D) for s, l in out]))

@@ -1,6 +1,7 @@
 """Cell-addressing helpers shared by the tests: row-major flat indices,
 point lookup, the grid cube at a point, mesh-aligned indicators, the
-pointwise order and the distribution of f on a box."""
+pointwise order, the distribution of f on a box, and the inputs and
+runner of the int64 / object table tests."""
 
 import functools
 import itertools
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sparsedom import stepfn
 from sparsedom.geometry import Cube, GridId
 from sparsedom.rational import pow2, rat, rat_floor
 from sparsedom.stepfn import Mesh, StepFunction
@@ -82,3 +84,45 @@ def cell_masses(f: StepFunction, box, absolute: bool = False,
         masses[Fraction(0)] = masses.get(Fraction(0), Fraction(0)) \
             + box.measure - covered
     return masses
+
+
+def edge_input(mesh: Mesh, multiplier: int, over: bool) -> StepFunction:
+    """Integers of both signs on the four core cells of mesh whose |f| table
+    has the most bits a kernel of largest factor ``multiplier`` reads in
+    int64 (P_max = 2^(62 - bits(multiplier)) - 1), or one bit more."""
+    p_max = (1 << 62 - multiplier.bit_length()) - 1 + over
+    parts = [p_max // 3, 1, p_max // 7]
+    parts.append(p_max - sum(parts))
+    vals = [0] * mesh.size
+    for i, (cell, v) in enumerate(zip(flat_cells(mesh, mesh.core), parts, strict=True)):
+        vals[cell] = -v if i % 2 else v
+    return StepFunction(mesh, vals)
+
+
+def both_paths(monkeypatch, run):
+    """run() as the kernels choose, the dtypes of the |f| tables it read,
+    and run() again with every table forced to object ints."""
+    seen = []
+    choose = StepFunction._abs_table
+
+    def spy(self, multiplier):
+        table = choose(self, multiplier)
+        seen.append(table.dtype)
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(StepFunction, "_abs_table", spy)
+        got = run()
+        dtypes = seen[:]
+        m.setattr(stepfn, "_INT64_BITS", 0)
+        forced = run()
+    assert set(seen[len(dtypes):]) == {np.dtype(object)}
+    return got, dtypes, forced
+
+
+def assert_python_ints(g: StepFunction):
+    """The integer form and the Fractions of g hold Python ints only."""
+    nums, den = g._numerators()
+    assert nums.dtype == object and type(den) is int
+    assert {type(v) for v in nums.flat} == {int}
+    assert {(type(v.numerator), type(v.denominator)) for v in g.values} == {(int, int)}

@@ -42,7 +42,8 @@ from sparsedom.sparse import (
     _over_lcm,
 )
 
-from meshtools import cell_of_point, cube_at, flat, flat_cells, indicator, unflat
+from meshtools import (assert_python_ints, both_paths, cell_of_point, cube_at, edge_input,
+                       flat, flat_cells, indicator, unflat)
 
 STD = GridId.standard(1)
 SHIFTED = GridId.shifted(1)
@@ -172,7 +173,7 @@ def test_scale_averages_match_cube_integrals(mesh):
     for grid in GridId.all_grids(mesh.dim):
         for k in range(_top_scale(mesh) - 2, mesh.level + 1):
             # the nonzero averages cz_sparse reads off the integer cube sums
-            sums, first, _ = _grid_cube_sums(f._abs_table(), mesh, grid, k)
+            sums, first, _ = _grid_cube_sums(f._abs_table(3 ** mesh.dim), mesh, grid, k)
             unit = den * (3 << (mesh.level - k)) ** mesh.dim
             got = {tuple(int(i + j) for i, j in zip(idx, first)): Fraction(v, unit)
                    for idx, v in np.ndenumerate(sums) if v}
@@ -628,3 +629,62 @@ def test_weak_norm_matches_level_sup(dim):
             assert weak_norm(g) == _weak_norm_oracle(g)
     assert weak_norm(StepFunction.zeros(mesh)) == 0
     assert weak_norm(StepFunction(mesh, [0] * mesh.size)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the int64 / object rule of the |f| table, at its edge
+# ---------------------------------------------------------------------------
+
+EDGE_MESHES = pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1)], ids=["1d", "2d"])
+EDGE = pytest.mark.parametrize("over", [False, True], ids=["at-limit", "over-limit"])
+
+
+@EDGE
+@EDGE_MESHES
+def test_cz_sparse_at_the_int64_edge(monkeypatch, mesh, over):
+    # largest factor (3·2^(level - top))^n, at the first top
+    multiplier = (3 << (mesh.level - _top_scale(mesh))) ** mesh.dim
+    f = edge_input(mesh, multiplier, over)
+    for grid in GridId.all_grids(mesh.dim):
+        got, dtypes, forced = both_paths(monkeypatch, lambda: cz_sparse(f, grid))
+        assert dtypes[0] == (object if over else np.int64)
+        assert got == forced and not got.is_empty
+        verify_sparse_family(got)
+
+
+def test_cz_sparse_moves_to_object_ints_mid_climb(monkeypatch):
+    # a 1 beside 2^40: the climb lowers top until 3·2^(level - top) has
+    # 22 bits, where the 41-bit table no longer fits int64
+    f = StepFunction(Mesh(1, 2), [0] * 4 + [1, 0, 0, 2**40] + [0] * 4)
+    for grid in GridId.all_grids(1):
+        got, dtypes, forced = both_paths(monkeypatch, lambda: cz_sparse(f, grid))
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        assert got == forced
+        verify_sparse_family(got)
+
+
+@EDGE
+@EDGE_MESHES
+def test_family_averages_at_the_int64_edge(monkeypatch, mesh, over):
+    # largest factor 6^n, the window reads of _window_sums
+    f = edge_input(mesh, 6**mesh.dim, over)
+    g = abs(f)
+    for grid in GridId.all_grids(mesh.dim):
+        fam, md = cz_sparse(f, grid), dyadic_maximal(f, grid)
+        got, dtypes, forced = both_paths(
+            monkeypatch, lambda: (sparse_operator(fam, g), cz_pointwise_gap(f, fam, md)))
+        assert dtypes == [np.dtype(object if over else np.int64)] * 2
+        assert got[0].values == forced[0].values and got[1] == forced[1] >= 0
+
+
+@pytest.mark.parametrize("dim, level", [(1, 4), (2, 2)], ids=["1d", "2d"])
+def test_family_kernels_return_python_ints(dim, level):
+    # on an input the int64 tables serve, nothing int64 leaves a kernel
+    f = mk_random(Mesh(dim, level), 3, lo=-8)
+    assert f._abs_table(6**dim).dtype == np.int64
+    for grid in GridId.all_grids(dim):
+        fam = cz_sparse(f, grid)
+        assert not fam.is_empty
+        assert_python_ints(sparse_operator(fam, abs(f)))
+        gap = cz_pointwise_gap(f, fam, dyadic_maximal(f, grid))
+        assert (type(gap.numerator), type(gap.denominator)) == (int, int)

@@ -199,7 +199,7 @@ def test_window_sums_match_cube_averages(source):
     if source == "wide":
         # the table must hold Python ints, not int64 (np.pad would insert
         # an np.int64 zero and the cumulative sums would overflow)
-        table = f._abs_table()
+        table = f._abs_table(1)
         assert {type(v) for v in table.flat} == {int}
         assert table.max() > 2**63
     coarsest = min(q.k for grid in GridId.all_grids(dim)
@@ -210,7 +210,7 @@ def test_window_sums_match_cube_averages(source):
         for k in range(k_lo, mesh.level + 1):
             cubes = cubes_around(mesh, grid, k)
             lo, hi = _cube_windows(mesh, cubes)
-            sums = _window_sums(f._abs_table(), lo, hi)
+            sums = _window_sums(f._abs_table(6 ** dim), lo, hi)
             unit = den * (3 << (mesh.level - k)) ** dim
             for q, s, a, b in zip(cubes, sums, lo, hi):
                 assert Fraction(s, unit) == average(g, q.box), q

@@ -32,7 +32,8 @@ from sparsedom.stepfn import (
 
 from sparsedom.sparse import amalgam_adjoint, cz_sparse, split_families
 
-from meshtools import cell_masses, cell_of_point, cube_at, flat, indicator, le, unflat
+from meshtools import (assert_python_ints, both_paths, cell_masses, cell_of_point,
+                       cube_at, edge_input, flat, indicator, le, unflat)
 
 # ---------------------------------------------------------------------------
 # strategies: small random step functions with gentle denominators
@@ -676,6 +677,61 @@ def test_hl_2d_exhaustive_small():
     f = StepFunction(mesh, [Fraction(int(x), 2) for x in
                             rng.integers(0, 5, mesh.size)])
     assert hl_maximal(f).values == oracle_hl_2d(f)
+
+
+# ---------------------------------------------------------------------------
+# the int64 / object rule of the |f| table, at its edge
+# ---------------------------------------------------------------------------
+
+EDGE_MESHES = pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1)], ids=["1d", "2d"])
+EDGE = pytest.mark.parametrize("over", [False, True], ids=["at-limit", "over-limit"])
+
+
+def test_table_dtype_rule():
+    mesh = Mesh(1, 2)
+    for multiplier in (1, 3, 192, 2**40):
+        for over in (False, True):
+            f = edge_input(mesh, multiplier, over)
+            table = f._abs_table(multiplier)
+            assert table[-1] == sum(abs(v) for v in f._numerators()[0])
+            assert table.dtype == (object if over else np.int64)
+            assert table.tolist() == f._abs_table(2**62).tolist()
+
+
+@EDGE
+@EDGE_MESHES
+def test_dyadic_maximal_at_the_int64_edge(monkeypatch, mesh, over):
+    # largest factor (3·2^(level - top))^n
+    multiplier = (3 << (mesh.level - _top_scale(mesh))) ** mesh.dim
+    f = edge_input(mesh, multiplier, over)
+    for grid in GridId.all_grids(mesh.dim):
+        got, dtypes, forced = both_paths(monkeypatch, lambda: dyadic_maximal(f, grid))
+        assert dtypes == [np.dtype(object if over else np.int64)]
+        assert got._numerators()[1] == forced._numerators()[1]
+        assert got._numerators()[0].tolist() == forced._numerators()[0].tolist()
+        assert got.values == oracle_dyadic(f, grid)
+
+
+@EDGE
+@EDGE_MESHES
+def test_hl_maximal_at_the_int64_edge(monkeypatch, mesh, over):
+    # largest factor: the n^dim cells of the largest cube
+    f = edge_input(mesh, mesh.size, over)
+    got, dtypes, forced = both_paths(monkeypatch, lambda: hl_maximal(f))
+    assert dtypes == [np.dtype(object if over else np.int64)]
+    assert got.values == forced.values
+    oracle = oracle_hl_1d if mesh.dim == 1 else oracle_hl_2d
+    assert got.values == oracle(f)
+
+
+@pytest.mark.parametrize("dim, level", [(1, 4), (2, 2)], ids=["1d", "2d"])
+def test_maximal_kernels_return_python_ints(dim, level):
+    # on an input the int64 tables serve, nothing int64 leaves a kernel
+    f = _rational(Mesh(dim, level), 4)
+    assert f._abs_table(f.mesh.size).dtype == np.int64
+    for out in [dyadic_maximal(f, grid) for grid in GridId.all_grids(dim)] \
+            + [hl_maximal(f)]:
+        assert_python_ints(out)
 
 
 @pytest.mark.parametrize("mesh", [Mesh(1, 4), Mesh(2, 2)], ids=["1d", "2d"])
