@@ -24,15 +24,17 @@ On families of mesh-aligned standard cubes the two sampling conventions
 agree exactly.
 
 A cube's cells are the n-D block ``Mesh.cells(q.box)``, one slice per
-axis.  Every sum Σ c_Q χ_Q over a family -- the operators, the pointwise
-gap of ``cz_pointwise_gap``, the right side of ``verify_decomposition``
-and the majorant of ``czo.dominate`` -- goes through one accumulator,
-``_accumulate``: it takes integer numerators over the caller's
-denominator, adds each at the 2^n corners of its block in an n-D
-difference array, and one cumulative sum per axis gives every cell's
-total.  That is O(|S|·2^n + cells) instead of one Fraction addition per
-cell per cube, and the operators return those totals over the caller's
-denominator as the output's integer form (``StepFunction._from_ints``).
+axis.  Every sum Σ c_Q χ_Q over a family -- the operators, the right side
+of ``verify_decomposition`` and the majorant of ``czo.dominate`` -- goes
+through one accumulator, ``_accumulate``: it takes integer numerators
+over the caller's denominator, adds each at the 2^n corners of its block
+in an n-D difference array, and one cumulative sum per axis gives every
+cell's total.  That is O(|S|·2^n + cells) instead of one Fraction
+addition per cell per cube, and the operators return those totals over
+the caller's denominator as the output's integer form
+(``StepFunction._from_ints``).  ``cz_pointwise_gap`` paints instead: its
+sets E_Q = Q \\ Ω_{k+1} are disjoint in a verified family, so a cell's
+sum is one term, the average of the deepest cube holding it.
 
 ``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
 A grid cube at scale k <= level is a window [a, b) per axis on the h/3
@@ -350,25 +352,21 @@ def _family_averages(f: StepFunction, cubes: list) -> tuple[list, list, int]:
 
 def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
                      maximal: StepFunction) -> Fraction:
-    """Exact min over cells of 2^{n+1}·Σ avg(|f|,Q)χ_{E}(x) − M^{grid}f(x).
+    """Exact min over cells of 2^{n+1}·Σ avg(|f|,Q)χ_{E_Q}(x) − M^{grid}f(x),
+    E_Q = Q \\ Ω_{k+1} for Q at level k.
 
-    The sum is Σ_k A_k·[x ∉ Ω_{k+1}], with A_k level k's accumulated
-    averages and Ω_{k+1} the union of level k+1's cubes; every average is
-    an integer over the family's one denominator, and the sum is compared
-    with M^{grid}f on integer numerators.  Nonnegative return value
-    certifies the pointwise domination of the grid maximal function by
-    the sparse averages."""
+    ``fam`` must pass ``verify_sparse_family``: its levels nest and each
+    level's cubes are disjoint, so the sum at a cell is the average of the
+    deepest cube holding it, which painting in level order (``pairs``)
+    writes.  Every average is an integer over the family's one
+    denominator, compared with M^{grid}f on integer numerators.  A
+    nonnegative value certifies the pointwise domination of the grid
+    maximal function by the sparse averages."""
     mesh = f.mesh
     cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
-    levels = {k: [] for k in fam.levels}
-    for (k, _), block, num in zip(fam.pairs(), cells, nums):
-        levels[k].append((block, num))
     rhs = np.zeros(mesh.shape, dtype=object)
-    for k, terms in levels.items():
-        outside = np.ones(mesh.shape, dtype=bool)
-        for block, _ in levels.get(k + 1, []):
-            outside[block] = False
-        rhs += np.where(outside, _accumulate(mesh, terms), 0)
+    for block, num in zip(cells, nums):
+        rhs[block] = num
     m, m_den = maximal._numerators()
     gap = (rhs * ((2 << mesh.dim) * m_den) - m * den).min()
     return Fraction(gap, den * m_den)

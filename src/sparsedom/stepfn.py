@@ -56,7 +56,9 @@ the A2 search.  Averages are compared as integers over a shared
 denominator (the integer form of ``dyadic_maximal``'s output) or by
 cross-multiplication (``hl_maximal`` builds one Fraction per distinct
 value).  ``dyadic_maximal`` costs one gather per scale; ``hl_maximal`` is
-O(N log² N) in 1-D and O(n³) in 2-D, for n cells per axis.
+O(N log² N) in 1-D, where each split builds one hull per side (``_hull``)
+and runs one sweep of tangent queries against each, and O(n³) in 2-D, for
+n cells per axis.
 
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
@@ -426,16 +428,13 @@ class StepFunction:
 # distribution machinery
 # ---------------------------------------------------------------------------
 
-def _runs(f: StepFunction, box: Box, absolute: bool,
-          pad_zero: bool) -> tuple[list[int], list[int], int, int]:
+def _runs(f: StepFunction, box: Box) -> tuple[list[int], list[int], int, int]:
     """f on box as sorted integer runs: the ascending distinct numerators
-    (of |f| when ``absolute``) over f's own denominator D, the measure of
-    each as an integer over one common denominator u, u and D.  Counts the
-    numerators of each block of ``_pieces``; the callers in this package
-    pass kernel outputs, whose D is already at hand.
-
-    With pad_zero the part of the box outside the mesh domain is counted
-    as mass at value 0 (the zero extension)."""
+    over f's own denominator D, the measure of each as an integer over one
+    common denominator u, u and D.  Counts the numerators of each block of
+    ``_pieces``; the callers in this package pass kernel outputs, whose D
+    is already at hand.  The part of the box outside the mesh domain is
+    counted as mass at value 0 (the zero extension)."""
     nums, den = f._numerators()
     pieces = [(nums[cells], w) for cells, w in _pieces(f.mesh, box)]
     u = math.lcm(box.measure.denominator, *(w.denominator for _, w in pieces))
@@ -443,10 +442,10 @@ def _runs(f: StepFunction, box: Box, absolute: bool,
     covered = 0
     for block, w in pieces:
         wu = w.numerator * (u // w.denominator)
-        for v, count in Counter((abs(block) if absolute else block).flat).items():
+        for v, count in Counter(block.flat).items():
             masses[v] += count * wu
         covered += block.size * wu
-    if pad_zero and covered < box.measure * u:
+    if covered < box.measure * u:
         masses[0] += int(box.measure * u) - covered
     values = sorted(masses)
     return values, [masses[v] for v in values], u, den
@@ -464,7 +463,7 @@ def rearrangement(f: StepFunction, b: Box, t) -> Fraction:
     t = rat(t)
     if t <= 0:
         raise ValueError("rearrangement argument must be positive")
-    values, masses, u, den = _runs(f, b, absolute=True, pad_zero=False)
+    values, masses, u, den = _runs(abs(f), b)
     cum = 0
     for v, m in zip(reversed(values), reversed(masses)):
         if v == 0:
@@ -477,7 +476,7 @@ def rearrangement(f: StepFunction, b: Box, t) -> Fraction:
 
 def median(f: StepFunction, q: Box) -> Fraction:
     """Largest m among attained values with |{f>m} ∩ q|, |{f<m} ∩ q| <= |q|/2."""
-    values, masses, u, den = _runs(f, q, absolute=False, pad_zero=True)
+    values, masses, u, den = _runs(f, q)
     total = int(q.measure * u)
     below, above = 0, total
     for v, m in zip(values, masses):
@@ -502,7 +501,7 @@ def local_mean_oscillation(f: StepFunction, q: Box, lam) -> Fraction:
     On the integer runs, the window starting at run i ends at the first run
     j whose cumulative mass reaches that of i plus the target, rounded up."""
     lam = _check_lambda(lam)
-    values, masses, u, den = _runs(f, q, absolute=False, pad_zero=True)
+    values, masses, u, den = _runs(f, q)
     target = (1 - lam) * q.measure * u
     cum = np.cumsum([0] + masses, dtype=object)
     ends = np.searchsorted(cum, cum[:-1] + rat_ceil(target))
@@ -742,29 +741,18 @@ def _tangent_from_point(px, py, hull):
     return (y1 - py, x1 - px) if x1 > px else (py - y1, px - x1)
 
 
-def _upper_hull(points):
+def _hull(points, turn: int):
+    """The upper (turn 1) or lower (turn -1) convex hull of integer points
+    given in increasing x: the last point is popped while the new one does
+    not turn the hull the other way."""
     hull = []
-    for p in points:
+    for x, y in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x2) <= (p[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
+            if turn * ((y - y2) * (x2 - x1) - (y2 - y1) * (x - x2)) < 0:
                 break
-        hull.append(p)
-    return hull
-
-
-def _lower_hull(points):
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x2) >= (p[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+            hull.pop()
+        hull.append((x, y))
     return hull
 
 
@@ -775,9 +763,16 @@ def _hl_1d(pref: list[int]) -> list[tuple[int, int]]:
     n = len(pref) - 1
     out = [(pref[i + 1] - pref[i], 1) for i in range(n)]  # single cells
 
-    def raise_to(c, s):
-        if s[0] * out[c][1] > out[c][0] * s[1]:
-            out[c] = s
+    def sweep(queries, hull, shift):
+        # cell q + shift takes the best tangent from the queries so far
+        best = (0, 1)
+        for q in queries:
+            s = _tangent_from_point(q, pref[q], hull)
+            if s[0] * best[1] > best[0] * s[1]:
+                best = s
+            c = q + shift
+            if best[0] * out[c][1] > out[c][0] * best[1]:
+                out[c] = best
 
     def solve(lo, hi):
         if hi - lo <= 1:
@@ -785,21 +780,10 @@ def _hl_1d(pref: list[int]) -> list[tuple[int, int]]:
         mid = (lo + hi) // 2
         solve(lo, mid)
         solve(mid, hi)
-        # crossing intervals [a, b) with a <= mid-1 and b >= mid+1
-        upper = _upper_hull([(b, pref[b]) for b in range(mid + 1, hi + 1)])
-        best = (0, 1)
-        for a in range(lo, mid):
-            s = _tangent_from_point(a, pref[a], upper)
-            if s[0] * best[1] > best[0] * s[1]:
-                best = s
-            raise_to(a, best)
-        lower = _lower_hull([(a, pref[a]) for a in range(lo, mid)])
-        best = (0, 1)
-        for b in range(hi, mid, -1):  # suffix maxima over b >= c+1
-            s = _tangent_from_point(b, pref[b], lower)
-            if s[0] * best[1] > best[0] * s[1]:
-                best = s
-            raise_to(b - 1, best)
+        # crossing intervals [a, b), a < mid < b: cell a takes the prefix
+        # maximum over left ends, cell b - 1 the suffix maximum over right ends
+        sweep(range(lo, mid), _hull([(b, pref[b]) for b in range(mid + 1, hi + 1)], 1), 0)
+        sweep(range(hi, mid, -1), _hull([(a, pref[a]) for a in range(lo, mid)], -1), -1)
     solve(0, n)
     return out
 
@@ -845,9 +829,11 @@ def hl_maximal(f: StepFunction) -> StepFunction:
     aligned cubes inside the domain containing each cell.
 
     Runs on integer sums over the common denominator D and builds
-    Fractions only for the output.  1-D sweeps every interval by divide
-    and conquer over convex hulls, O(N log² N), on the table as a list of
-    Python ints; 2-D sweeps every square by per-side summed-area window
+    Fractions only for the output.  1-D splits at midpoints, O(N log² N),
+    on the table as a list of Python ints: at each split one sweep runs
+    the left ends against the upper hull of the right ends, and again the
+    right ends against the lower hull of the left ends, each query a
+    tangent from a point.  2-D sweeps every square by per-side window
     sums and a sliding max, O(n³) for n cells per axis.  The largest
     factor on a table entry is the measure n^dim of the largest cube, in
     cells, by which sums are cross-multiplied.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedom import harness
+from sparsedom import cli, harness
 from sparsedom.cli import main
 from sparsedom.geometry import Cube, GridId
 from sparsedom.harness import (
@@ -24,6 +24,7 @@ from sparsedom.harness import (
 )
 from sparsedom.rational import rat_str
 from sparsedom.sparse import (
+    SparseFamily,
     amalgam_adjoint,
     cz_sparse,
     sparse_operator,
@@ -396,6 +397,26 @@ def test_cli_prints_exact_values_past_4096_bits_as_null(tmp_path, capsys):
     grids = json.loads(capsys.readouterr().out)["grids"]
     assert [g["invariants"] for g in grids] == ["ok", "ok"]
     assert [g["pointwise_gap"] for g in grids] == [None, None]
+
+
+def test_cli_cz_sparse_reports_no_gap_for_a_rejected_family(monkeypatch, capsys):
+    # two equal cubes on one level overlap, so the standard grid's family
+    # fails verify_sparse_family; its gap, which reads the nesting that the
+    # check certifies, is not computed, and the shifted grid's still is
+    std = GridId.standard(1)
+
+    def doubled(f, grid):
+        if grid != std:
+            return cz_sparse(f, grid)
+        q = Cube(grid, 0, (0,))
+        return SparseFamily(grid, {0: [q, q]})
+
+    monkeypatch.setattr(cli, "cz_sparse", doubled)
+    assert run_cli("cz-sparse", "--level", "3", "--seed", "2") == 1
+    grids = json.loads(capsys.readouterr().out)["grids"]
+    got = [(g["grid"] == std.to_json(), g["invariants"], "pointwise_gap" in g)
+           for g in grids]
+    assert sorted(got) == [(False, "ok", True), (True, "level 0: cubes overlap", False)]
 
 
 def test_cli_cz_sparse_past_the_lattice_scale_bound_exits_2(tmp_path, capsys):

@@ -9,8 +9,10 @@ the signed rational CSV files in ``tests/data`` (1-D level 5, 2-D level 3)
 on every grid, the families ``cz_sparse`` and ``oscillation_decompose``
 build from them, and corruptions of those families: an overlap within a
 level, a cube outside the level below, a cube more than half covered by
-the next level, and a cube of another grid.  The window sums also run on
-a 2-D input whose numerators pass 2^63.
+the next level, and a cube of another grid.  The gap and the operator
+also run on the four generator kinds at 1-D level 8 and 2-D level 4,
+whose spikes give the deepest families.  The window sums also run on a
+2-D input whose numerators pass 2^63.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from sparsedom.geometry import Cube, GridId
+from sparsedom.harness import GENERATOR_KINDS, generate_function
 from sparsedom.sparse import (
     SparseFamily,
     cz_pointwise_gap,
@@ -223,18 +226,29 @@ def test_window_sums_match_cube_averages(source):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gap_and_operator_match_fraction_formulas(dim):
-    f = rational_input(dim)
-    g = abs(f)
+    # the painted gap against the per-level sum, on the rational input and
+    # on every generator kind at 1-D level 8 and 2-D level 4; the spike's
+    # families are the deepest
+    mesh = Mesh(dim, {1: 8, 2: 4}[dim])
+    csv = rational_input(dim)
+    inputs = [csv] + [generate_function(3, kind, mesh) for kind in GENERATOR_KINDS]
     q0 = Cube(GridId.standard(dim), 0, (0,) * dim)
-    families = [(grid, cz_sparse(f, grid)) for grid in GridId.all_grids(dim)]
-    families.append((q0.grid, oscillation_decompose(f, q0).family))
-    for grid, fam in families:
-        assert not fam.is_empty
-        maximal = dyadic_maximal(f, grid)
-        assert cz_pointwise_gap(f, fam, maximal) == ref_pointwise_gap(f, fam, maximal)
-        assert sparse_operator(fam, g).values == ref_sparse_operator(fam, g)
+    depths = []
+    for f in inputs:
+        g = abs(f)
+        families = [(grid, cz_sparse(f, grid)) for grid in GridId.all_grids(dim)]
+        families.append((q0.grid, oscillation_decompose(f, q0).family))
+        for grid, fam in families:
+            maximal = dyadic_maximal(f, grid)
+            assert cz_pointwise_gap(f, fam, maximal) == ref_pointwise_gap(f, fam, maximal)
+            assert sparse_operator(fam, g).values == ref_sparse_operator(fam, g)
+            depths.append(len(fam.levels))
+        # the generators' decompositions mostly stop at q0
+        nonempty = families if f is csv else families[:-1]
+        assert not any(fam.is_empty for _, fam in nonempty)
+    assert max(depths) >= 6
     empty = SparseFamily(q0.grid, {})
-    assert sparse_operator(empty, g).values == [0] * f.mesh.size
+    assert sparse_operator(empty, abs(csv)).values == [0] * csv.mesh.size
 
 
 def test_operator_rejects_cube_finer_than_mesh():

@@ -326,7 +326,7 @@ def test_rearrangement_matches_oracle(f, tnum):
 def test_profile_consistency(f):
     # the integer runs of |f| that rearrangement reads
     box = Box.interval(rat("-1/8"), rat("7/8"))
-    values, masses, u, den = _runs(f, box, absolute=True, pad_zero=False)
+    values, masses, u, den = _runs(abs(f), box)
     assert values == sorted(set(values))
     assert all(m > 0 for m in masses)
     assert Fraction(sum(v * m for v, m in zip(values, masses)), den * u) \
