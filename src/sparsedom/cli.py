@@ -31,6 +31,7 @@ from .czo import dominate, oscillation_estimate_report
 from .weights import a2_scan
 from .harness import (
     CRITERION_IDS,
+    _ALIASES,
     ExperimentConfig,
     default_config,
     generate_function,
@@ -242,14 +243,18 @@ def _cmd_a2_scan(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
-    ids = list(CRITERION_IDS) if args.all else [args.id]
+    ids = list(CRITERION_IDS) if args.all else [_ALIASES.get(args.id, args.id)]
     if ids == [None]:
         print("acceptance: provide --id <criterion> or --all",
               file=sys.stderr)
         return 2
+    # every config is gathered before any criterion runs, so a usage error
+    # exits 2 with nothing run; criterion 4 fixes its λ as decompose does
+    configs = [_gather_config(args, default_config(cid), no_lambda=_LAMBDA_FIXED
+                              if cid == "osc-decomposition" else None)[0]
+               for cid in ids]
     verdicts = []
-    for cid in ids:
-        cfg, _ = _gather_config(args, default_config(cid))
+    for cid, cfg in zip(ids, configs):
         verdict = run_criterion(cid, cfg)
         verdicts.append(verdict)
         print("%s  %-20s %6.1fs" % ("PASS" if verdict.passed else "FAIL",

@@ -565,7 +565,7 @@ def _crit_a2_scan(cfg: ExperimentConfig) -> tuple:
     witness = None
     measured = {}
     for tab in a2_scan(("sparse", "hilbert"), exps, level=cfg.level,
-                       seed=cfg.seed, iters=80):
+                       seed=cfg.seed):
         kind = tab.kind
         a2s = [r.a2 for r in tab.rows]
         rats = [r.ratio for r in tab.rows]

@@ -58,13 +58,6 @@ def rat_ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def floor_log2(q: Fraction) -> int:
-    """Largest integer t with 2**t <= q, computed exactly.  Requires q > 0."""
-    if q <= 0:
-        raise ValueError("floor_log2 requires a positive rational")
-    return floor_log2_ratio(q.numerator, q.denominator)
-
-
 def floor_log2_ratio(n: int, d: int) -> int:
     """Largest integer t with 2**t <= n/d, for positive integers n and d
     (not necessarily coprime)."""

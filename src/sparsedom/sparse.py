@@ -70,8 +70,8 @@ from .stepfn import (
     _cube_windows,
     _dyadic_blocks,
     _grid_cube_sums,
-    _top_scale,
     _LATTICE_DEPTH,
+    _TOP_SCALE,
     _window_cells,
     _window_sums,
 )
@@ -240,7 +240,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     if not nums.any():
         return SparseFamily(grid, {})
     n, level = mesh.dim, mesh.level
-    top = _top_scale(mesh)
+    top = _TOP_SCALE
     table = f._abs_table((3 << (level - top)) ** n)
     cubes = {k: _grid_cube_sums(table, mesh, grid, k)
              for k in range(top, level + 1)}

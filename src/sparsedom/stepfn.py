@@ -1,10 +1,11 @@
 """Exact piecewise-constant functions on a uniform dyadic mesh.
 
-Functions are one rational value per mesh cell over a padded ambient box
-(default [-1, 2)^n) and are extended by zero outside it.  On top of the
-arithmetic this module provides the distribution-side toolkit: decreasing
-rearrangements, medians (maximal convention), local mean oscillations,
-and the maximal operators
+Functions are one rational value per mesh cell over the ambient box
+[-1, 2)^n, the core [0, 1)^n padded by one unit on every side, and are
+extended by zero outside it.  On top of the arithmetic this module
+provides the distribution-side toolkit: decreasing rearrangements,
+medians (maximal convention), local mean oscillations, and the maximal
+operators
 
 * ``sharp_maximal``   -- dyadic local sharp maximal function,
 * ``dyadic_maximal``  -- maximal function of one (possibly shifted) grid,
@@ -48,9 +49,9 @@ an integer.  ``sharp_maximal`` and the decomposition in ``sparse`` read
 those arrays.
 
 ``dyadic_maximal`` and ``hl_maximal`` work on the numerators of |f| and on
-lengths on the h/3 lattice counted from the domain's lower corner lo.
+lengths on the h/3 lattice counted from the box's lower corner -1.
 There every grid-cube corner at a scale k <= level is an integer,
-(3j + b)·2^(level-k) - 3·lo/h with b in {-1, 0, 1} (``_lattice_corner``);
+(3j + b)·2^(level-k) + 3·2^level with b in {-1, 0, 1} (``_lattice_corner``);
 ``_grid_lattice`` gives those corners per axis, for this module and for
 the A2 search.  Averages are compared as integers over a shared
 denominator (the integer form of ``dyadic_maximal``'s output) or by
@@ -96,7 +97,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import Box, Cube, GridId
-from .rational import floor_log2, parse_scalar, pow2, rat, rat_ceil, rat_floor
+from .rational import parse_scalar, pow2, rat, rat_ceil, rat_floor
 
 __all__ = [
     "Mesh",
@@ -114,10 +115,6 @@ __all__ = [
 # A kernel reads the int64 table of |f| when every product of a table entry
 # with its largest factor has at most this many bits (``_abs_table``)
 _INT64_BITS = 62
-
-
-def _default_domain(dim: int) -> Box:
-    return Box((Fraction(-1),) * dim, (Fraction(2),) * dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,35 +153,21 @@ def _pieces(mesh: Mesh, box: Box):
 
 
 class Mesh:
-    """Uniform mesh of 2**-level sided cells tiling a padded ambient box."""
+    """Uniform mesh of 2**-level sided cells tiling the ambient box
+    [-1, 2)^n: 3·2^level cells per axis."""
 
-    def __init__(self, dim: int, level: int, domain: Box | None = None):
+    def __init__(self, dim: int, level: int):
         if dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
         if level < 1:
             raise ValueError("mesh level must be at least 1")
-        if domain is None:
-            domain = _default_domain(dim)
-        if domain.dim != dim:
-            raise ValueError("domain dimension mismatch")
-        h = pow2(-level)
-        counts = []
-        for a, b in zip(domain.lo, domain.hi):
-            if (a / h).denominator != 1:
-                raise ValueError("domain corners must be aligned to the mesh")
-            n = (b - a) / h
-            if n.denominator != 1:
-                raise ValueError("domain sides must be whole numbers of cells")
-            counts.append(int(n))
-        if len(set(counts)) != 1:
-            raise ValueError("domain must have equal sides")
         self.dim = dim
         self.level = level
-        self.domain = domain
-        self.h = h
+        self.domain = Box((Fraction(-1),) * dim, (Fraction(2),) * dim)
+        self.h = pow2(-level)
         # the lower corner 3·lo/h per axis, in units of the h/3 lattice
-        self.lattice_lo = tuple(3 * int(a / h) for a in domain.lo)
-        self.cells_axis = counts[0]
+        self.lattice_lo = (-3 << level,) * dim
+        self.cells_axis = 3 << level
         self.shape = (self.cells_axis,) * dim
         self.size = self.cells_axis**dim
 
@@ -195,10 +178,10 @@ class Mesh:
 
     def __eq__(self, other):
         return (isinstance(other, Mesh) and self.dim == other.dim
-                and self.level == other.level and self.domain == other.domain)
+                and self.level == other.level)
 
     def __hash__(self):
-        return hash((self.dim, self.level, self.domain))
+        return hash((self.dim, self.level))
 
     def cell_box(self, idx: tuple[int, ...]) -> Box:
         lo = tuple(a + i * self.h for a, i in zip(self.domain.lo, idx))
@@ -409,8 +392,8 @@ class StepFunction:
         nums, den = self._num
         for axis in range(self.mesh.dim):
             nums = np.repeat(nums, 1 << delta, axis)
-        return StepFunction._from_ints(Mesh(self.mesh.dim, self.mesh.level + delta,
-                                            self.mesh.domain), nums, den)
+        return StepFunction._from_ints(Mesh(self.mesh.dim, self.mesh.level + delta),
+                                       nums, den)
 
     # -- CSV input ----------------------------------------------------------
 
@@ -587,11 +570,9 @@ def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
     return StepFunction._from_ints(f.mesh, out, 2 * den)
 
 
-def _top_scale(mesh: Mesh) -> int:
-    """Coarsest scale the maximal operators sweep: the cover-cube scale of
-    the ambient domain itself (side 16 for the default [-1,2)^n box)."""
-    side = mesh.domain.hi[0] - mesh.domain.lo[0]
-    return -(floor_log2(3 * side) + 1)
+# Coarsest scale the maximal operators sweep: the cover-cube scale of the
+# ambient box [-1, 2)^n, whose grid cubes have side 16
+_TOP_SCALE = -4
 
 
 def _shared_fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
@@ -603,7 +584,8 @@ def _shared_fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
 
 def _lattice_corner(mesh: Mesh, k: int, thirds) -> list[int]:
     """The h/3-lattice point of a scale-k <= level grid-cube corner given
-    per axis in thirds 3j + b of the side: (3j + b)·2^(level-k) - 3·lo/h."""
+    per axis in thirds 3j + b of the side: (3j + b)·2^(level-k) + 3·2^level,
+    counted from the box's lower corner -1."""
     g = 1 << (mesh.level - k)
     return [u * g - x for u, x in zip(thirds, mesh.lattice_lo)]
 
@@ -707,7 +689,7 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
-    top, dim = _top_scale(mesh), mesh.dim
+    top, dim = _TOP_SCALE, mesh.dim
     unit = (3 << (mesh.level - top)) ** dim
     table = f._abs_table(unit)
     best = np.zeros(mesh.shape, dtype=table.dtype)

@@ -126,7 +126,7 @@ import numpy as np
 from .rational import ldexp_ratio, rat, rat_str
 from .geometry import Box, Cube, GridId
 from .stepfn import (Mesh, StepFunction, _cube_sums, _grid_cube_sums,
-                     _grid_lattice, _prefix_table, _top_scale)
+                     _grid_lattice, _prefix_table, _TOP_SCALE)
 from .sparse import SparseFamily, verify_sparse_family
 
 __all__ = [
@@ -183,24 +183,17 @@ class Weight:
         return out
 
     @staticmethod
-    def constant(mesh: Mesh, c) -> "Weight":
-        return Weight(StepFunction.constant(mesh, c))
-
-    @staticmethod
-    def power(mesh: Mesh, a: float, center=Fraction(1, 2)) -> "Weight":
-        """w(x) = max_i |x_i - center|^a sampled at cell centers, frozen to
-        exact rationals (|x - center|^a in one dimension).  Distances are
-        integers over one q; each float is one correctly rounded division."""
-        c = rat(center)
-        q = math.lcm(2 * mesh.h.denominator, c.denominator)  # h = 2^-level
-        # cell i has its center at lo + (2i + 1)·h/2; q·h/2 is an integer
-        axes = [[abs(int(q * (lo - c)) + (2 * i + 1) * q // (2 * mesh.h.denominator))
-                 for i in range(mesh.cells_axis)] for lo in mesh.domain.lo]
-        if all(0 in dists for dists in axes):
-            raise ValueError("power-weight center hits a cell center")
-        frozen = {d: rat((d / q) ** a) for d in set().union(*axes)}
-        return Weight(StepFunction(mesh, [frozen[max(ds)]
-                                          for ds in iter_product(*axes)]))
+    def power(mesh: Mesh, a: float) -> "Weight":
+        """w(x) = max_i |x_i - 1/2|^a sampled at cell centers, frozen to
+        exact rationals (|x - 1/2|^a in one dimension).  Cell i of an axis
+        has its center at -1 + (2i + 1)/q, q = 2^(level+1), so its distance
+        to 1/2 is the odd integer |2i + 1 - 3·2^level| over q; each float is
+        one correctly rounded division."""
+        q, mid = 2 << mesh.level, 3 << mesh.level
+        dists = [abs(2 * i + 1 - mid) for i in range(mesh.cells_axis)]
+        frozen = {d: rat((d / q) ** a) for d in set(dists)}
+        return Weight(StepFunction(mesh, [frozen[max(ds)] for ds in
+                                          iter_product(dists, repeat=mesh.dim)]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +298,7 @@ def a2_constant(w: Weight) -> A2Report:
     tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
     blocks = []
     for grid in GridId.all_grids(dim):
-        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
+        for k in range(mesh.level, _TOP_SCALE - 1, -1):
             lattice = _grid_lattice(mesh, grid, k)
             corners = [x.tolist() for _, x, _ in lattice]
             area = math.prod(np.ix_(*map(np.diff, corners))).astype(np.longdouble)
@@ -583,14 +576,13 @@ def _scan_operator(kind: str, mesh: Mesh) -> CellOperator:
     raise ValueError("unknown operator kind: %r" % kind)
 
 
-def a2_scan(kinds, exponents, level: int, seed: int = 0,
-            iters: int = 80) -> list[ScanTable]:
+def a2_scan(kinds, exponents, level: int, seed: int = 0) -> list[ScanTable]:
     """Scan ‖op‖_{L²(w_a)} against the A₂ constant of w_a(x) = |x−1/2|^a,
     one table per operator kind in ``kinds``.
 
     Each exponent must lie in (−1, 1) (the weight is A₂ in the continuum).
     Each weight and its A₂ constant are computed once and shared by every
-    operator; row idx runs power iteration with seed ``seed ^ idx``.
+    operator; row idx runs 80 power iterations with seed ``seed ^ idx``.
     """
     exponents = list(exponents)
     for a in exponents:
@@ -600,12 +592,11 @@ def a2_scan(kinds, exponents, level: int, seed: int = 0,
     ops = [_scan_operator(kind, mesh) for kind in kinds]
     rows = [[] for _ in ops]
     for idx, a in enumerate(exponents):
-        w = (Weight.constant(mesh, 1) if a == 0
-             else Weight.power(mesh, a))
+        w = Weight.power(mesh, a)  # a = 0 gives 1 on every cell
         rep = a2_constant(w)
         a2 = float(rep.constant)
         for op, out in zip(ops, rows):
-            est = operator_norm_weighted(op, w, iters=iters, seed=seed ^ idx)
+            est = operator_norm_weighted(op, w, iters=80, seed=seed ^ idx)
             out.append(ScanRow(a=float(a), a2=a2, opnorm=est.value,
                                ratio=est.value / a2, a2_exact=rep.constant,
                                converged=est.converged))

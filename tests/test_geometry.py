@@ -14,8 +14,8 @@ from sparsedom.geometry import (
     cover_cube,
     dilate,
 )
-from sparsedom.rational import (MAX_EXPONENT, THIRD, ZERO, floor_log2, parse_scalar, pow2,
-                                rat, rat_ceil, rat_floor, rat_str)
+from sparsedom.rational import (MAX_EXPONENT, THIRD, ZERO, floor_log2_ratio, parse_scalar,
+                                pow2, rat, rat_ceil, rat_floor, rat_str)
 
 from meshtools import cube_at
 
@@ -194,7 +194,7 @@ def reference_cover(q):
     """The cover search and the cube corner in plain Fraction arithmetic,
     the formula cover_cube used before its integer form: the oracle for
     (grid, k, j, box)."""
-    k0 = -(floor_log2(3 * q.side) + 1)
+    k0 = -(floor_log2_ratio(3 * q.side.numerator, q.side.denominator) + 1)
     s = pow2(-k0)
     sign = 1 if k0 % 2 == 0 else -1
     alpha, index = [], []
@@ -218,7 +218,7 @@ def cover_boundary_cubes(draw, dim):
     standard-grid test is decided by equality."""
     ell = draw(st.one_of(side_lengths, st.fractions(
         Fraction(1, 2048), 8, max_denominator=2048)))
-    s = pow2(floor_log2(3 * ell) + 1)
+    s = pow2(floor_log2_ratio(3 * ell.numerator, ell.denominator) + 1)
     lo = []
     for _ in range(dim):
         end = draw(st.sampled_from(("free", "hi-on-grid", "lo-on-grid")))

@@ -498,6 +498,26 @@ def test_cli_osc_estimate_keeps_lambda(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["lam"] == "1/3"
 
 
+def test_cli_acceptance_rejects_lambda_for_criterion_4(tmp_path, capsys):
+    # criterion 4 fixes λ as decompose does: a λ by flag or config file
+    # exits 2 before any criterion runs, with --all too
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lambda = 1/4\n")
+    small = ("--level", "3", "--trials", "1")
+    for args in (("--id", "osc-decomposition", "--lambda", "1/4"),
+                 ("--id", "4", "--config", str(cfg)),
+                 ("--all", "--lambda", "1/4") + small):
+        assert run_cli("acceptance", *args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fixed at 2^-(n+2)" in err and "PASS" not in err and "FAIL" not in err
+    # a criterion that reads λ still takes it
+    assert run_cli("acceptance", "--id", "adjoint-osc-growth", "--lambda", "1/4",
+                   *small) in (0, 1)
+    verdict, = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["config"]["lam"] == "1/4"
+
+
 def test_cli_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("colour = blue\n")

@@ -42,7 +42,7 @@ from sparsedom.stepfn import (
     _corner,
     _corners,
     _cube_windows,
-    _top_scale,
+    _TOP_SCALE,
     _window_cells,
     _window_sums,
 )
@@ -173,7 +173,7 @@ def test_grid_cubes_meet_iff_nested(mesh):
     # two cubes of one grid meet exactly when one is an ancestor of the
     # other, at every scale pair from above the domain down to the mesh
     for grid in GridId.all_grids(mesh.dim):
-        boxes = {q: q.box for k in range(_top_scale(mesh) - 2, mesh.level + 1)
+        boxes = {q: q.box for k in range(_TOP_SCALE - 2, mesh.level + 1)
                  for q in cubes_around(mesh, grid, k)}
         boxes = {q: b for q, b in boxes.items() if mesh.domain.intersect(b)}
         cubes, lineage = list(boxes), {}
@@ -207,7 +207,7 @@ def test_window_sums_match_cube_averages(source):
         assert table.max() > 2**63
     coarsest = min(q.k for grid in GridId.all_grids(dim)
                    for _, q in cz_sparse(f, grid).pairs())
-    k_lo = min(coarsest, _top_scale(mesh)) - 2
+    k_lo = min(coarsest, _TOP_SCALE) - 2
     larger, clipped = 0, 0
     for grid in GridId.all_grids(dim):
         for k in range(k_lo, mesh.level + 1):

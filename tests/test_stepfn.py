@@ -27,7 +27,7 @@ from sparsedom.stepfn import (
     _LATTICE_DEPTH,
     _prefix_table,
     _runs,
-    _top_scale,
+    _TOP_SCALE,
 )
 
 from sparsedom.sparse import amalgam_adjoint, cz_sparse, split_families
@@ -54,17 +54,12 @@ rational_values = st.one_of(
 )
 
 
-def step_functions(level=2, dim=1, values=cell_values, domain=None):
-    mesh = Mesh(dim, level, domain)
+def step_functions(level=2, dim=1, values=cell_values):
+    mesh = Mesh(dim, level)
     return st.builds(
         lambda vals: StepFunction(mesh, vals),
         st.lists(values, min_size=mesh.size, max_size=mesh.size),
     )
-
-
-# meshes whose domain's lower corner is not -1
-OFFSET_1D = Box.interval(rat("-3/4"), rat("9/4"))
-OFFSET_2D = Box.square(rat("1/2"), rat("5/2"))
 
 
 UNIT = Box.interval(0, 1)
@@ -158,11 +153,6 @@ def test_mesh_counts():
     assert m2.shape == (12, 12) and m2.size == 144
 
 
-def test_mesh_rejects_misaligned_domain():
-    with pytest.raises(ValueError):
-        Mesh(1, 2, Box.interval(rat("1/3"), rat("4/3")))
-
-
 def test_atom_count_matches_measure_for_grid_cubes():
     # any interval whose length is a whole number of cells holds exactly
     # that many cell centers, no matter how it is shifted
@@ -212,8 +202,8 @@ def random_box(rng, dim, lo=-2, hi=3):
     return Box(tuple(a for a, _ in ends), tuple(b for _, b in ends))
 
 
-@pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1), Mesh(2, 2, OFFSET_2D)],
-                         ids=["1d", "2d", "2d-offset"])
+@pytest.mark.parametrize("mesh", [Mesh(1, 2), Mesh(2, 1), Mesh(2, 2)],
+                         ids=["1d", "2d", "2d-level2"])
 def test_mesh_cells_are_the_cells_with_centers_in_box(mesh):
     rng = random.Random(mesh.size)
     centers = [mesh.centers(a) for a in range(mesh.dim)]
@@ -234,7 +224,7 @@ def test_integral_and_atom_sum_cellwise_2d():
     # every cell weighted by its overlap with the box, against the n-D
     # prefix table with partial cells on both axes
     rng = random.Random(5)
-    for mesh in (Mesh(2, 1), Mesh(2, 2, OFFSET_2D)):
+    for mesh in (Mesh(2, 1), Mesh(2, 2)):
         f = StepFunction(mesh, [Fraction(rng.randint(-40, 40), rng.choice([1, 3, 7, 96]))
                                 for _ in range(mesh.size)])
         for _ in range(40):
@@ -342,9 +332,8 @@ def test_median_spec_values():
     assert median(StepFunction.constant(Mesh(1, 2), rat("2/3")), UNIT) == rat("2/3")
     f = mk(2, [(Box.interval(0, rat("1/2")), 1)])
     assert median(f, UNIT) == 1  # maximal-median convention
-    mesh = Mesh(1, 2, Box.interval(0, 3))
-    g = StepFunction(mesh, [1] * 4 + [2] * 4 + [3] * 4)
-    assert median(g, Box.interval(0, 3)) == 2
+    g = StepFunction(Mesh(1, 2), [1] * 4 + [2] * 4 + [3] * 4)
+    assert median(g, Box.interval(-1, 2)) == 2
 
 
 @given(step_functions())
@@ -517,7 +506,7 @@ def oracle_dyadic(f, grid):
         center = tuple(mesh.domain.lo[d] + (idx[d] + Fraction(1, 2)) * mesh.h
                        for d in range(mesh.dim))
         best = Fraction(0)
-        for k in range(_top_scale(mesh), mesh.level + 1):
+        for k in range(_TOP_SCALE, mesh.level + 1):
             q = cube_at(grid, k, center)
             best = max(best, g.integral(q.box) / q.measure)
         out.append(best)
@@ -585,17 +574,8 @@ def test_dyadic_maximal_2d_all_grids(f):
         assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
 
 
-@given(step_functions(level=3, values=rational_values, domain=OFFSET_1D),
-       step_functions(level=2, dim=2, values=rational_values, domain=OFFSET_2D))
-@settings(max_examples=5, deadline=None)
-def test_dyadic_maximal_offset_domain(f1, f2):
-    for f in (f1, f2):
-        for grid in GridId.all_grids(f.mesh.dim):
-            assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
-
-
 def test_dyadic_maximal_2d_shifted_small():
-    mesh = Mesh(2, 1, Box.square(-1, 1))
+    mesh = Mesh(2, 1)
     rng = np.random.default_rng(3)
     f = StepFunction(mesh, [Fraction(int(x), 2) for x in
                             rng.integers(-4, 5, mesh.size)])
@@ -646,14 +626,6 @@ def test_hl_2d_matches_bruteforce(f):
     assert hl_maximal(f).values == oracle_hl_2d(f)
 
 
-@given(step_functions(level=3, values=rational_values, domain=OFFSET_1D),
-       step_functions(level=2, dim=2, values=rational_values, domain=OFFSET_2D))
-@settings(max_examples=5, deadline=None)
-def test_hl_offset_domain(f1, f2):
-    assert hl_maximal(f1).values == oracle_hl_1d(f1)
-    assert hl_maximal(f2).values == oracle_hl_2d(f2)
-
-
 @given(step_functions(level=2), step_functions(level=2))
 @settings(max_examples=30)
 def test_hl_sublinear(f, g):
@@ -672,7 +644,7 @@ def test_hl_sandwich(f):
 
 
 def test_hl_2d_exhaustive_small():
-    mesh = Mesh(2, 1, Box.square(0, 2))
+    mesh = Mesh(2, 1)
     rng = np.random.default_rng(11)
     f = StepFunction(mesh, [Fraction(int(x), 2) for x in
                             rng.integers(0, 5, mesh.size)])
@@ -702,7 +674,7 @@ def test_table_dtype_rule():
 @EDGE_MESHES
 def test_dyadic_maximal_at_the_int64_edge(monkeypatch, mesh, over):
     # largest factor (3·2^(level - top))^n
-    multiplier = (3 << (mesh.level - _top_scale(mesh))) ** mesh.dim
+    multiplier = (3 << (mesh.level - _TOP_SCALE)) ** mesh.dim
     f = edge_input(mesh, multiplier, over)
     for grid in GridId.all_grids(mesh.dim):
         got, dtypes, forced = both_paths(monkeypatch, lambda: dyadic_maximal(f, grid))
@@ -745,7 +717,7 @@ def test_table_reads_agree_across_dtypes(mesh):
         table = _prefix_table(cells, dtype)
         assert table.dtype == dtype
         for grid in GridId.all_grids(mesh.dim):
-            for k in range(_top_scale(mesh), mesh.level + 1):
+            for k in range(_TOP_SCALE, mesh.level + 1):
                 want = _grid_cube_sums(exact, mesh, grid, k)[0]
                 got = _grid_cube_sums(table, mesh, grid, k)[0]
                 assert got.dtype == dtype

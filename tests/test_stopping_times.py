@@ -10,8 +10,7 @@ sorted (value, count) runs, and a cube-by-cube descent through
 rationals with unrelated denominators, exact half/half ties (the upper
 median and the non-strict selection), sparse spikes (sibling subcubes
 selected side by side, so the order of the descent shows), 1-D and 2-D,
-a domain whose lower corner is not -1, and q0 at scales -1, 0 and 1 away
-from the origin.
+and q0 at scales -1, 0 and 1 away from the origin.
 """
 
 import functools
@@ -23,7 +22,7 @@ import numpy as np
 import pytest
 
 from sparsedom.geometry import Box, Cube, GridId
-from sparsedom.rational import pow2, rat
+from sparsedom.rational import pow2
 from sparsedom.sparse import oscillation_decompose, verify_decomposition
 from sparsedom.stepfn import (
     Mesh,
@@ -182,8 +181,6 @@ def ref_gap(f, q0, pairs, coeffs, m):
 # ---------------------------------------------------------------------------
 
 STD1, STD2 = GridId.standard(1), GridId.standard(2)
-OFFSET_1D = Box.interval(rat("-3/4"), rat("9/4"))
-OFFSET_2D = Box.square(rat("1/2"), rat("5/2"))
 
 
 def rational_function(mesh, seed):
@@ -229,18 +226,18 @@ def half_function(mesh, q0, seed):
     return StepFunction(mesh, vals.flat)
 
 
-# (mesh, q0): 1-D and 2-D, the default and an offset domain, q0 at scales
-# -1, 0 and 1 with j != 0
+# (mesh, q0): 1-D and 2-D, q0 at scales -1, 0 and 1, at the origin and
+# offset from it (j != 0)
 CONFIGS = [
     (Mesh(1, 5), Cube(STD1, 0, (0,))),
     (Mesh(1, 4), Cube(STD1, -1, (0,))),
     (Mesh(1, 5), Cube(STD1, 0, (-1,))),
     (Mesh(1, 5), Cube(STD1, 1, (3,))),
-    (Mesh(1, 4, OFFSET_1D), Cube(STD1, 0, (1,))),
+    (Mesh(1, 4), Cube(STD1, 0, (1,))),
     (Mesh(2, 3), Cube(STD2, 0, (0, 0))),
     (Mesh(2, 2), Cube(STD2, -1, (0, 0))),
     (Mesh(2, 3), Cube(STD2, 1, (-2, 3))),
-    (Mesh(2, 3, OFFSET_2D), Cube(STD2, 0, (1, 1))),
+    (Mesh(2, 3), Cube(STD2, 0, (1, 1))),
     (Mesh(2, 4), Cube(STD2, 0, (0, 0))),
 ]
 IDS = ["1d", "1d-k-1", "1d-j-1", "1d-k1-j3", "1d-offset",
@@ -269,7 +266,7 @@ def test_decomposition_matches_reference(mesh, q0, kind):
         f = make(kind, mesh, q0, seed)
         m, pairs, coeffs = ref_decompose(f, q0)
         res = oscillation_decompose(f, q0)
-        assert res.base_median == m
+        assert res.base_median == m == median(f, q0.box)
         assert list(res.family.pairs()) == pairs
         assert list(res.coefficients.items()) == list(coeffs.items())
         assert verify_decomposition(f, res) == ref_gap(f, q0, pairs, coeffs, m)

@@ -16,7 +16,7 @@ from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.rational import pow2
 from sparsedom.stepfn import (Mesh, StepFunction, average, _cube_sums,
                               _grid_cube_sums, _grid_lattice, _prefix_table,
-                              _top_scale)
+                              _TOP_SCALE)
 from sparsedom.sparse import SparseFamily
 from sparsedom.weights import (
     A2Report,
@@ -57,7 +57,7 @@ def grid_cube_regions(mesh):
     domain cover, clipped to the domain, enumerated in Fractions."""
     dom = mesh.domain
     for grid in GridId.all_grids(mesh.dim):
-        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
+        for k in range(mesh.level, _TOP_SCALE - 1, -1):
             s = pow2(-k)
             off = grid.offset_at(k)
             ranges = [range(math.floor(dom.lo[a] / s - off[a]),
@@ -74,7 +74,7 @@ def grid_blocks(mesh):
     scale) in the A2 search's order: grid, then scale from fine to
     coarse."""
     for grid in GridId.all_grids(mesh.dim):
-        for k in range(mesh.level, _top_scale(mesh) - 1, -1):
+        for k in range(mesh.level, _TOP_SCALE - 1, -1):
             yield grid, k, [x for _, x, _ in _grid_lattice(mesh, grid, k)]
 
 
@@ -135,7 +135,7 @@ def test_weight_requires_positive():
 
 def test_a2_constant_weight_is_one():
     for c in (1, Fraction(7, 3), 100):
-        rep = a2_constant(Weight.constant(Mesh(dim=1, level=3), c))
+        rep = a2_constant(Weight(StepFunction.constant(Mesh(dim=1, level=3), c)))
         assert rep.constant == 1
 
 
@@ -242,7 +242,7 @@ def test_a2_at_least_one_random(seed):
 
 def test_a2_2d_constant_and_brute():
     mesh = Mesh(dim=2, level=1)
-    assert a2_constant(Weight.constant(mesh, 3)).constant == 1
+    assert a2_constant(Weight(StepFunction.constant(mesh, 3))).constant == 1
     w = mk_weight(mesh, 21)
     rep = a2_constant(w)
     assert rep.constant == brute_a2(w)
@@ -677,7 +677,7 @@ def test_single_cube_averaging_norm_is_one():
     fam = SparseFamily(grid=GridId.standard(1),
                        levels={0: [Cube(GridId.standard(1), 1, (0,))]})
     op = sparse_family_operator(mesh, fam)
-    est = operator_norm_weighted(op, Weight.constant(mesh, 1), iters=40)
+    est = operator_norm_weighted(op, Weight(StepFunction.constant(mesh, 1)), iters=40)
     assert abs(est.value - 1.0) < 1e-9
 
 
@@ -685,7 +685,7 @@ def test_power_iteration_never_exceeds_svd():
     mesh = Mesh(dim=1, level=2)
     op = sparse_family_operator(mesh, tower_family(mesh))
     for a, seed in ((0.0, 0), (0.6, 1), (0.9, 2)):
-        w = (Weight.constant(mesh, 1) if a == 0 else Weight.power(mesh, a))
+        w = Weight.power(mesh, a)
         wf = np.array([float(v) for v in w.fn.values])
         m = np.diag(np.sqrt(wf)) @ dense(op) @ np.diag(1 / np.sqrt(wf))
         sigma = np.linalg.svd(m, compute_uv=False)[0]
@@ -704,7 +704,7 @@ def test_weighted_hilbert_norm_matches_dense_svd(level):
     op = hilbert_full_operator(mesh)
     h = dense(op)
     for a in (0, 0.5, 0.95):
-        w = Weight.constant(mesh, 1) if a == 0 else Weight.power(mesh, a)
+        w = Weight.power(mesh, a)
         wf = np.array([float(v) for v in w.fn.values])
         m = np.sqrt(wf)[:, None] * h / np.sqrt(wf)[None, :]
         sigma = np.linalg.svd(m, compute_uv=False)[0]
@@ -713,14 +713,14 @@ def test_weighted_hilbert_norm_matches_dense_svd(level):
         assert est.value >= sigma * (1 - 1e-3)
 
 
-def power_values_reference(mesh, a, center=Fraction(1, 2)):
+def power_values_reference(mesh, a):
     """Weight.power's cell values by the per-cell formula: one cell box and
-    one Fraction center per cell."""
+    one Fraction center per cell, at distance max_i |x_i - 1/2| from 1/2."""
     vals = []
     for i in range(mesh.size):
         idx = np.unravel_index(i, mesh.shape)
         center_i = mesh.cell_box(tuple(int(x) for x in idx)).center
-        vals.append(Fraction(float(max(abs(x - center) for x in center_i)) ** a))
+        vals.append(Fraction(float(max(abs(x - Fraction(1, 2)) for x in center_i)) ** a))
     return vals
 
 
@@ -728,22 +728,10 @@ def power_values_reference(mesh, a, center=Fraction(1, 2)):
 def test_power_weight_matches_per_cell_formula(dim, levels):
     for level in levels:
         mesh = Mesh(dim=dim, level=level)
-        for a in (0.95, -0.4):
+        # a = 0 is the constant 1, the first weight of the scan
+        for a in (0, 0.95, -0.4):
             assert Weight.power(mesh, a).fn.values == \
                 power_values_reference(mesh, a)
-    # a center on a cell center of one axis only: no cell is at distance 0
-    mesh = Mesh(dim=2, level=2, domain=Box((Fraction(-1), Fraction(3)),
-                                           (Fraction(2), Fraction(6))))
-    c = mesh.centers(0)[5]
-    assert Weight.power(mesh, 0.5, c).fn.values == \
-        power_values_reference(mesh, 0.5, c)
-    with pytest.raises(ValueError):
-        Weight.power(Mesh(dim=2, level=2), 0.5, c)
-    # a center that is not dyadic
-    for mesh in (Mesh(dim=1, level=5), Mesh(dim=2, level=3)):
-        c = Fraction(1, 3)
-        assert Weight.power(mesh, 0.7, c).fn.values == \
-            power_values_reference(mesh, 0.7, c)
 
 
 def test_norm_estimate_monotone_in_iters():
@@ -768,7 +756,7 @@ def test_norm_estimate_rejects_few_iters():
     mesh = Mesh(dim=1, level=2)
     with pytest.raises(ValueError):
         operator_norm_weighted(identity_operator(mesh),
-                               Weight.constant(mesh, 1), iters=5)
+                               Weight(StepFunction.constant(mesh, 1)), iters=5)
 
 
 def test_hilbert_operator_matches_hilbert_apply():
@@ -822,7 +810,7 @@ def test_tower_family_structure():
 # ---------------------------------------------------------------------------
 
 def test_a2_scan_small():
-    tab, = a2_scan(["sparse"], [0, 0.5], level=5, seed=1, iters=20)
+    tab, = a2_scan(["sparse"], [0, 0.5], level=5, seed=1)
     assert len(tab.rows) == 2
     assert tab.rows[0].a2_exact == 1
     assert tab.rows[1].a2 > 1
@@ -845,9 +833,8 @@ def test_a2_scan_rejects_bad_exponent_and_kind():
 
 
 def test_a2_scan_shares_weights_across_kinds():
-    both = a2_scan(["hilbert", "sparse"], [0.2, 0.6], level=4, seed=3,
-                   iters=15)
+    both = a2_scan(["hilbert", "sparse"], [0.2, 0.6], level=4, seed=3)
     assert [t.kind for t in both] == ["hilbert", "sparse"]
     for tab in both:
-        one, = a2_scan([tab.kind], [0.2, 0.6], level=4, seed=3, iters=15)
+        one, = a2_scan([tab.kind], [0.2, 0.6], level=4, seed=3)
         assert tab.to_json() == one.to_json()
