@@ -166,6 +166,7 @@ def _cmd_cover_test(args) -> int:
 
 
 _LAMBDA_FIXED = "λ is fixed at 2^-(n+2) by the oscillation decomposition"
+_LAMBDA_FIXED_IDS = {"osc-decomposition", "master-domination"}  # 10: dominate
 
 
 def _cmd_decompose(args) -> int:
@@ -249,9 +250,9 @@ def _cmd_acceptance(args) -> int:
               file=sys.stderr)
         return 2
     # every config is gathered before any criterion runs, so a usage error
-    # exits 2 with nothing run; criterion 4 fixes its λ as decompose does
+    # exits 2 with nothing run
     configs = [_gather_config(args, default_config(cid), no_lambda=_LAMBDA_FIXED
-                              if cid == "osc-decomposition" else None)[0]
+                              if cid in _LAMBDA_FIXED_IDS else None)[0]
                for cid in ids]
     verdicts = []
     for cid, cfg in zip(ids, configs):

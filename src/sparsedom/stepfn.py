@@ -57,9 +57,8 @@ the A2 search.  Averages are compared as integers over a shared
 denominator (the integer form of ``dyadic_maximal``'s output) or by
 cross-multiplication (``hl_maximal`` builds one Fraction per distinct
 value).  ``dyadic_maximal`` costs one gather per scale; ``hl_maximal`` is
-O(N log² N) in 1-D, where each split builds one hull per side (``_hull``)
-and runs one sweep of tangent queries against each, and O(n³) in 2-D, for
-n cells per axis.
+O(N log² N) in 1-D, one sweep over the cells against two convex hulls
+(``_hl_1d``), and O(n³) in 2-D, for n cells per axis.
 
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
@@ -705,68 +704,69 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
 # Averages of |f| are integer pairs (sum, length) over the common
 # denominator D, compared by cross-multiplication.
 
-def _tangent_from_point(px, py, hull):
-    """Max slope from (px,py) to a static convex hull of integer points, by
-    binary search on the unimodal slope sequence along the hull, as a pair
-    (rise, run) with run > 0.  Works for both query sides: the sign flips
-    of numerator and denominator cancel."""
-    lo, hi = 0, len(hull) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x1, y1 = hull[mid]
-        x2, y2 = hull[mid + 1]
-        if (y2 - py) * (x1 - px) > (y1 - py) * (x2 - px):
-            lo = mid + 1
-        else:
-            hi = mid
-    x1, y1 = hull[lo]
-    return (y1 - py, x1 - px) if x1 > px else (py - y1, px - x1)
-
-
-def _hull(points, turn: int):
-    """The upper (turn 1) or lower (turn -1) convex hull of integer points
-    given in increasing x: the last point is popped while the new one does
-    not turn the hull the other way."""
-    hull = []
-    for x, y in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if turn * ((y - y2) * (x2 - x1) - (y2 - y1) * (x - x2)) < 0:
-                break
-            hull.pop()
-        hull.append((x, y))
-    return hull
+def _push(hull: list, x: int, y: int) -> list:
+    """Push (x, y) onto a counterclockwise hull stack (lower hulls left to
+    right, upper ones right to left); returns the vertices it pops."""
+    popped = []
+    while len(hull) >= 2:
+        (x1, y1), (x2, y2) = hull[-2], hull[-1]
+        if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
+            break  # strictly convex at (x2, y2)
+        popped.append(hull.pop())
+    hull.append((x, y))
+    return popped
 
 
 def _hl_1d(pref: list[int]) -> list[tuple[int, int]]:
     """For every cell the max average of nonnegative integers with prefix
     table ``pref`` over cell-aligned intervals containing it, as a pair
-    (sum, length); divide and conquer over crossing intervals."""
+    (sum, length), in one sweep: O(N log² N).
+
+    Cell i takes the largest slope from the lower hull L of the points
+    (a, P_a), a <= i, to the upper hull U of the points (b, P_b), b > i.
+    L grows by one point per cell; U is built once, right to left, and
+    each cell rolls back one insertion, restoring the vertices it popped.
+    The slopes from a point to U's vertices rise, then fall, so the
+    tangent slope s_j from L's vertex v_j is a binary search, and so is
+    the bridge: move right while L's edge slope e_j (v_j to v_{j+1}) is
+    below s_j.  That holds exactly left of the first optimal vertex v_A.
+    The line l of the largest slope s* has every left point on or above
+    it, every right point on or below it, and v_A and at most v_{A+1} of L
+    on it.  For j < A, v_j lies above l, so with r a right point on l,
+    e_j <= slope(v_j, v_A) < slope(v_j, r) <= s_j (the slope from v_j to
+    the points of l rises with their x).  For j >= A, s_j <= s* <= e_j.
+    """
     n = len(pref) - 1
-    out = [(pref[i + 1] - pref[i], 1) for i in range(n)]  # single cells
+    upper = []  # upper[-1] is the leftmost vertex
+    undo = [_push(upper, b, pref[b]) for b in range(n, 0, -1)]
 
-    def sweep(queries, hull, shift):
-        # cell q + shift takes the best tangent from the queries so far
-        best = (0, 1)
-        for q in queries:
-            s = _tangent_from_point(q, pref[q], hull)
-            if s[0] * best[1] > best[0] * s[1]:
-                best = s
-            c = q + shift
-            if best[0] * out[c][1] > out[c][0] * best[1]:
-                out[c] = best
+    def tangent(px, py):
+        # the first stack position whose slope beats its left neighbour's
+        lo, hi = 0, len(upper) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            (x1, y1), (x2, y2) = upper[mid], upper[mid + 1]
+            if (y1 - py) * (x2 - px) > (y2 - py) * (x1 - px):
+                hi = mid
+            else:
+                lo = mid + 1
+        return upper[lo][1] - py, upper[lo][0] - px
 
-    def solve(lo, hi):
-        if hi - lo <= 1:
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        solve(mid, hi)
-        # crossing intervals [a, b), a < mid < b: cell a takes the prefix
-        # maximum over left ends, cell b - 1 the suffix maximum over right ends
-        sweep(range(lo, mid), _hull([(b, pref[b]) for b in range(mid + 1, hi + 1)], 1), 0)
-        sweep(range(hi, mid, -1), _hull([(a, pref[a]) for a in range(lo, mid)], -1), -1)
-    solve(0, n)
+    lower, out = [], []
+    for i in range(n):
+        _push(lower, i, pref[i])
+        lo, hi, best = 0, len(lower) - 1, None  # best: lower[hi]'s tangent
+        while lo < hi:
+            mid = (lo + hi) // 2
+            (x1, y1), (x2, y2) = lower[mid], lower[mid + 1]
+            rise, run = tangent(x1, y1)
+            if (y2 - y1) * run < rise * (x2 - x1):
+                lo = mid + 1
+            else:
+                hi, best = mid, (rise, run)
+        out.append(best or tangent(*lower[hi]))
+        upper.pop()  # roll back the insertion of b = i + 1
+        upper.extend(reversed(undo.pop()))
     return out
 
 
@@ -811,14 +811,13 @@ def hl_maximal(f: StepFunction) -> StepFunction:
     aligned cubes inside the domain containing each cell.
 
     Runs on integer sums over the common denominator D and builds
-    Fractions only for the output.  1-D splits at midpoints, O(N log² N),
-    on the table as a list of Python ints: at each split one sweep runs
-    the left ends against the upper hull of the right ends, and again the
-    right ends against the lower hull of the left ends, each query a
-    tangent from a point.  2-D sweeps every square by per-side window
-    sums and a sliding max, O(n³) for n cells per axis.  The largest
-    factor on a table entry is the measure n^dim of the largest cube, in
-    cells, by which sums are cross-multiplied.
+    Fractions only for the output.  1-D sweeps the cells once, O(N log² N),
+    on the table as a list of Python ints: each cell takes the largest
+    slope between the lower hull of the prefix points at or left of it and
+    the upper hull of those right of it (``_hl_1d``).  2-D sweeps every
+    square by per-side window sums and a sliding max, O(n³) for n cells
+    per axis.  The largest factor on a table entry is the measure n^dim of
+    the largest cube, in cells, by which sums are cross-multiplied.
     """
     mesh, D = f.mesh, f._numerators()[1]
     table = f._abs_table(mesh.size)

@@ -499,13 +499,15 @@ def test_cli_osc_estimate_keeps_lambda(tmp_path, capsys):
 
 
 def test_cli_acceptance_rejects_lambda_for_criterion_4(tmp_path, capsys):
-    # criterion 4 fixes λ as decompose does: a λ by flag or config file
+    # criteria 4 and 10 fix λ as decompose does: a λ by flag or config file
     # exits 2 before any criterion runs, with --all too
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("lambda = 1/4\n")
     small = ("--level", "3", "--trials", "1")
     for args in (("--id", "osc-decomposition", "--lambda", "1/4"),
                  ("--id", "4", "--config", str(cfg)),
+                 ("--id", "master-domination", "--lambda", "1/4") + small,
+                 ("--id", "10", "--config", str(cfg)),
                  ("--all", "--lambda", "1/4") + small):
         assert run_cli("acceptance", *args) == 2
         out, err = capsys.readouterr()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedom.geometry import Box, Cube, GridId
@@ -24,12 +24,14 @@ from sparsedom.stepfn import (
     _cube_sums,
     _grid_cube_sums,
     _grid_lattice,
+    _hl_1d,
     _LATTICE_DEPTH,
     _prefix_table,
     _runs,
     _TOP_SCALE,
 )
 
+from sparsedom.harness import GENERATOR_KINDS, generate_function
 from sparsedom.sparse import amalgam_adjoint, cz_sparse, split_families
 
 from meshtools import (assert_python_ints, both_paths, cell_masses, cell_of_point,
@@ -140,6 +142,29 @@ def oracle_hl_1d(f):
                 if avg > best[c]:
                     best[c] = avg
     return best
+
+
+def oracle_hl_pairs(pref):
+    """Per cell the best (sum, length) over the intervals [a, b) holding it,
+    in O(N^2) integer steps: for each left end a the suffix maximum over
+    right ends b, then the running maximum over a <= c."""
+    n = len(pref) - 1
+    best = [(0, 1)] * n
+    for a in range(n):
+        suffix = (0, 1)
+        for b in range(n, a, -1):  # suffix is now the best [a, b') with b' >= b
+            s, l = pref[b] - pref[a], b - a
+            if s * suffix[1] > suffix[0] * l:
+                suffix = (s, l)
+            c = b - 1
+            if suffix[0] * best[c][1] > best[c][0] * suffix[1]:
+                best[c] = suffix
+    return best
+
+
+def same_ratios(got, want):
+    return len(got) == len(want) and all(
+        s * m == r * l for (s, l), (r, m) in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +674,35 @@ def test_hl_2d_exhaustive_small():
     f = StepFunction(mesh, [Fraction(int(x), 2) for x in
                             rng.integers(0, 5, mesh.size)])
     assert hl_maximal(f).values == oracle_hl_2d(f)
+
+
+# cell values in runs drawn mostly from a few small integers: zeros,
+# repeats and plateaus put collinear points on both hulls and ties between
+# candidate intervals
+plateaus = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2**40)),
+              st.integers(1, 8)),
+    min_size=1, max_size=64,
+).map(lambda runs: [v for v, k in runs for _ in range(k)][:64])
+
+
+@given(plateaus)
+@example([0])
+@example([3] * 64)
+@settings(max_examples=300, deadline=None)
+def test_hl_sweep_matches_integer_oracle(cells):
+    pref = np.cumsum([0] + cells, dtype=object).tolist()
+    assert same_ratios(_hl_1d(pref), oracle_hl_pairs(pref))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_hl_matches_integer_oracle_at_level_7(kind, seed):
+    # 384 cells, past the reach of the O(N^3) Fraction oracle
+    f = generate_function(seed, kind, Mesh(1, 7))
+    nums, den = f._numerators()
+    want = oracle_hl_pairs(_prefix_table(abs(nums)).tolist())
+    assert hl_maximal(f).values == [Fraction(s, l * den) for s, l in want]
 
 
 # ---------------------------------------------------------------------------
