@@ -162,11 +162,6 @@ def oracle_hl_pairs(pref):
     return best
 
 
-def same_ratios(got, want):
-    return len(got) == len(want) and all(
-        s * m == r * l for (s, l), (r, m) in zip(got, want))
-
-
 # ---------------------------------------------------------------------------
 # mesh mechanics
 # ---------------------------------------------------------------------------
@@ -692,7 +687,9 @@ plateaus = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_hl_sweep_matches_integer_oracle(cells):
     pref = np.cumsum([0] + cells, dtype=object).tolist()
-    assert same_ratios(_hl_1d(pref), oracle_hl_pairs(pref))
+    got, want = _hl_1d(pref), oracle_hl_pairs(pref)
+    assert len(got) == len(want)
+    assert all(s * m == r * l for (s, l), (r, m) in zip(got, want))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
