@@ -158,15 +158,18 @@ def _emit(report: dict, cfg: ExperimentConfig, text: str = None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+_LAMBDA_FIXED = "λ is fixed at 2^-(n+2) by the oscillation decomposition"
+_LAMBDA_READERS = {"adjoint-osc-growth", "osc-stability"}  # criteria 7 and 9
+_LAMBDA_UNREAD = ("criterion %s reads no λ: only criteria 7 and 9 do, and "
+                  "every oscillation decomposition runs with λ fixed at 2^-(n+2)")
+
+
 def _cmd_cover_test(args) -> int:
-    cfg, _ = _gather_config(args, default_config("cover-6x"))
+    cfg, _ = _gather_config(args, default_config("cover-6x"),
+                            no_lambda=_LAMBDA_UNREAD % "cover-6x")
     verdict = run_criterion("cover-6x", cfg)
     _emit(verdict.to_json(), cfg)
     return 0 if verdict.passed else 1
-
-
-_LAMBDA_FIXED = "λ is fixed at 2^-(n+2) by the oscillation decomposition"
-_LAMBDA_FIXED_IDS = {"osc-decomposition", "master-domination"}  # 10: dominate
 
 
 def _cmd_decompose(args) -> int:
@@ -232,7 +235,7 @@ def _cmd_osc_estimate(args) -> int:
 
 
 def _cmd_a2_scan(args) -> int:
-    cfg, extras = _gather_config(args)
+    cfg, extras = _gather_config(args, no_lambda="the A2 scan reads no λ")
     if cfg.dim != 1:
         raise ValueError("a2-scan is one-dimensional")
     exponents = extras.get("exponents", (0, 0.3, 0.6, 0.8, 0.9, 0.95))
@@ -251,8 +254,8 @@ def _cmd_acceptance(args) -> int:
         return 2
     # every config is gathered before any criterion runs, so a usage error
     # exits 2 with nothing run
-    configs = [_gather_config(args, default_config(cid), no_lambda=_LAMBDA_FIXED
-                              if cid in _LAMBDA_FIXED_IDS else None)[0]
+    configs = [_gather_config(args, default_config(cid), no_lambda=None
+                              if cid in _LAMBDA_READERS else _LAMBDA_UNREAD % cid)[0]
                for cid in ids]
     verdicts = []
     for cid, cfg in zip(ids, configs):

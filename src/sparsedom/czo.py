@@ -83,7 +83,11 @@ def maximal_truncated(f: StepFunction) -> StepFunction:
 
     Lossless over the continuous truncation parameters (see module
     docstring); float64 band sums, values then frozen as exact rationals
-    of the samples, all over one power of two.
+    of the samples, all over one power of two.  The values sit in the
+    middle third of a zero pad of 3N cells, so band u at every center is
+    one difference of two contiguous N-cell slices of the pad, shifted by
+    -u and +u; the bands are added in order u = 1..N-1, each after its
+    logarithm multiplies it, with a running max and min per cell.
     """
     mesh = f.mesh
     if mesh.dim != 1:
@@ -93,12 +97,12 @@ def maximal_truncated(f: StepFunction) -> StepFunction:
     pad[n:2 * n] = f._floats()
     u = np.arange(1, n, dtype=float)
     logtab = np.log((2 * u + 1) / (2 * u - 1))
-    idx = np.arange(n)
     prefix = np.zeros(n)
     hi = np.zeros(n)
     lo = np.zeros(n)
     for uu in range(1, n):
-        prefix += logtab[uu - 1] * (pad[idx - uu + n] - pad[idx + uu + n])
+        # band uu: f(x_i - uu·h) - f(x_i + uu·h) for every i, two slices
+        prefix += logtab[uu - 1] * (pad[n - uu:2 * n - uu] - pad[n + uu:2 * n + uu])
         np.maximum(hi, prefix, out=hi)
         np.minimum(lo, prefix, out=lo)
     mant, exp = np.frexp(hi - lo)  # t = (mant·2^53)·2^(exp-53) exactly

@@ -20,9 +20,10 @@ by ``stepfn._grid_cube_sums``: per axis it reads
 T(x) = (3 - r)·P[q] + r·P[min(q + 1, n)] at each clipped corner
 x = 3q + r and differences consecutive corners.  A score is the product
 of the two window sums over the squared measure.  It runs in two passes.
-Pass 1 builds float64 tables and keeps only the largest score m_d of each
-side d.  Pass 2 builds long-double tables, scores every grid cube, and
-scores the mesh cubes of only those sides that pass 1 cannot rule out.
+Pass 1 builds float64 tables and finds the sides d whose largest score m_d
+is near the top, scoring only the sides a bisection cannot rule out.
+Pass 2 builds long-double tables, scores every grid cube, and scores the
+mesh cubes of only those sides.
 
 The float images v̂ of a factor are its values times 2^-e, e the largest
 bit-length difference of numerator and denominator, each rounded once
@@ -88,6 +89,42 @@ and 6^D·K >= 24,
 Hence the long-double best, the kept cubes and their order are those of a
 long-double pass over every side.
 
+Pass 1 scores only some sides (``_side_search``).  Write R_d for the exact
+largest raw product Σ_Q w·Σ_Q w⁻¹ over the mesh cubes Q of side d, and R̂_d
+for its float64 value, so m_d = fl(R̂_d/d^{2D}).
+
+Lemma.  R_d is nondecreasing in d, in every dimension.  Proof: let
+d <= d' <= n and Q a cube of side d at corner i, 0 <= i_k <= n - d.  On
+every axis the interval from j_k = min(i_k, n - d') to j_k + d' holds
+[i_k, i_k + d): j_k <= i_k, and j_k + d' is i_k + d' >= i_k + d or
+n >= i_k + d.  So the cube of side d' at corner j holds Q; w and w⁻¹ are
+positive, so both its sums, and their product, are at least those of Q.
+
+A raw product, one rounding short of a score, is also within λ₆₄ of its
+exact value, so R_c <= e^{λ₆₄}·R̂_c; and m_d = max_Q ŝ(Q), the rounding
+being monotone.  Hence, for sides a < d < c,
+
+    m_d <= e^{λ₆₄}·R_d/d^{2D} <= e^{λ₆₄}·R_c/d^{2D}
+        <= e^{2λ₆₄}·R̂_c/(a + 1)^{2D},
+
+up to the factors (1 + 2⁻³⁵)².  For b₆₄ < 1, λ₆₄ < 1/3 and e^y <= 1 + 2y
+for y = 2λ₆₄ < 2/3, so grow = 1 + 4λ₆₄ + 2⁻³², as computed, exceeds
+e^{2λ₆₄}·(1 + 2⁻³⁵)²·(1 + 2⁻⁵³)², and the float64 value of
+R̂_c·grow/(a + 1)^{2D}, (a + 1)^{2D} being exact, bounds every m_d inside.
+
+The search scores sides 1 and n, then keeps side ranges (a, c), both ends
+scored, in a list sorted by that bound.  It pops the largest; if the bound is
+below T_lb·(1 - b₆₄), both as rounded, T_lb the largest score found so
+far, it stops, since every range left has a bound as low; otherwise it
+scores the midpoint and pushes both halves.  Every unscored side then lies
+in a range whose bound fell below that threshold, which only grows, so its
+m_d is below the full sweep's threshold fl(T·(1 - b₆₄)) <= T: the unscored
+sides are neither visited nor the top, and T and the visited sides are
+those of scoring every side.  When b₆₄ >= 1 every side is visited and no
+side is scored.  With x86's 80-bit long double that cannot follow the gate
+on b_L, which keeps b₆₄ below 2¹¹·10⁻⁴ + 16·2⁻⁵³ < 0.21; with a wider one
+it can.
+
 Every region whose long-double score is at least B·(1 - b_L) is confirmed
 exactly, mesh cubes by side d and row-major position first, then grid
 cubes by grid, scale (fine to coarse) and row-major position.  An exact
@@ -113,6 +150,7 @@ exact through the matvecs, the FFT and sqrt, so every figure is that of
 float(w) wherever float(w) is normal.
 """
 
+import bisect
 import csv
 import io
 import math
@@ -219,13 +257,47 @@ class A2Report:
         }
 
 
-def _side_maxima(factors) -> np.ndarray:
-    """Largest float64 score of the mesh cubes of each side d = 1..n, from
-    the float images of w and w⁻¹ (pass 1 of the module docstring)."""
+def _side_score(tw: np.ndarray, tv: np.ndarray, d: int) -> tuple:
+    """(R̂_d, m_d) of the module docstring: the largest float64 raw product
+    of the mesh cubes of side d, read from the float64 prefix tables of
+    the images of w and w⁻¹, and that over d^{2D}, the side's score."""
+    raw = (_cube_sums(tw, d) * _cube_sums(tv, d)).max()
+    return raw, raw / float(d) ** (2 * tw.ndim)
+
+
+def _side_search(factors, band: float) -> tuple:
+    """Pass 1 of the module docstring from the float images of w and w⁻¹
+    and ``band`` = b₆₄: the largest side score T and the sides d with
+    m_d >= T·(1 - band) in increasing order, as scoring every side gives
+    them, by a best-first bisection over side ranges.  When band >= 1 it
+    scores no side and returns (None, every side)."""
+    n = len(factors[0])
+    if band >= 1:  # every side is within the band of the top
+        return None, list(range(1, n + 1))
     tw, tv = (_prefix_table(f, np.float64) for f in factors)
-    return np.array([(_cube_sums(tw, d) * _cube_sums(tv, d)).max()
-                     / float(d) ** (2 * tw.ndim)
-                     for d in range(1, len(factors[0]) + 1)])
+    keep, dim = 1 - band, tw.ndim
+    lam = (band / 4) / (1 - band / 4)
+    grow = 1 + 4 * lam + 2.0 ** -32  # e^{2λ₆₄} and the rounding margins
+    raw, score = np.zeros(n + 1), np.full(n + 1, -np.inf)  # -inf: not scored
+    raw[1], score[1] = _side_score(tw, tv, 1)
+    raw[n], score[n] = _side_score(tw, tv, n)
+    top = max(score[1], score[n])
+    ranges = []  # (bound on the sides strictly inside, a, c), increasing
+
+    def push(a, c):
+        if c - a > 1:
+            bisect.insort(ranges, (raw[c] * grow / (a + 1) ** (2 * dim), a, c))
+
+    push(1, n)
+    # every range left has a bound at most the last one's
+    while ranges and ranges[-1][0] >= top * keep:
+        _, a, c = ranges.pop()
+        mid = (a + c) // 2
+        raw[mid], score[mid] = _side_score(tw, tv, mid)
+        top = max(top, score[mid])
+        push(a, mid)
+        push(mid, c)
+    return top, np.flatnonzero(score >= top * keep).tolist()
 
 
 def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
@@ -292,9 +364,8 @@ def a2_constant(w: Weight) -> A2Report:
     keep = 1 - np.longdouble(band)
     # pass 1: only the sides whose float64 maximum is within the float64
     # band of the top can hold a long-double candidate
-    top = _side_maxima(factors)
-    cut = top.max() * (1 - _certified_band(dim, n, factors, 2.0 ** -53))
-    sides = (np.flatnonzero(top >= cut) + 1).tolist()
+    band64 = _certified_band(dim, n, factors, 2.0 ** -53)
+    sides = _side_search(factors, band64)[1]
     tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
     blocks = []
     for grid in GridId.all_grids(dim):

@@ -282,6 +282,18 @@ def test_maximal_truncated_returns_the_integer_form():
         assert tf._floats().tolist() == [float(v) for v in want]
 
 
+@pytest.mark.parametrize("kind", ["spike", "random-cells", "power-profile"])
+def test_maximal_truncated_matches_gather_oracle_at_level_8(kind):
+    # the sweep's contiguous slices against the oracle's index gathers,
+    # bit for bit, on 768 cells
+    f = generate_function(4, kind, Mesh(dim=1, level=8))
+    tf = maximal_truncated(f)
+    nums, den = tf._numerators()
+    want = float_samples(f)
+    assert want.max() > 0
+    assert [Fraction(v, den) for v in nums] == [rat(t) for t in want]
+
+
 def test_nonnegativity_checks_read_the_numerators():
     mesh = Mesh(dim=1, level=4)
     neg = -dyadic_maximal(mk_random(mesh, 5), GridId.standard(1))

@@ -520,6 +520,21 @@ def test_cli_acceptance_rejects_lambda_for_criterion_4(tmp_path, capsys):
     assert verdict["config"]["lam"] == "1/4"
 
 
+@pytest.mark.parametrize("args", [("cover-test",), ("a2-scan",)] + [
+    ("acceptance", "--id", cid) for cid in ("1", "2", "3", "5", "6", "8", "11")])
+def test_cli_rejects_lambda_no_criterion_reads(args, tmp_path, capsys):
+    # the cover test, the A2 scan and every criterion but 4, 7, 9 and 10
+    # (4 and 10 above) read no λ: by flag or config file, exit 2 with the
+    # reason before anything runs
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lambda = 1/4\n")
+    for extra in (("--lambda", "1/4"), ("--config", str(cfg))):
+        assert run_cli(*args, *extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "PASS" not in err and "FAIL" not in err
+        assert "reads no λ" in err and "Traceback" not in err
+
+
 def test_cli_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("colour = blue\n")

@@ -30,7 +30,8 @@ from sparsedom.weights import (
     sparse_family_operator,
     tower_family,
     _certified_band,
-    _side_maxima,
+    _side_score,
+    _side_search,
     _window_sum_exact,
 )
 from sparsedom.czo import hilbert_apply
@@ -589,8 +590,71 @@ def test_float64_side_maxima_within_half_band(make):
                for g in (w.fn, w.reciprocal)]
     half = Fraction(_certified_band(w.mesh.dim, w.mesh.cells_axis, factors,
                                     2.0 ** -53) / 2)
-    for got, exact in zip(_side_maxima(factors), _exact_side_maxima(w)):
-        assert abs(Fraction(float(got)) - exact) <= half * exact
+    tw, tv = (_prefix_table(f, np.float64) for f in factors)
+    exact = _exact_side_maxima(w)
+    assert len(exact) == w.mesh.cells_axis
+    for d, want in enumerate(exact, 1):
+        got = _side_score(tw, tv, d)[1]
+        assert abs(Fraction(float(got)) - want) <= half * want
+
+
+def _every_side(factors, band):
+    """Pass 1 without pruning: T = max_d m_d over every side d and the
+    sides with m_d >= T·(1 - band)."""
+    tw, tv = (_prefix_table(f, np.float64) for f in factors)
+    top = np.array([_side_score(tw, tv, d)[1]
+                    for d in range(1, len(factors[0]) + 1)])
+    return top.max(), (np.flatnonzero(top >= top.max() * (1 - band)) + 1).tolist()
+
+
+def _search_and_sweep(w):
+    factors = [image for image, _ in w._images]
+    band = _certified_band(w.mesh.dim, w.mesh.cells_axis, factors, 2.0 ** -53)
+    return band, _side_search(factors, band), _every_side(factors, band)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Weight.power(Mesh(dim=1, level=10), 0.2),
+    lambda: Weight.power(Mesh(dim=1, level=10), 0.95),
+    lambda: Weight.power(Mesh(dim=1, level=7), -0.5),
+    lambda: Weight.power(Mesh(dim=1, level=6), -0.95),
+    lambda: Weight.power(Mesh(dim=2, level=4), -0.6),
+    lambda: Weight.power(Mesh(dim=2, level=4), 1.5),
+    lambda: _periodic(Mesh(dim=1, level=6), 5, 1),  # ties across sides
+    # every score within the band of the top, side 1 included
+    lambda: Weight(StepFunction(Mesh(dim=1, level=3), [
+        Fraction(1), Fraction(2 ** 50 + 1, 2 ** 50)] * 12)),
+    lambda: Weight(StepFunction(Mesh(dim=2, level=1), [
+        Fraction(1), Fraction(2 ** 50 + 1, 2 ** 50)] * 18)),
+], ids=["1d-L10-0.2", "1d-L10-0.95", "1d-L7--0.5", "1d-L6--0.95",
+        "2d-L4--0.6", "2d-L4-1.5", "periodic", "flat-1d", "flat-2d"])
+def test_side_search_matches_every_side(make):
+    band, got, want = _search_and_sweep(make())
+    assert band < 1
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+def test_side_search_matches_every_side_on_random_weights(seed, dim):
+    rng = random.Random(seed)
+    mesh = Mesh(dim=dim, level=rng.randrange(1, 8 if dim == 1 else 4))
+    hi = rng.choice((3, 9, 200, 10 ** 6))
+    w = Weight(StepFunction(mesh, [Fraction(rng.randrange(1, hi),
+                                            rng.randrange(1, hi))
+                                   for _ in range(mesh.size)]))
+    band, got, want = _search_and_sweep(w)
+    assert got == want
+
+
+def test_side_search_visits_every_side_past_a_unit_band():
+    # one cell 10^15 times the rest: b₆₄ >= 1, so every side is within the
+    # band of the top and none is scored
+    mesh = Mesh(dim=1, level=2)
+    w = Weight(StepFunction(mesh, [Fraction(10 ** 15)] + [Fraction(1)] * 11))
+    band, got, want = _search_and_sweep(w)
+    assert band >= 1
+    assert got == (None, want[1]) == (None, list(range(1, 13)))
 
 
 @pytest.mark.parametrize("make", BAND_WEIGHTS)
