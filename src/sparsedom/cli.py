@@ -1,11 +1,11 @@
 """Command-line front end: demos for the core constructions plus the
 acceptance suite.
 
-Every subcommand reads the same flag set, optionally overridden by a
-``--config`` file of key=value lines, both parsed through one key table,
-and emits a JSON (or key,value CSV) report to stdout or the ``out`` of
-flag or file.  Exit codes: 0 pass, 1 criterion or invariant failure, 2
-usage or configuration error.
+Flags and the key=value lines of a ``--config`` file overriding them go
+through one key table; a key that the subcommand or criterion does not
+declare as read exits 2 before anything runs.  Reports go as JSON (or
+key,value CSV) to stdout or the ``out`` of flag or file.  Exit codes: 0
+pass, 1 criterion or invariant failure, 2 usage or configuration error.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .rational import parse_scalar, rat_str
@@ -32,6 +32,7 @@ from .weights import a2_scan
 from .harness import (
     CRITERION_IDS,
     _ALIASES,
+    _REGISTRY,
     ExperimentConfig,
     default_config,
     generate_function,
@@ -45,8 +46,7 @@ def _comma_list(parse):
     return lambda value: tuple(parse(s) for s in value.split(","))
 
 
-# every --config key -> (parser, flag or None, flag help); the keys without
-# a flag are read by one subcommand only (_EXTRA_KEYS)
+# every --config key -> (parser, flag or None, flag help)
 _KEYS = {
     "dim": (int, "--dim", None),
     "level": (int, "--level", None),
@@ -55,7 +55,8 @@ _KEYS = {
     "m_list": (_comma_list(int), "--m",
                "comma-separated shift exponents, e.g. 1,2,4"),
     "lam": (parse_scalar, "--lambda",
-            "oscillation quantile in (0,1), e.g. 1/8"),
+            "oscillation quantile in (0,1), e.g. 1/8; every oscillation "
+            "decomposition fixes it at 2^-(n+2)"),
     "kind": (str, "--kind", "generator: spike | indicator-sums | "
                             "random-cells | power-profile"),
     "operator": (str, "--operator", "scan operator: sparse | hilbert"),
@@ -67,13 +68,9 @@ _KEYS = {
 }
 _KEY_ALIASES = {"lambda": "lam", "m": "m_list"}
 
-# the config-file keys that only one subcommand reads
-_EXTRA_KEYS = {"q_lo": "osc-estimate", "q_hi": "osc-estimate",
-               "exponents": "a2-scan"}
-
 
 def _parse_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment; values typed by key."""
+    """key=value lines, one per key; '#' starts a comment; typed by key."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -86,35 +83,39 @@ def _parse_config_file(path: str) -> dict:
             key = _KEY_ALIASES.get(key, key)
             if key not in _KEYS:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
+            if key in out:
+                raise ValueError("%s:%d: %s is given twice" % (path, lineno, key))
             out[key] = _KEYS[key][0](value)
     return out
 
 
 def _gather_config(args, defaults: ExperimentConfig = None,
-                   no_lambda: str = None) -> tuple:
-    """Merge defaults <- explicit flags <- config file; returns
-    (ExperimentConfig, extras) where extras holds subcommand-only keys.
-    A subcommand-only key given to another subcommand is a usage error, as
-    is, with ``no_lambda``, a λ given by flag or config file (reported with
-    that reason)."""
-    merged = asdict(defaults) if defaults is not None else {}
-    flags = {key: parse(getattr(args, key))
+                   criterion: str = None) -> tuple:
+    """Merge defaults <- explicit flags <- config file into (ExperimentConfig,
+    every key given).  A key that the subcommand, or with ``criterion`` that
+    criterion, does not read is a usage error naming the key's readers."""
+    who = "acceptance: criterion " + criterion if criterion else args.command
+    reads = {"fmt", "out"}.union(
+        _REGISTRY[criterion][2] if criterion else _COMMANDS[args.command][1])
+    if getattr(args, "input", None):  # the generator's keys go unread
+        reads -= {"seed", "kind"}
+        who += " --input"
+    given = {key: parse(getattr(args, key))
              for key, (parse, flag, _) in _KEYS.items()
              if flag and getattr(args, key) is not None}
-    merged.update(flags)
-    extras, overrides = {}, {}
     if args.config:
-        overrides = _parse_config_file(args.config)
-        for key in sorted(_EXTRA_KEYS.keys() & overrides.keys()):
-            if args.command != _EXTRA_KEYS[key]:
-                raise ValueError("%s: %s in --config is read by %s only"
-                                 % (args.command, key, _EXTRA_KEYS[key]))
-            extras[key] = overrides.pop(key)
-        merged.update(overrides)
-    if no_lambda and ("lam" in flags or "lam" in overrides):
-        raise ValueError("%s: --lambda (lam, lambda in --config) is not "
-                         "accepted: %s" % (args.command, no_lambda))
-    return ExperimentConfig(**merged), extras
+        given.update(_parse_config_file(args.config))
+    for key in sorted(given.keys() - reads):
+        commands = [name for name, (_, r) in _COMMANDS.items() if key in r]
+        criteria = [cid for cid, (_, _, r, _) in _REGISTRY.items() if key in r]
+        raise ValueError("%s reads no %s (%s); subcommands that read it: %s; "
+                         "criteria: %s" % (who, key, _KEYS[key][1] or "--config",
+                                           ", ".join(commands) or "none",
+                                           ", ".join(criteria) or "none"))
+    merged = asdict(defaults) if defaults is not None else {}
+    merged.update((f.name, given[f.name]) for f in fields(ExperimentConfig)
+                  if f.name in given)
+    return ExperimentConfig(**merged), given
 
 
 def _input_function(args, cfg: ExperimentConfig) -> StepFunction:
@@ -158,22 +159,17 @@ def _emit(report: dict, cfg: ExperimentConfig, text: str = None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_LAMBDA_FIXED = "λ is fixed at 2^-(n+2) by the oscillation decomposition"
-_LAMBDA_READERS = {"adjoint-osc-growth", "osc-stability"}  # criteria 7 and 9
-_LAMBDA_UNREAD = ("criterion %s reads no λ: only criteria 7 and 9 do, and "
-                  "every oscillation decomposition runs with λ fixed at 2^-(n+2)")
-
-
 def _cmd_cover_test(args) -> int:
-    cfg, _ = _gather_config(args, default_config("cover-6x"),
-                            no_lambda=_LAMBDA_UNREAD % "cover-6x")
+    """shifted-grid cover cubes: containment and the 6x side bound"""
+    cfg, _ = _gather_config(args, default_config("cover-6x"))
     verdict = run_criterion("cover-6x", cfg)
     _emit(verdict.to_json(), cfg)
     return 0 if verdict.passed else 1
 
 
 def _cmd_decompose(args) -> int:
-    cfg, _ = _gather_config(args, no_lambda=_LAMBDA_FIXED)
+    """oscillation decomposition of a step function on the unit cube"""
+    cfg, _ = _gather_config(args)
     f = _input_function(args, cfg)
     q0 = Cube(GridId.standard(cfg.dim), 0, (0,) * cfg.dim)
     res = oscillation_decompose(f, q0)
@@ -187,8 +183,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cz_sparse(args) -> int:
-    cfg, _ = _gather_config(args, no_lambda="the Calderón-Zygmund "
-                            "construction uses no λ")
+    """sparse families from the maximal-function stopping construction"""
+    cfg, _ = _gather_config(args)
     f = _input_function(args, cfg)
     grids = []
     ok = True
@@ -213,7 +209,8 @@ def _cmd_cz_sparse(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    cfg, _ = _gather_config(args, no_lambda=_LAMBDA_FIXED)
+    """dominate the maximal truncated transform by sparse averages"""
+    cfg, _ = _gather_config(args)
     f = abs(_input_function(args, cfg))
     rep = dominate(f)
     report = {"domination": rep.to_json(), "config": cfg.to_json()}
@@ -222,11 +219,11 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_osc_estimate(args) -> int:
-    cfg, extras = _gather_config(args)
+    """oscillation of the maximal truncated transform on one interval"""
+    cfg, given = _gather_config(args)
     f = abs(_input_function(args, cfg))
-    q_lo = extras.get("q_lo", Fraction(3, 8))
-    q_hi = extras.get("q_hi", Fraction(5, 8))
-    q = Box.interval(q_lo, q_hi)
+    q = Box.interval(given.get("q_lo", Fraction(3, 8)),
+                     given.get("q_hi", Fraction(5, 8)))
     rep = oscillation_estimate_report(f, q, cfg.lam)
     report = {"q": q.to_json(), "estimate": rep.to_json(),
               "config": cfg.to_json()}
@@ -235,10 +232,11 @@ def _cmd_osc_estimate(args) -> int:
 
 
 def _cmd_a2_scan(args) -> int:
-    cfg, extras = _gather_config(args, no_lambda="the A2 scan reads no λ")
+    """A2 constants against weighted operator norms over power weights"""
+    cfg, given = _gather_config(args)
     if cfg.dim != 1:
         raise ValueError("a2-scan is one-dimensional")
-    exponents = extras.get("exponents", (0, 0.3, 0.6, 0.8, 0.9, 0.95))
+    exponents = given.get("exponents", (0, 0.3, 0.6, 0.8, 0.9, 0.95))
     table, = a2_scan([cfg.operator], exponents, level=cfg.level,
                      seed=cfg.seed)
     _emit({"scan": table.to_json(), "config": cfg.to_json()}, cfg,
@@ -247,16 +245,13 @@ def _cmd_a2_scan(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
+    """run acceptance criteria with pinned configurations"""
     ids = list(CRITERION_IDS) if args.all else [_ALIASES.get(args.id, args.id)]
     if ids == [None]:
-        print("acceptance: provide --id <criterion> or --all",
-              file=sys.stderr)
-        return 2
+        raise ValueError("acceptance: provide --id <criterion> or --all")
     # every config is gathered before any criterion runs, so a usage error
     # exits 2 with nothing run
-    configs = [_gather_config(args, default_config(cid), no_lambda=None
-                              if cid in _LAMBDA_READERS else _LAMBDA_UNREAD % cid)[0]
-               for cid in ids]
+    configs = [_gather_config(args, default_config(cid), cid)[0] for cid in ids]
     verdicts = []
     for cid, cfg in zip(ids, configs):
         verdict = run_criterion(cid, cfg)
@@ -272,42 +267,42 @@ def _cmd_acceptance(args) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
+# the keys a function given by --input or generated reads
+_FUNCTION_KEYS = ("dim", "level", "seed", "kind")
+
+# subcommand -> (runner, config keys it reads besides fmt and out); the
+# acceptance suite reads those that each criterion it runs declares
+_COMMANDS = {
+    "cover-test": (_cmd_cover_test, _REGISTRY["cover-6x"][2]),
+    "decompose": (_cmd_decompose, _FUNCTION_KEYS),
+    "cz-sparse": (_cmd_cz_sparse, _FUNCTION_KEYS),
+    "dominate": (_cmd_dominate, _FUNCTION_KEYS),
+    "osc-estimate": (_cmd_osc_estimate, _FUNCTION_KEYS + ("lam", "q_lo", "q_hi")),
+    "a2-scan": (_cmd_a2_scan, ("dim", "level", "seed", "operator", "exponents")),
+    "acceptance": (_cmd_acceptance, ()),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sparsedom",
         description="Desk-scale sparse domination toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    specs = [
-        ("cover-test", _cmd_cover_test,
-         "shifted-grid cover cubes: containment and the 6x side bound"),
-        ("decompose", _cmd_decompose,
-         "oscillation decomposition of a step function on the unit cube"),
-        ("cz-sparse", _cmd_cz_sparse,
-         "sparse families from the maximal-function stopping construction"),
-        ("dominate", _cmd_dominate,
-         "dominate the maximal truncated transform by sparse averages"),
-        ("osc-estimate", _cmd_osc_estimate,
-         "oscillation of the maximal truncated transform on one interval"),
-        ("a2-scan", _cmd_a2_scan,
-         "A2 constants against weighted operator norms over power weights"),
-        ("acceptance", _cmd_acceptance,
-         "run acceptance criteria with pinned configurations"),
-    ]
-    for name, fn, help_text in specs:
-        sub = subs.add_parser(name, help=help_text)
+    for name, (fn, reads) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=fn.__doc__)
         for key, (_, flag, flag_help) in _KEYS.items():
             if flag:
                 sub.add_argument(flag, dest=key, help=flag_help)
         sub.add_argument("--config", help="key=value file overriding flags")
-        if name in ("decompose", "cz-sparse", "dominate", "osc-estimate"):
+        if "kind" in reads:  # the commands that generate a function
             sub.add_argument("--input", type=str, default=None,
                              help="CSV of cell values (rational or decimal)")
         if name == "acceptance":
-            sub.add_argument("--id", type=str, default=None,
-                             choices=CRITERION_IDS + [str(i + 1) for i in
-                                                      range(len(CRITERION_IDS))])
-            sub.add_argument("--all", action="store_true")
+            pick = sub.add_mutually_exclusive_group()
+            pick.add_argument("--id", type=str, default=None,
+                              choices=CRITERION_IDS + [str(i + 1) for i in
+                                                       range(len(CRITERION_IDS))])
+            pick.add_argument("--all", action="store_true")
         sub.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)

@@ -587,32 +587,36 @@ def _crit_a2_scan(cfg: ExperimentConfig) -> tuple:
     return measured, witness
 
 
-# id -> (runner, supported dimensions, pinned config)
+# the keys a criterion reads through its mesh, trial seeds and generator kind
+_SAMPLED = ("dim", "level", "seed", "trials", "kind")
+
+# id -> (runner, supported dimensions, config keys it reads, pinned config);
+# run_criterion's dimension check reads dim for a one-dimensional criterion
 _REGISTRY = {
-    "cover-6x": (_crit_cover, (1, 2),
+    "cover-6x": (_crit_cover, (1, 2), ("seed", "trials"),
                  dict(level=4, trials=100000, seed=2024)),
-    "sparse-invariants": (_crit_sparse_invariants, (1, 2),
+    "sparse-invariants": (_crit_sparse_invariants, (1, 2), _SAMPLED,
                           dict(level=10, trials=100, seed=11)),
-    "maximal-sandwich": (_crit_maximal_sandwich, (1, 2),
+    "maximal-sandwich": (_crit_maximal_sandwich, (1, 2), _SAMPLED,
                          dict(level=10, trials=100, seed=23)),
-    "osc-decomposition": (_crit_decomposition, (1, 2),
+    "osc-decomposition": (_crit_decomposition, (1, 2), _SAMPLED[:4],
                           dict(level=10, trials=200, seed=37,
                                lam=Fraction(1, 8))),
-    "l2-bound-8": (_crit_l2_bound, (1,),
+    "l2-bound-8": (_crit_l2_bound, (1,), _SAMPLED,
                    dict(level=8, trials=100, seed=41)),
-    "weak11-growth": (_crit_weak_growth, (1,),
+    "weak11-growth": (_crit_weak_growth, (1,), _SAMPLED + ("m_list",),
                       dict(level=8, trials=50, seed=53, m_list=(1, 2, 4))),
     "adjoint-osc-growth": (_crit_adjoint_oscillation, (1,),
-                           dict(level=7, trials=25, seed=67,
-                                m_list=(1, 2, 4))),
-    "hilbert-exact": (_crit_hilbert_exact, (1,),
+                           _SAMPLED + ("m_list", "lam"),
+                           dict(level=7, trials=25, seed=67, m_list=(1, 2, 4))),
+    "hilbert-exact": (_crit_hilbert_exact, (1,), _SAMPLED[:4],
                       dict(level=5, trials=100, seed=71)),
-    "osc-stability": (_crit_osc_stability, (1,),
+    "osc-stability": (_crit_osc_stability, (1,), _SAMPLED + ("lam",),
                       dict(level=7, trials=100, seed=83)),
-    "master-domination": (_crit_domination, (1,),
+    "master-domination": (_crit_domination, (1,), _SAMPLED,
                           dict(level=9, trials=50, seed=0,
                                kind="random-cells")),
-    "a2-scan": (_crit_a2_scan, (1,),
+    "a2-scan": (_crit_a2_scan, (1,), ("dim", "level", "seed"),
                 dict(level=12, trials=6, seed=7)),
 }
 
@@ -629,11 +633,11 @@ def _lookup(criterion: str):
 
 
 def default_config(criterion: str) -> ExperimentConfig:
-    return ExperimentConfig(**_lookup(criterion)[1][2])
+    return ExperimentConfig(**_lookup(criterion)[1][3])
 
 
 def run_criterion(criterion: str, config: ExperimentConfig = None) -> Verdict:
-    cid, (fn, dims, defaults) = _lookup(criterion)
+    cid, (fn, dims, _, defaults) = _lookup(criterion)
     cfg = config if config is not None else ExperimentConfig(**defaults)
     if cfg.dim not in dims:
         raise ValueError("criterion %s runs in dimension %s only, not %d"

@@ -1,6 +1,7 @@
 """Configuration, generators, criterion registry, and the CLI contract."""
 
 import json
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -33,6 +34,8 @@ from sparsedom.sparse import (
 from sparsedom.stepfn import Mesh, StepFunction, dyadic_maximal, hl_maximal
 
 from meshtools import unflat
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -471,24 +474,6 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys):
     assert data["config"]["seed"] == 42
 
 
-@pytest.mark.parametrize("command, reason", [
-    ("decompose", "fixed at 2^-(n+2)"),
-    ("cz-sparse", "uses no λ"),
-    ("dominate", "fixed at 2^-(n+2)"),
-])
-def test_cli_rejects_lambda_it_would_ignore(command, reason, tmp_path, capsys):
-    # the flag and both config-file spellings are usage errors
-    for key in ("lam", "lambda"):
-        cfg = tmp_path / ("%s.txt" % key)
-        cfg.write_text("%s = 1/4\n" % key)
-        assert run_cli(command, "--level", "3", "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
-        assert reason in err and "Traceback" not in err
-    assert run_cli(command, "--level", "3", "--lambda", "1/8") == 2
-    assert "%s: --lambda" % command in capsys.readouterr().err
-    assert run_cli(command, "--level", "3") == 0
-
-
 def test_cli_osc_estimate_keeps_lambda(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("lambda = 1/4\n")
@@ -498,41 +483,149 @@ def test_cli_osc_estimate_keeps_lambda(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["lam"] == "1/3"
 
 
-def test_cli_acceptance_rejects_lambda_for_criterion_4(tmp_path, capsys):
-    # criteria 4 and 10 fix λ as decompose does: a λ by flag or config file
-    # exits 2 before any criterion runs, with --all too
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("lambda = 1/4\n")
-    small = ("--level", "3", "--trials", "1")
-    for args in (("--id", "osc-decomposition", "--lambda", "1/4"),
-                 ("--id", "4", "--config", str(cfg)),
-                 ("--id", "master-domination", "--lambda", "1/4") + small,
-                 ("--id", "10", "--config", str(cfg)),
-                 ("--all", "--lambda", "1/4") + small):
-        assert run_cli("acceptance", *args) == 2
+# the keys each subcommand and criterion reads besides fmt and out; a
+# subcommand given --input reads no seed and no kind
+COMMAND_READS = {
+    "cover-test": {"seed", "trials"},
+    "decompose": {"dim", "level", "seed", "kind"},
+    "cz-sparse": {"dim", "level", "seed", "kind"},
+    "dominate": {"dim", "level", "seed", "kind"},
+    "osc-estimate": {"dim", "level", "seed", "kind", "lam", "q_lo", "q_hi"},
+    "a2-scan": {"dim", "level", "seed", "operator", "exponents"},
+    "acceptance": set(),
+}
+_SAMPLED = {"dim", "level", "seed", "trials", "kind"}
+CRITERION_READS = {
+    "cover-6x": {"seed", "trials"},
+    "sparse-invariants": _SAMPLED,
+    "maximal-sandwich": _SAMPLED,
+    "osc-decomposition": _SAMPLED - {"kind"},
+    "l2-bound-8": _SAMPLED,
+    "weak11-growth": _SAMPLED | {"m_list"},
+    "adjoint-osc-growth": _SAMPLED | {"m_list", "lam"},
+    "hilbert-exact": _SAMPLED - {"kind"},
+    "osc-stability": _SAMPLED | {"lam"},
+    "master-domination": _SAMPLED,
+    "a2-scan": {"dim", "level", "seed"},
+}
+# a value for every key but fmt and out, and the value its config echo shows
+KEY_VALUES = {"dim": ("1", 1), "level": ("3", 3), "seed": ("1", 1),
+              "trials": ("1", 1), "m_list": ("1,2", [1, 2]),
+              "lam": ("1/4", "1/4"), "kind": ("spike", "spike"),
+              "operator": ("hilbert", "hilbert"), "q_lo": ("1/4", None),
+              "q_hi": ("3/4", None), "exponents": ("0,0.5", None)}
+FLAGS = {key: flag for key, (_, flag, _) in cli._KEYS.items()
+         if flag and key in KEY_VALUES}
+
+
+def _readers(key):
+    return "subcommands that read it: %s; criteria: %s" % tuple(
+        ", ".join(name for name, reads in table.items() if key in reads)
+        or "none" for table in (COMMAND_READS, CRITERION_READS))
+
+
+def test_cli_declares_the_keys_each_command_reads():
+    assert {name: set(reads) for name, (_, reads) in cli._COMMANDS.items()} \
+        == COMMAND_READS
+    assert {cid: set(entry[2]) for cid, entry in harness._REGISTRY.items()} \
+        == CRITERION_READS
+
+
+# (argv before the key, the command or criterion named in the message, keys)
+UNREAD_CASES = (
+    [((name,), name, set(KEY_VALUES) - reads)
+     for name, reads in COMMAND_READS.items() if name != "acceptance"]
+    + [(("decompose", "--input", "rationals-1d-level5.csv"),
+        "decompose --input", {"seed", "kind"})]
+    + [(("acceptance", "--id", cid), "acceptance: criterion " + cid,
+        set(KEY_VALUES) - reads) for cid, reads in CRITERION_READS.items()]
+    # λ by criterion number, and for the whole suite
+    + [(("acceptance", "--id", str(CRITERION_IDS.index(cid) + 1)),
+        "acceptance: criterion " + cid, {"lam"})
+       for cid, reads in CRITERION_READS.items() if "lam" not in reads]
+    + [(("acceptance", "--all"), "acceptance: criterion cover-6x", {"lam"})])
+
+
+@pytest.mark.parametrize("argv, who, key", [
+    (argv, who, key) for argv, who, keys in UNREAD_CASES for key in sorted(keys)],
+    ids=["%s-%s" % (" ".join(argv), key)
+         for argv, _, keys in UNREAD_CASES for key in sorted(keys)])
+def test_cli_rejects_a_key_it_does_not_read(argv, who, key, tmp_path, capsys):
+    # by flag, by --config and by the key's --config alias: exit 2 before
+    # anything runs, naming the key and every command and criterion reading it
+    argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
+    value = KEY_VALUES[key][0]
+    spellings = [[FLAGS[key], value]] if key in FLAGS else []
+    for name in [key] + [alias for alias, k in cli._KEY_ALIASES.items()
+                         if k == key]:
+        cfg = tmp_path / ("%s.txt" % name)
+        cfg.write_text("%s = %s\n" % (name, value))
+        spellings.append(["--config", str(cfg)])
+    for extra in spellings:
+        assert run_cli(*argv, *extra) == 2
         out, err = capsys.readouterr()
-        assert out == ""
-        assert "fixed at 2^-(n+2)" in err and "PASS" not in err and "FAIL" not in err
-    # a criterion that reads λ still takes it
+        assert out == "" and "PASS" not in err and "FAIL" not in err
+        assert "Traceback" not in err
+        assert "sparsedom: %s reads no %s (%s); %s\n" % (
+            who, key, FLAGS.get(key, "--config"), _readers(key)) == err
+
+
+@pytest.mark.parametrize("argv", [(name,) for name in COMMAND_READS
+                                  if name != "acceptance"]
+                         + [("acceptance", "--id", cid) for cid in CRITERION_READS],
+                         ids=" ".join)
+def test_cli_runs_with_every_key_it_reads(argv, tmp_path, capsys):
+    # every declared key at once, by flag where it has one and by --config
+    # otherwise, reaches the report
+    reads = CRITERION_READS[argv[-1]] if argv[0] == "acceptance" \
+        else COMMAND_READS[argv[0]]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join("%s = %s\n" % (key, KEY_VALUES[key][0])
+                           for key in reads if key not in FLAGS))
+    flags = [arg for key in reads if key in FLAGS
+             for arg in (FLAGS[key], KEY_VALUES[key][0])]
+    assert run_cli(*argv, *flags, "--config", str(cfg)) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    echo = report["verdicts"][0]["config"] if argv[0] == "acceptance" \
+        else report["config"]
+    assert {key: echo[key] for key in reads if key in FLAGS} == \
+        {key: KEY_VALUES[key][1] for key in reads if key in FLAGS}
+    if "q_lo" in reads:
+        assert (report["q"]["lo"], report["q"]["hi"]) == (["1/4"], ["3/4"])
+    if "exponents" in reads:
+        assert [row["a"] for row in report["scan"]["rows"]] == [0, 0.5]
+
+
+def test_cli_a_criterion_reading_lambda_takes_it(capsys):
     assert run_cli("acceptance", "--id", "adjoint-osc-growth", "--lambda", "1/4",
-                   *small) in (0, 1)
+                   "--level", "3", "--trials", "1") in (0, 1)
     verdict, = json.loads(capsys.readouterr().out)["verdicts"]
     assert verdict["config"]["lam"] == "1/4"
 
 
-@pytest.mark.parametrize("args", [("cover-test",), ("a2-scan",)] + [
-    ("acceptance", "--id", cid) for cid in ("1", "2", "3", "5", "6", "8", "11")])
-def test_cli_rejects_lambda_no_criterion_reads(args, tmp_path, capsys):
-    # the cover test, the A2 scan and every criterion but 4, 7, 9 and 10
-    # (4 and 10 above) read no λ: by flag or config file, exit 2 with the
-    # reason before anything runs
+def test_cli_acceptance_id_and_all_exclude_each_other(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_criterion", lambda cid, cfg: ran.append(cid))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("acceptance", "--all", "--id", "3")
+    assert exc.value.code == 2 and ran == []
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, second, key", [
+    ("level = 4", "level = 5", "level"), ("lam = 1/4", "lambda = 1/8", "lam"),
+    ("m = 1", "m_list = 2", "m_list")], ids=["level", "lambda-alias", "m-alias"])
+def test_cli_config_file_key_given_twice_exits_2(first, second, key, monkeypatch,
+                                                 tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_criterion", lambda cid, cfg: ran.append(cid))
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("lambda = 1/4\n")
-    for extra in (("--lambda", "1/4"), ("--config", str(cfg))):
-        assert run_cli(*args, *extra) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "PASS" not in err and "FAIL" not in err
-        assert "reads no λ" in err and "Traceback" not in err
+    cfg.write_text("# twice\n%s\n%s\n" % (first, second))
+    assert run_cli("acceptance", "--id", "adjoint-osc-growth",
+                   "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "%s:3: %s is given twice" % (cfg, key) in err
+    assert ran == [] and "Traceback" not in err
 
 
 def test_cli_config_file_unknown_key(tmp_path, capsys):
@@ -576,8 +669,10 @@ def test_cli_acceptance_single_id(tmp_path, capsys):
 @pytest.mark.parametrize("cid", ["l2-bound-8", "weak11-growth",
                                  "adjoint-osc-growth", "a2-scan"])
 def test_cli_one_dimensional_criteria_exit_2_at_dim_2(cid, capsys):
+    # a2-scan reads no trials, and a key it does not read exits 2 first
+    trials = ["--trials", "1"] if cid != "a2-scan" else []
     assert run_cli("acceptance", "--id", cid, "--dim", "2", "--level", "3",
-                   "--trials", "1") == 2
+                   *trials) == 2
     err = capsys.readouterr().err
     assert "dimension 1 only" in err and "Traceback" not in err
 
@@ -653,23 +748,3 @@ def test_domination_without_an_instance_fails_honestly():
                           "spread": None}
     assert "no instance measured" in v.witness["reason"]
     json.dumps(v.to_json(), allow_nan=False)
-
-
-@pytest.mark.parametrize("command, key, reader", [
-    ("cz-sparse", "exponents = 0.5,0.9", "a2-scan"),
-    ("acceptance", "exponents = 0.5,0.9", "a2-scan"),
-    ("decompose", "q_lo = 1/4", "osc-estimate"),
-    ("a2-scan", "q_hi = 3/4", "osc-estimate"),
-])
-def test_cli_rejects_config_keys_it_would_ignore(command, key, reader,
-                                                 tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(key + "\n")
-    argv = ["--level", "3", "--config", str(cfg)]
-    if command == "acceptance":
-        argv += ["--id", "a2-scan"]
-    assert run_cli(command, *argv) == 2
-    err = capsys.readouterr().err
-    assert "%s: %s in --config is read by %s only" % (
-        command, key.split()[0], reader) in err
-    assert "Traceback" not in err

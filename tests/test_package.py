@@ -178,3 +178,39 @@ def test_every_config_field_is_a_cli_key():
     # flags and --config lines reach ExperimentConfig through one table
     names = {f.name for f in fields(harness.ExperimentConfig)}
     assert names <= cli._KEYS.keys()
+
+
+def _config_reads(fn, functions, methods) -> set:
+    """The ``cfg.<name>`` loads in ``fn``, nested functions included: a
+    config method counts as the fields it reads (``cfg.mesh()`` as dim and
+    level), and a module function called with ``cfg`` as its reads."""
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+            out |= methods.get(node.attr, {node.attr})
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in functions \
+                and "cfg" in {a.id for a in node.args if isinstance(a, ast.Name)}:
+            out |= _config_reads(functions[node.func.id], functions, methods)
+    return out
+
+
+def test_each_criterion_declares_the_config_keys_it_reads():
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    config, = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "ExperimentConfig"]
+    methods = {m.name: {a.attr for a in ast.walk(m) if isinstance(a, ast.Attribute)
+                        and isinstance(a.ctx, ast.Load)
+                        and isinstance(a.value, ast.Name) and a.value.id == "self"}
+               for m in config.body if isinstance(m, ast.FunctionDef)}
+    assert methods["mesh"] == {"dim", "level"}
+    names = {f.name for f in fields(harness.ExperimentConfig)}
+    for cid, (fn, dims, reads, _) in harness._REGISTRY.items():
+        derived = _config_reads(functions[fn.__name__], functions, methods)
+        if dims != (1, 2):  # run_criterion's dimension check reads dim
+            derived.add("dim")
+        assert (cid, derived & names) == (cid, set(reads))
