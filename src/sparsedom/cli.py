@@ -290,9 +290,14 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (fn, reads) in _COMMANDS.items():
         sub = subs.add_parser(name, help=fn.__doc__)
+        # every flag parses (an unread one exits 2), but --help lists the read
+        shown = {"fmt", "out"}.union(reads)
+        if name == "acceptance":  # the keys its criteria read
+            shown = shown.union(*(r for _, _, r, _ in _REGISTRY.values()))
         for key, (_, flag, flag_help) in _KEYS.items():
             if flag:
-                sub.add_argument(flag, dest=key, help=flag_help)
+                sub.add_argument(flag, dest=key, help=flag_help if key in shown
+                                 else argparse.SUPPRESS)
         sub.add_argument("--config", help="key=value file overriding flags")
         if "kind" in reads:  # the commands that generate a function
             sub.add_argument("--input", type=str, default=None,

@@ -41,9 +41,8 @@ A grid cube at scale k <= level is a window [a, b) per axis on the h/3
 lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
 the cell-corner prefix table of |f|, in int64 or object ints by the dtype
 rule of ``stepfn``, by ``stepfn._window_sums``, the reader for a list of
-cubes (``cz_sparse`` reads every cube of a scale with
-``stepfn._grid_cube_sums``), and its cells are (a+1)//3 up to (b+1)//3
-per axis.  Its average is S·2^(n(k-k_min)) over the one denominator
+cubes (``cz_sparse`` reads the grid sums f keeps for ``dyadic_maximal``),
+and its cells are (a+1)//3 up to (b+1)//3 per axis.  Its average is S·2^(n(k-k_min)) over the one denominator
 D·(3·2^(level-k_min))^n, with k_min the coarsest scale in the family.
 Coefficients that are Fractions (the other operators, the decomposition,
 ``czo.dominate``) are brought to their lcm by ``_over_lcm`` first.
@@ -69,7 +68,8 @@ from .stepfn import (
     _corners,
     _cube_windows,
     _dyadic_blocks,
-    _grid_cube_sums,
+    _fits_int64,
+    _grid_scale_sums,
     _LATTICE_DEPTH,
     _TOP_SCALE,
     _window_cells,
@@ -224,14 +224,15 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     is exactly what makes |Ω_{k+1} ∩ Q_j^k| ≤ |Q_j^k|/2 provable.  An input
     that needs a scale k < level − 61, roughly one whose ‖f‖₁ exceeds its
     smallest nonzero cube average by 2^(n(61 − level)), raises ValueError:
-    the int64 lattice corners of ``_grid_lattice`` need 3·2^(level−k) < 2^63.
+    the int64 lattice corners of ``_grid_scale_sums`` need 3·2^(level−k) < 2^63.
 
-    Averages are the integer cube sums of ``_grid_cube_sums`` brought to one
-    denominator, as in ``dyadic_maximal``, and each threshold becomes one
-    integer; Cubes are built only for the selected cubes.  The largest
-    factor on a table entry is, as there, (3·2^(level-top))^n; the table's
-    dtype is chosen again at every step of the climb that lowers top, and
-    the sums already read move to object ints with it.
+    Averages are the integer cube sums ``dyadic_maximal`` reads, read once
+    per f and grid (``StepFunction._abs_grid_sums``), on its denominator;
+    each threshold becomes one integer, and Cubes are built only for the
+    selected cubes.  The largest factor on a table entry is, as there,
+    (3·2^(level-top))^n; each step of the climb that lowers top reads its
+    scale alone, in the dtype chosen again, and moves the sums already
+    read to object ints with it.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
@@ -241,9 +242,8 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
         return SparseFamily(grid, {})
     n, level = mesh.dim, mesh.level
     top = _TOP_SCALE
-    table = f._abs_table((3 << (level - top)) ** n)
-    cubes = {k: _grid_cube_sums(table, mesh, grid, k)
-             for k in range(top, level + 1)}
+    table, scales = f._abs_grid_sums(grid, (3 << (level - top)) ** n)
+    cubes = dict(scales)
 
     def scaled(k: int) -> np.ndarray:
         """Scale k's averages as integers over D·(3·2^(level-top))^n."""
@@ -271,7 +271,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
                              f"{_LATTICE_DEPTH} = {level - _LATTICE_DEPTH}, the "
                              "coarsest scale of exact int64 lattice corners")
         table = f._abs_table((3 << (level - top)) ** n)
-        cubes[top] = _grid_cube_sums(table, mesh, grid, top)
+        cubes.update(_grid_scale_sums(table, mesh, grid, [top]))
     avg = {k: scaled(k) for k in cubes}
     first = {k: c[1] for k, c in cubes.items()}
     # a parent's average is the mean of its children's: the top scales
@@ -364,12 +364,14 @@ def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
     maximal function by the sparse averages."""
     mesh = f.mesh
     cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
-    rhs = np.zeros(mesh.shape, dtype=object)
+    m, m_den = maximal._numerators()
+    scale = (2 << mesh.dim) * m_den
+    fits = _fits_int64((max(nums, default=0), scale), (max(m.max(), -m.min()), den))
+    rhs = np.zeros(mesh.shape, dtype=np.int64 if fits else object)
     for block, num in zip(cells, nums):
         rhs[block] = num
-    m, m_den = maximal._numerators()
-    gap = (rhs * ((2 << mesh.dim) * m_den) - m * den).min()
-    return Fraction(gap, den * m_den)
+    gap = (rhs * scale - m.astype(rhs.dtype, copy=False) * den).min()
+    return Fraction(int(gap), den * m_den)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,12 @@ those arrays.
 ``dyadic_maximal`` and ``hl_maximal`` work on the numerators of |f| and on
 lengths on the h/3 lattice counted from the box's lower corner -1.
 There every grid-cube corner at a scale k <= level is an integer,
-(3j + b)·2^(level-k) + 3·2^level with b in {-1, 0, 1} (``_lattice_corner``);
-``_grid_lattice`` gives those corners per axis, for this module and for
-the A2 search.  Averages are compared as integers over a shared
-denominator (the integer form of ``dyadic_maximal``'s output) or by
-cross-multiplication (``hl_maximal`` builds one Fraction per distinct
-value).  ``dyadic_maximal`` costs one gather per scale; ``hl_maximal`` is
-O(N log² N) in 1-D, one sweep over the cells against two convex hulls
-(``_hl_1d``), and O(n³) in 2-D, for n cells per axis.
+(3j + b)·2^(level-k) + 3·2^level with b in {-1, 0, 1} (``_lattice_corner``).
+Averages are compared as integers over a shared denominator (the
+integer form of ``dyadic_maximal``'s output, a running maximum down the
+nested scales) or by cross-multiplication (``hl_maximal``, one Fraction
+per distinct value: O(N log² N) in 1-D, one sweep over the cells against
+two convex hulls (``_hl_1d``), and O(n³) in 2-D, for n cells per axis).
 
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
@@ -76,11 +74,11 @@ reaches a Fraction, a shift or a product with a large D.
 On an axis of N cells the integral from lo up to the lattice point
 x = 3q + r (0 <= r < 3) is T(x) = (3 - r)·P[q] + r·P[min(q + 1, N)] in
 units of h/3 (``_lattice_reads``), a window [a, b) sums to T(b) - T(a),
-and each access pattern has one reader: ``_grid_cube_sums`` for every
-cube of a (grid, scale), one read per clipped corner per axis;
-``_window_sums`` for a list of cubes (``_cube_windows``), 4^n reads per
-window; ``_cube_sums``, cell corners differenced, for every mesh cube of
-one side.
+and each access pattern has one reader: ``_grid_scale_sums`` for every
+cube of a grid at many scales, one read per clipped corner per axis (kept
+per f, grid and dtype by ``StepFunction._abs_grid_sums``); ``_window_sums``
+for a list of cubes (``_cube_windows``), 4^n reads per window;
+``_cube_sums``, cell corners differenced, for every mesh cube of one side.
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Box, Cube, GridId
+from .geometry import Box, Cube, GridId, _parent_index
 from .rational import parse_scalar, pow2, rat, rat_ceil, rat_floor
 
 __all__ = [
@@ -114,6 +112,11 @@ __all__ = [
 # A kernel reads the int64 table of |f| when every product of a table entry
 # with its largest factor has at most this many bits (``_abs_table``)
 _INT64_BITS = 62
+
+
+def _fits_int64(*products: tuple[int, int]) -> bool:
+    """Whether bits(a) + bits(b) <= ``_INT64_BITS`` for every bound (a, b)."""
+    return all(a.bit_length() + b.bit_length() <= _INT64_BITS for a, b in products)
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,9 +310,17 @@ class StepFunction:
         bits(P_max) + bits(multiplier) <= 62, object ints otherwise."""
         table = self._abs_prefix
         p_max = int(table[(-1,) * table.ndim])  # |f| >= 0: the last corner
-        if p_max.bit_length() + multiplier.bit_length() <= _INT64_BITS:
-            return self._abs_prefix64
-        return table
+        return self._abs_prefix64 if _fits_int64((p_max, multiplier)) else table
+
+    def _abs_grid_sums(self, grid: GridId, multiplier: int) -> tuple[np.ndarray, dict]:
+        """``_abs_table(multiplier)`` and its ``_grid_scale_sums`` over scales
+        ``_TOP_SCALE`` to level, read once per (grid, table dtype)."""
+        table = self._abs_table(multiplier)
+        memo = self.__dict__.setdefault("_grid_memo", {})
+        if (grid, table.dtype) not in memo:
+            memo[grid, table.dtype] = _grid_scale_sums(
+                table, self.mesh, grid, range(_TOP_SCALE, self.mesh.level + 1))
+        return table, memo[grid, table.dtype]
 
     def _block_sum(self, cells: tuple[slice, ...]) -> int:
         """Sum of the numerators over a block of cells, by inclusion-
@@ -596,44 +607,44 @@ def _lattice_reads(x, n: int):
     return (q, 3 - r), (np.minimum(q + 1, n), r)
 
 
-# _grid_lattice steps its int64 corners by the side 3·2^(level-k), which
+# _grid_scale_sums steps its int64 corners by the side 3·2^(level-k), which
 # fits int64 while level - k <= 61: 3·2^61 < 2^63 <= 3·2^62
 _LATTICE_DEPTH = 61
 
 
-def _grid_lattice(mesh: Mesh, grid: GridId, k: int) -> list:
-    """Per axis, for the cubes of ``grid`` at scale k <= level that meet the
-    domain: the index j0 of the first, their corners on the h/3 lattice
-    clipped to [0, 3n), so that cube j0 + i spans [corners[i],
-    corners[i + 1]), and for each cell the position i of the cube holding
-    its center.  Exact for k >= level - ``_LATTICE_DEPTH``."""
-    n3, g = 3 * mesh.cells_axis, 1 << (mesh.level - k)
-    axes = []
-    # cube j spans [3jg + c, 3jg + 3g + c) on each axis, c the corner of cube 0
-    for c in _lattice_corner(mesh, k, Cube(grid, k, (0,) * mesh.dim)._corner_thirds()):
-        j0, j1 = -c // (3 * g), (n3 - 1 - c) // (3 * g) + 1
-        corners = 3 * g * np.arange(j0, j1 + 1) + c
-        axes.append((j0, np.minimum(np.maximum(corners, 0), n3),
-                     (np.arange(1, n3, 3) - c) // (3 * g) - j0))
-    return axes
+def _grid_scale_sums(p: np.ndarray, mesh: Mesh, grid: GridId, ks) -> dict:
+    """Per scale k of the sequence ``ks`` (level - ``_LATTICE_DEPTH`` <= k
+    <= level), the read-only sums in units of (h/3)^n over every cube of
+    ``grid`` at scale k that meets the domain, from a prefix table p of any
+    dtype, and the index j of the first of them per axis.  On an axis cube
+    j spans [3jg + c, 3jg + 3g + c), g = 2^(level-k), c = cube 0's corner;
+    T is read at those corners clipped to [0, 3n) and differenced, on axis
+    0 for all scales at once (less cross-scale differences), then per scale."""
+    n3, out = 3 * mesh.cells_axis, {}
+    for k in ks:  # the first cube and the clipped corners, per axis
+        g = 1 << (mesh.level - k)
+        cs = _lattice_corner(mesh, k, Cube(grid, k, (0,) * mesh.dim)._corner_thirds())
+        j0 = tuple(-c // (3 * g) for c in cs)
+        out[k] = j0, [np.clip(3 * g * np.arange(j, (n3 - 1 - c) // (3 * g) + 2) + c,
+                              0, n3) for j, c in zip(j0, cs)]
 
-
-def _grid_cube_sums(p: np.ndarray, mesh: Mesh, grid: GridId, k: int,
-                    lattice=None):
-    """Sums over every cube of ``grid`` at scale k <= level that meets the
-    domain, in units of (h/3)^n, from a prefix table p of any dtype read
-    per axis at the clipped corners of ``lattice`` (default
-    ``_grid_lattice(mesh, grid, k)``): the sums, the index j of the first
-    cube on each axis, and per axis the cube holding each cell center."""
-    first, cells = [], []
-    for axis, (j0, corners, pos) in enumerate(lattice or _grid_lattice(mesh, grid, k)):
-        first.append(j0)
-        cells.append(pos)
+    def read(t: np.ndarray, axis: int, x: np.ndarray) -> np.ndarray:
+        (q0, c0), (q1, c1) = _lattice_reads(x, mesh.cells_axis)
         shape = (-1,) + (1,) * (p.ndim - 1 - axis)
-        (q0, c0), (q1, c1) = _lattice_reads(corners, mesh.cells_axis)
-        t = c0.reshape(shape) * p.take(q0, axis) + c1.reshape(shape) * p.take(q1, axis)
-        p = np.diff(t, axis=axis)
-    return p, first, cells
+        t0, t1 = t.take(q0, axis), t.take(q1, axis)
+        t0 *= c0.reshape(shape)  # in place: an all-scales read's peak memory
+        t1 *= c1.reshape(shape)
+        t0 += t1
+        return np.diff(t0, axis=axis)
+
+    rows, start = read(p, 0, np.concatenate([x[0] for _, x in out.values()])), 0
+    for k, (j0, x) in out.items():
+        sums, start = rows[start:start + len(x[0]) - 1], start + len(x[0])
+        for axis in range(1, p.ndim):
+            sums = read(sums, axis, x[axis])
+        sums.flags.writeable = False
+        out[k] = sums, j0
+    return out
 
 
 def _cube_windows(mesh: Mesh, cubes) -> tuple[np.ndarray, np.ndarray]:
@@ -679,23 +690,27 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     """M^{grid} f: max over grid cubes containing each cell center of the
     exact average of |f| (full cube measure in the denominator).
 
-    Scale k's integer cube sums times 2^(n(k-top)) share the denominator
-    D·(3·2^(level-top))^n, so the maximum over scales is an integer
-    maximum, one gather per scale, returned over that denominator.  The
-    largest factor on a table entry is (3·2^(level-top))^n: 3^n from the
-    lattice coefficients times the scale factor at k = level.
+    Scale k's integer cube sums times 2^(n(k-top)) share the output's
+    denominator D·(3·2^(level-top))^n, and the maximum runs down the nested
+    cubes' ancestors, anc_k = max(avg_k, anc_(k-1) at the parent), to scale
+    level, where cell i's center lies in cube i - 2^level on every axis of
+    every grid: one gather.  The largest factor on a table entry is that
+    (3·2^(level-top))^n: 3^n of the lattice times the scale factor at level.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
     top, dim = _TOP_SCALE, mesh.dim
     unit = (3 << (mesh.level - top)) ** dim
-    table = f._abs_table(unit)
-    best = np.zeros(mesh.shape, dtype=table.dtype)
-    for k in range(top, mesh.level + 1):
-        sums, _, cells = _grid_cube_sums(table, mesh, grid, k)
-        best = np.maximum(best, (sums * (1 << dim * (k - top)))[np.ix_(*cells)])
-    return StepFunction._from_ints(mesh, best.astype(object, copy=False),
+    scales = f._abs_grid_sums(grid, unit)[1]
+    anc, up = scales[top]
+    for k in range(top + 1, mesh.level + 1):
+        sums, first = scales[k]
+        parent = [_parent_index(k, j0 + np.arange(m), a != 0) - u0
+                  for j0, m, a, u0 in zip(first, sums.shape, grid.alpha, up)]
+        anc, up = np.maximum(sums * (1 << dim * (k - top)), anc[np.ix_(*parent)]), first
+    cells = [np.arange(mesh.cells_axis) - (1 << mesh.level) - j0 for j0 in up]
+    return StepFunction._from_ints(mesh, anc[np.ix_(*cells)].astype(object, copy=False),
                                    f._numerators()[1] * unit)
 
 

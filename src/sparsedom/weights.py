@@ -15,11 +15,12 @@ corners at multiples of 3, and a grid cube of scale k <= level has corners
 axis.  The prescreen scores regions from the cell-corner prefix tables P
 of the two factors w and w⁻¹ (``stepfn._prefix_table``: cumulative sums
 over the cells).  Mesh cubes of side d are scored by differencing P along
-each axis in turn (``stepfn._cube_sums``), the cubes of one (grid, scale)
-by ``stepfn._grid_cube_sums``: per axis it reads
+each axis in turn (``stepfn._cube_sums``), the cubes of one grid at every
+scale by ``stepfn._grid_scale_sums``: per axis it reads
 T(x) = (3 - r)·P[q] + r·P[min(q + 1, n)] at each clipped corner
 x = 3q + r and differences consecutive corners.  A score is the product
-of the two window sums over the squared measure.  It runs in two passes.
+of the two window sums over the squared measure, the area read the same
+way from the table of 1 per cell.  It runs in two passes.
 Pass 1 builds float64 tables and finds the sides d whose largest score m_d
 is near the top, scoring only the sides a bisection cannot rule out.
 Pass 2 builds long-double tables, scores every grid cube, and scores the
@@ -163,8 +164,8 @@ import numpy as np
 
 from .rational import ldexp_ratio, rat, rat_str
 from .geometry import Box, Cube, GridId
-from .stepfn import (Mesh, StepFunction, _cube_sums, _grid_cube_sums,
-                     _grid_lattice, _prefix_table, _TOP_SCALE)
+from .stepfn import (Mesh, StepFunction, _cube_sums, _cube_windows,
+                     _grid_scale_sums, _prefix_table, _TOP_SCALE)
 from .sparse import SparseFamily, verify_sparse_family
 
 __all__ = [
@@ -367,16 +368,17 @@ def a2_constant(w: Weight) -> A2Report:
     band64 = _certified_band(dim, n, factors, 2.0 ** -53)
     sides = _side_search(factors, band64)[1]
     tw, tv = (_prefix_table(f, np.longdouble) for f in factors)
+    ones = _prefix_table(np.ones(mesh.shape, dtype=np.int64), np.int64)
+    scales = range(mesh.level, _TOP_SCALE - 1, -1)
     blocks = []
     for grid in GridId.all_grids(dim):
-        for k in range(mesh.level, _TOP_SCALE - 1, -1):
-            lattice = _grid_lattice(mesh, grid, k)
-            corners = [x.tolist() for _, x, _ in lattice]
-            area = math.prod(np.ix_(*map(np.diff, corners))).astype(np.longdouble)
-            sw, sv = (_grid_cube_sums(t, mesh, grid, k, lattice)[0]
-                      for t in (tw, tv))
-            blocks.append((corners, sw * sv / (area * area)))
-    best = max(score.max() for _, score in blocks)
+        sw, sv, areas = (_grid_scale_sums(t, mesh, grid, scales)
+                         for t in (tw, tv, ones))
+        for k in scales:
+            area = areas[k][0].astype(np.longdouble)
+            blocks.append((grid, k, areas[k][1], sw[k][0] * sv[k][0] / (area * area)))
+        del sw, sv, areas  # before the next grid's are read
+    best = max(block[-1].max() for block in blocks)
     # pass 2, one pass over those sides: keep every cube within the band
     # of the running best, a superset of the final candidates
     kept = []
@@ -394,10 +396,11 @@ def a2_constant(w: Weight) -> A2Report:
         for i in idx[raw >= thresh * np.longdouble(d) ** (2 * dim)]:
             lo = [3 * int(c) for c in np.unravel_index(i, (n - d + 1,) * dim)]
             windows.append((lo, [c + 3 * d for c in lo], "mesh-aligned"))
-    for corners, score in blocks:
-        for pos in np.argwhere(score >= thresh).tolist():
-            lo, hi = zip(*((x[i], x[i + 1]) for x, i in zip(corners, pos)))
-            windows.append((lo, hi, "grid-cube"))
+    for grid, k, first, score in blocks:
+        cubes = [Cube(grid, k, tuple(j0 + i for j0, i in zip(first, pos)))
+                 for pos in np.argwhere(score >= thresh).tolist()]
+        lo, hi = (x.tolist() for x in _cube_windows(mesh, cubes))
+        windows += [(a, b, "grid-cube") for a, b in zip(lo, hi)]
 
     sums = {}
     best_num, best_den, best_win = 0, 1, None

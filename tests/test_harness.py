@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -568,6 +569,20 @@ def test_cli_rejects_a_key_it_does_not_read(argv, who, key, tmp_path, capsys):
         assert "Traceback" not in err
         assert "sparsedom: %s reads no %s (%s); %s\n" % (
             who, key, FLAGS.get(key, "--config"), _readers(key)) == err
+
+
+@pytest.mark.parametrize("name", list(COMMAND_READS))
+def test_cli_help_lists_the_flags_it_reads(name, capsys):
+    # --format and --out besides the declared keys; acceptance lists the
+    # keys of its criteria
+    reads = COMMAND_READS[name] if name != "acceptance" \
+        else set().union(*CRITERION_READS.values())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(name, "--help")
+    assert exc.value.code == 0
+    key_flags = {flag for _, flag, _ in cli._KEYS.values() if flag}
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) & key_flags
+    assert listed == {"--format", "--out"} | {FLAGS[k] for k in reads if k in FLAGS}
 
 
 @pytest.mark.parametrize("argv", [(name,) for name in COMMAND_READS

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsedom import sparse
 from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.harness import GENERATOR_KINDS, generate_function
 from sparsedom.stepfn import (
@@ -23,7 +24,8 @@ from sparsedom.stepfn import (
     dyadic_maximal,
     local_mean_oscillation,
     sharp_maximal,
-    _grid_cube_sums,
+    _fits_int64,
+    _grid_scale_sums,
     _TOP_SCALE,
 )
 from sparsedom.sparse import (
@@ -40,6 +42,7 @@ from sparsedom.sparse import (
     verify_sparse_family,
     weak_norm,
     _accumulate,
+    _family_averages,
     _over_lcm,
 )
 
@@ -170,10 +173,12 @@ def test_scale_averages_match_cube_integrals(mesh):
         if rng.random() < 0.7 else Fraction(0) for _ in range(mesh.size)])
     g = abs(f)
     den = f._numerators()[1]
+    ks = range(_TOP_SCALE - 2, mesh.level + 1)
     for grid in GridId.all_grids(mesh.dim):
-        for k in range(_TOP_SCALE - 2, mesh.level + 1):
+        scales = _grid_scale_sums(f._abs_table(3 ** mesh.dim), mesh, grid, ks)
+        for k in ks:
             # the nonzero averages cz_sparse reads off the integer cube sums
-            sums, first, _ = _grid_cube_sums(f._abs_table(3 ** mesh.dim), mesh, grid, k)
+            sums, first = scales[k]
             unit = den * (3 << (mesh.level - k)) ** mesh.dim
             got = {tuple(int(i + j) for i, j in zip(idx, first)): Fraction(v, unit)
                    for idx, v in np.ndenumerate(sums) if v}
@@ -675,6 +680,56 @@ def test_family_averages_at_the_int64_edge(monkeypatch, mesh, over):
             monkeypatch, lambda: (sparse_operator(fam, g), cz_pointwise_gap(f, fam, md)))
         assert dtypes == [np.dtype(object if over else np.int64)] * 2
         assert got[0].values == forced[0].values and got[1] == forced[1] >= 0
+
+
+@EDGE
+@EDGE_MESHES
+def test_cz_pointwise_gap_at_the_int64_edge(monkeypatch, mesh, over):
+    # the comparison's products rhs·(2^(n+1)·m_den) and m·den: one family
+    # against f scaled by the power of two that puts the larger at 62 bits,
+    # or one more; the gap scales with f
+    f0 = mk_random(mesh, 3, lo=-8)
+    for grid in GridId.all_grids(mesh.dim):
+        fam = cz_sparse(f0, grid)
+
+        def bits(f):
+            _, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
+            m, m_den = dyadic_maximal(f, grid)._numerators()
+            return max(max(nums).bit_length() + ((2 << mesh.dim) * m_den).bit_length(),
+                       max(m.flat).bit_length() + den.bit_length())
+
+        shift = 62 - bits(f0) + over
+        f = f0 * (1 << shift)
+        assert bits(f) == 62 + over
+        want = cz_pointwise_gap(f0, fam, dyadic_maximal(f0, grid)) * (1 << shift)
+        fits = []
+
+        def spy(*products):
+            fits.append(_fits_int64(*products))
+            return fits[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(sparse, "_fits_int64", spy)
+            got, _, forced = both_paths(
+                monkeypatch, lambda: cz_pointwise_gap(f, fam, dyadic_maximal(f, grid)))
+        assert fits == [not over, False]
+        assert got == forced == want
+
+
+@pytest.mark.parametrize("dim, level", [(1, 6), (2, 3)], ids=["1d", "2d"])
+def test_cz_sparse_and_dyadic_maximal_agree_in_either_order(dim, level):
+    # the grid sums f memoises serve both kernels: each result is the same
+    # whichever reads first, and on a fresh f
+    mesh = Mesh(dim, level)
+    first, second = mk_random(mesh, 4, lo=-8), mk_random(mesh, 4, lo=-8)
+    for grid in GridId.all_grids(dim):
+        a = dyadic_maximal(first, grid), cz_sparse(first, grid)
+        fam = cz_sparse(second, grid)
+        b = dyadic_maximal(second, grid), fam
+        c = dyadic_maximal(mk_random(mesh, 4, lo=-8), grid), \
+            cz_sparse(mk_random(mesh, 4, lo=-8), grid)
+        assert a[0].values == b[0].values == c[0].values
+        assert a[1] == b[1] == c[1] and not a[1].is_empty
 
 
 @pytest.mark.parametrize("dim, level", [(1, 4), (2, 2)], ids=["1d", "2d"])

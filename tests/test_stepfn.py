@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsedom.geometry import Box, Cube, GridId
+from sparsedom import stepfn
+from sparsedom.geometry import Box, Cube, GridId, _parent_index
 from sparsedom.rational import rat, rat_str
 from sparsedom.stepfn import (
     Mesh,
@@ -22,8 +23,7 @@ from sparsedom.stepfn import (
     rearrangement,
     sharp_maximal,
     _cube_sums,
-    _grid_cube_sums,
-    _grid_lattice,
+    _grid_scale_sums,
     _hl_1d,
     _LATTICE_DEPTH,
     _prefix_table,
@@ -270,21 +270,36 @@ def test_box_beyond_the_domain_holds_no_cells():
 
 
 @pytest.mark.parametrize("level", [1, 2])
-def test_grid_lattice_is_exact_through_its_depth(level):
-    # against Cube.box on the h/3 lattice, down to scale level - 61; one
-    # scale coarser the int64 side 3·2^62 of the lattice overflows
+def test_grid_scale_sums_is_exact_through_its_depth(level):
+    # against Cube.box on the h/3 lattice, down to scale level - 61: on the
+    # table of 1 per cell a cube sums to its clipped length.  The cube
+    # holding cell i's center, i - 2^level at scale level and its parents
+    # above (dyadic_maximal's positions), against cube_at.  One scale
+    # coarser the int64 side 3·2^62 of the lattice overflows
     mesh = Mesh(1, level)
     lo, n3 = mesh.domain.lo[0], 3 * mesh.cells_axis
     centers = [lo + (i + Fraction(1, 2)) * mesh.h for i in range(mesh.cells_axis)]
+    ones = _prefix_table(np.ones(mesh.shape, dtype=np.int64), np.int64)
+
+    def clipped(x):
+        return min(max(3 * (x - lo) / mesh.h, 0), n3)
+
+    ks = (level - _LATTICE_DEPTH, level - _LATTICE_DEPTH + 1)
     for grid in GridId.all_grids(1):
-        for k in (level - _LATTICE_DEPTH, level - _LATTICE_DEPTH + 1):
-            (j0, corners, pos), = _grid_lattice(mesh, grid, k)
-            boxes = [Cube(grid, k, (j0 + i,)).box for i in range(len(corners))]
-            assert list(corners) == [min(max(3 * (b.lo[0] - lo) / mesh.h, 0), n3)
-                                     for b in boxes]
-            assert list(j0 + pos) == [cube_at(grid, k, (x,)).j[0] for x in centers]
+        scales = _grid_scale_sums(ones, mesh, grid, ks)
+        j = [i - (1 << level) for i in range(mesh.cells_axis)]
+        for k in range(level, ks[0] - 1, -1):
+            assert j == [cube_at(grid, k, (x,)).j[0] for x in centers]
+            if k in scales:
+                sums, (j0,) = scales[k]
+                boxes = [Cube(grid, k, (j0 + i,)).box for i in range(len(sums))]
+                lengths = [clipped(b.hi[0]) - clipped(b.lo[0]) for b in boxes]
+                assert list(sums) == lengths and min(lengths) > 0
+                assert clipped(boxes[0].lo[0]) == 0 and sum(lengths) == n3
+                assert all(0 <= x - j0 < len(sums) for x in j)
+            j = [_parent_index(k, x, grid.alpha[0] != 0) for x in j]
         with pytest.raises(OverflowError):
-            _grid_lattice(mesh, grid, level - _LATTICE_DEPTH - 1)
+            _grid_scale_sums(ones, mesh, grid, [level - _LATTICE_DEPTH - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +602,15 @@ def test_dyadic_maximal_rational_values(f, shifted):
     assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
 
 
+@pytest.mark.parametrize("dim, level", [(1, lv) for lv in range(1, 7)]
+                         + [(2, lv) for lv in range(1, 4)])
+def test_dyadic_maximal_matches_oracle_on_signed_inputs(dim, level):
+    # the ancestor maximum down the scales, on every grid
+    f = _rational(Mesh(dim, level), level)
+    for grid in GridId.all_grids(dim):
+        assert dyadic_maximal(f, grid).values == oracle_dyadic(f, grid)
+
+
 @given(step_functions(level=2, dim=2, values=rational_values))
 @settings(max_examples=5, deadline=None)
 def test_dyadic_maximal_2d_all_grids(f):
@@ -735,6 +759,31 @@ def test_dyadic_maximal_at_the_int64_edge(monkeypatch, mesh, over):
         assert got.values == oracle_dyadic(f, grid)
 
 
+def test_grid_sums_memo_never_crosses_dtypes(monkeypatch):
+    # one f read by both kernels on one grid: the int64 sums are read once
+    # and shared; forced object tables are read again, and each memo entry
+    # holds its key's dtype, read-only
+    f = _rational(Mesh(1, 4), 4)
+    grid = GridId.shifted(1)
+    reads = []
+    read = stepfn._grid_scale_sums
+
+    def spy(p, *args):
+        reads.append(p.dtype)
+        return read(p, *args)
+
+    monkeypatch.setattr(stepfn, "_grid_scale_sums", spy)
+    got, dtypes, forced = both_paths(
+        monkeypatch, lambda: (dyadic_maximal(f, grid), cz_sparse(f, grid)))
+    assert set(dtypes) == {np.dtype(np.int64)}
+    assert reads == [np.dtype(np.int64), np.dtype(object)]
+    assert got[0].values == forced[0].values and got[1] == forced[1]
+    assert set(f._grid_memo) == {(grid, np.dtype(np.int64)), (grid, np.dtype(object))}
+    for (_, dtype), scales in f._grid_memo.items():
+        for sums, _ in scales.values():
+            assert sums.dtype == dtype and not sums.flags.writeable
+
+
 @EDGE
 @EDGE_MESHES
 def test_hl_maximal_at_the_int64_edge(monkeypatch, mesh, over):
@@ -767,12 +816,12 @@ def test_table_reads_agree_across_dtypes(mesh):
     for dtype in (np.float64, np.longdouble):
         table = _prefix_table(cells, dtype)
         assert table.dtype == dtype
+        ks = range(_TOP_SCALE, mesh.level + 1)
         for grid in GridId.all_grids(mesh.dim):
-            for k in range(_TOP_SCALE, mesh.level + 1):
-                want = _grid_cube_sums(exact, mesh, grid, k)[0]
-                got = _grid_cube_sums(table, mesh, grid, k)[0]
-                assert got.dtype == dtype
-                assert np.array_equal(got, want.astype(dtype))
+            want, got = (_grid_scale_sums(t, mesh, grid, ks) for t in (exact, table))
+            for k in ks:
+                assert got[k][0].dtype == dtype
+                assert np.array_equal(got[k][0], want[k][0].astype(dtype))
         for d in range(1, mesh.cells_axis + 1):
             assert np.array_equal(_cube_sums(table, d),
                                   _cube_sums(exact, d).astype(dtype))

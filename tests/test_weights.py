@@ -15,8 +15,7 @@ from scipy.optimize import minimize_scalar
 from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.rational import pow2
 from sparsedom.stepfn import (Mesh, StepFunction, average, _cube_sums,
-                              _grid_cube_sums, _grid_lattice, _prefix_table,
-                              _TOP_SCALE)
+                              _grid_scale_sums, _prefix_table, _TOP_SCALE)
 from sparsedom.sparse import SparseFamily
 from sparsedom.weights import (
     A2Report,
@@ -73,10 +72,28 @@ def grid_cube_regions(mesh):
 def grid_blocks(mesh):
     """(grid, k, the clipped lattice corners per axis) of every (grid,
     scale) in the A2 search's order: grid, then scale from fine to
-    coarse."""
+    coarse.  The first cube and the count per axis are those of
+    ``_grid_scale_sums``, the corners those of ``Cube.corner``, and the
+    sums of 1 per cell must be the areas."""
+    n3 = 3 * mesh.cells_axis
+    ones = _prefix_table(np.ones(mesh.shape, dtype=np.int64), np.int64)
+    ks = range(mesh.level, _TOP_SCALE - 1, -1)
+
+    def clipped(grid, k, j, axis):
+        # the h/3-lattice point of cube j's corner on the axis, clipped
+        x = 3 * (Cube(grid, k, (j,) * mesh.dim).corner[axis] - mesh.domain.lo[axis])
+        x = min(max(x / mesh.h, 0), n3)
+        assert x.denominator == 1
+        return int(x)
+
     for grid in GridId.all_grids(mesh.dim):
-        for k in range(mesh.level, _TOP_SCALE - 1, -1):
-            yield grid, k, [x for _, x, _ in _grid_lattice(mesh, grid, k)]
+        scales = _grid_scale_sums(ones, mesh, grid, ks)
+        for k in ks:
+            area, first = scales[k]
+            corners = [[clipped(grid, k, j0 + i, axis) for i in range(m + 1)]
+                       for axis, (j0, m) in enumerate(zip(first, area.shape))]
+            assert np.array_equal(area, math.prod(np.ix_(*map(np.diff, corners))))
+            yield grid, k, corners
 
 
 def grid_scores(mesh, tw, tv):
@@ -84,7 +101,7 @@ def grid_scores(mesh, tw, tv):
     sw·sv/area² of its cubes read from the prefix tables tw and tv."""
     for grid, k, corners in grid_blocks(mesh):
         area = math.prod(np.ix_(*map(np.diff, corners))).astype(tw.dtype)
-        sw, sv = (_grid_cube_sums(t, mesh, grid, k)[0] for t in (tw, tv))
+        sw, sv = (_grid_scale_sums(t, mesh, grid, [k])[k][0] for t in (tw, tv))
         yield corners, sw * sv / (area * area)
 
 
