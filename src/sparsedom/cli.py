@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (fn, reads) in _COMMANDS.items():
         sub = subs.add_parser(name, help=fn.__doc__)
-        # every flag parses (an unread one exits 2), but --help lists the read
+        # every flag parses (an unread one exits 2); --help lists only those read
         shown = {"fmt", "out"}.union(reads)
         if name == "acceptance":  # the keys its criteria read
             shown = shown.union(*(r for _, _, r, _ in _REGISTRY.values()))

@@ -42,10 +42,11 @@ lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
 the cell-corner prefix table of |f|, in int64 or object ints by the dtype
 rule of ``stepfn``, by ``stepfn._window_sums``, the reader for a list of
 cubes (``cz_sparse`` reads the grid sums f keeps for ``dyadic_maximal``),
-and its cells are (a+1)//3 up to (b+1)//3 per axis.  Its average is S·2^(n(k-k_min)) over the one denominator
-D·(3·2^(level-k_min))^n, with k_min the coarsest scale in the family.
-Coefficients that are Fractions (the other operators, the decomposition,
-``czo.dominate``) are brought to their lcm by ``_over_lcm`` first.
+and its cells are (a+1)//3 up to (b+1)//3 per axis.  Its average is
+S·2^(n(k-k_min)) over the one denominator D·(3·2^(level-k_min))^n, with
+k_min the coarsest scale in the family.  Coefficients that are Fractions
+(the other operators, the decomposition, ``czo.dominate``) are brought to
+their lcm by ``_over_lcm`` first.
 """
 
 from __future__ import annotations
@@ -226,13 +227,12 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     smallest nonzero cube average by 2^(n(61 − level)), raises ValueError:
     the int64 lattice corners of ``_grid_scale_sums`` need 3·2^(level−k) < 2^63.
 
-    Averages are the integer cube sums ``dyadic_maximal`` reads, read once
-    per f and grid (``StepFunction._abs_grid_sums``), on its denominator;
-    each threshold becomes one integer, and Cubes are built only for the
+    Averages are the integer cube sums ``dyadic_maximal`` reads, once per
+    f and grid (``StepFunction._abs_grid_sums``), on its denominator; each
+    threshold becomes one integer, and Cubes are built only for the
     selected cubes.  The largest factor on a table entry is, as there,
-    (3·2^(level-top))^n; each step of the climb that lowers top reads its
-    scale alone, in the dtype chosen again, and moves the sums already
-    read to object ints with it.
+    (3·2^(level-top))^n; each climb step that lowers top reads its scale
+    alone in the dtype chosen again, and earlier sums follow that dtype.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
