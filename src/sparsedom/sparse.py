@@ -28,8 +28,9 @@ axis.  Every sum Σ c_Q χ_Q over a family -- the operators, the right side
 of ``verify_decomposition`` and the majorant of ``czo.dominate`` -- goes
 through one accumulator, ``_accumulate``: it takes integer numerators
 over the caller's denominator, adds each at the 2^n corners of its block
-in an n-D difference array, and one cumulative sum per axis gives every
-cell's total.  That is O(|S|·2^n + cells) instead of one Fraction
+in an n-D difference array, int64 while 2^n·Σ|num| fits the dtype rule of
+``stepfn``, and one cumulative sum per axis gives every cell's total.
+That is O(|S|·2^n + cells) instead of one Fraction
 addition per cell per cube, and the operators return those totals over
 the caller's denominator as the output's integer form
 (``StepFunction._from_ints``).  ``cz_pointwise_gap`` paints instead: its
@@ -41,8 +42,10 @@ A grid cube at scale k <= level is a window [a, b) per axis on the h/3
 lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
 the cell-corner prefix table of |f|, in int64 or object ints by the dtype
 rule of ``stepfn``, by ``stepfn._window_sums``, the reader for a list of
-cubes (``cz_sparse`` reads the grid sums f keeps for ``dyadic_maximal``),
-and its cells are (a+1)//3 up to (b+1)//3 per axis.  Its average is
+cubes (``cz_sparse`` reads the grid sums f keeps for ``dyadic_maximal``
+and selects every level in the one walk down the scales they share,
+``stepfn._descent``), and its cells are (a+1)//3 up to (b+1)//3 per
+axis.  Its average is
 S·2^(n(k-k_min)) over the one denominator D·(3·2^(level-k_min))^n, with
 k_min the coarsest scale in the family.  Coefficients that are Fractions
 (the other operators, the decomposition, ``czo.dominate``) are brought to
@@ -58,7 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Cube, GridId, cover_cube, dilate, _first_child, _parent_index
+from .geometry import Cube, GridId, cover_cube, dilate, _parent_index
 from .rational import pow2, rat_str
 from .stepfn import (
     Mesh,
@@ -68,9 +71,11 @@ from .stepfn import (
     _corner,
     _corners,
     _cube_windows,
+    _descent,
     _dyadic_blocks,
     _fits_int64,
     _grid_scale_sums,
+    _lattice_corner,
     _LATTICE_DEPTH,
     _TOP_SCALE,
     _window_cells,
@@ -193,23 +198,6 @@ def verify_sparse_family(fam: SparseFamily):
 # Calderon-Zygmund construction on the grid maximal function
 # ---------------------------------------------------------------------------
 
-def _subtree_maxima(avg: dict, first: dict, grid: GridId, top: int,
-                    level: int) -> dict:
-    """Per cube, the largest average in its subtree down to ``level``, for
-    pruned descent: each scale's array is a per-axis max-pool of the next
-    finer one, whose parents run through the coarser scale's cubes in
-    order."""
-    submax = {level: avg[level]}
-    for k in range(level, top, -1):
-        pooled = submax[k]
-        for axis, (j0, a) in enumerate(zip(first[k], grid.alpha)):
-            parent = _parent_index(k, j0 + np.arange(pooled.shape[axis]), a != 0)
-            starts = np.flatnonzero(np.diff(parent, prepend=parent[0] - 1))
-            pooled = np.maximum.reduceat(pooled, starts, axis=axis)
-        submax[k - 1] = np.maximum(avg[k - 1], pooled)
-    return submax
-
-
 def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     """Sparse family of maximal grid cubes over the thresholds 2^{(n+1)k}.
 
@@ -217,7 +205,8 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     2^{(n+1)k}; their union is exactly {M^{grid} f > 2^{(n+1)k}}.  The
     threshold exponents run from just below the smallest nonzero cube
     average (so the lowest level covers all of {M^{grid} f > 0}) up to
-    the level where the selection dies out.
+    the last one below the largest average, which is a finest-scale one:
+    a parent's average is the mean of its children's.
 
     The scale range extends above the domain-sized top scale until every
     coarsest-scale average drops to the bottom threshold: then every
@@ -233,37 +222,54 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     selected cubes.  The largest factor on a table entry is, as there,
     (3·2^(level-top))^n; each climb step that lowers top reads its scale
     alone in the dtype chosen again, and earlier sums follow that dtype.
+
+    Selection is one pass down the scales (``stepfn._descent``): a cube is
+    maximal with average > t exactly when its average exceeds t and the
+    largest average among its strict ancestors does not, so it sits on the
+    levels whose thresholds lie in [above, avg), two ``searchsorted`` reads.
+
+    Each level lists its cubes depth first: the top scale's in row-major
+    order, then children in ``Cube.children`` order, which numbers them
+    from the first child, the one at the parent's lower corner, by a
+    row-major digit.  So a cube's first finest-scale descendant has the
+    cube's lower corner, and on each axis its index counted from that of
+    the top scale's first cube's has the cube's top-scale position above
+    level − top bits: the path's child digits on that axis, one bit per
+    scale, then zeros below the cube's scale.  Cubes of one level never
+    nest, so sorting them by (top-scale positions, the digits interleaved
+    scale by scale, axis 0 first) gives that order exactly, in Python ints
+    and strings at any depth.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
-    nums, den = f._numerators()
-    if not nums.any():
-        return SparseFamily(grid, {})
-    n, level = mesh.dim, mesh.level
+    n, level, den = mesh.dim, mesh.level, f._numerators()[1]
     top = _TOP_SCALE
     table, scales = f._abs_grid_sums(grid, (3 << (level - top)) ** n)
-    cubes = dict(scales)
-
-    def scaled(k: int) -> np.ndarray:
-        """Scale k's averages as integers over D·(3·2^(level-top))^n."""
-        return cubes[k][0].astype(table.dtype, copy=False) * (1 << n * (k - top))
+    scales = dict(scales)
+    # ‖f‖₁ = P_max / (D·2^(n·level)), the table's last corner
+    l1 = int(table[(-1,) * n])
+    if not l1:
+        return SparseFamily(grid, {})
 
     def threshold(k: int) -> int:
-        """avg > 2^{(n+1)k} exactly when scaled > threshold(k)."""
+        """An average exceeds 2^{(n+1)k} exactly when its integer over
+        D·(3·2^(level-top))^n, the descent's avg, exceeds threshold(k)."""
         e = (n + 1) * k + n * (level - top)
         return den * 3**n << e if e >= 0 else den * 3**n >> -e
 
-    # largest k with 2^{(n+1)k} below the smallest nonzero average
-    m0 = int(min(a[a != 0].min() for a in map(scaled, cubes) if a.any()))
+    # largest k with 2^{(n+1)k} below the smallest nonzero average m0; no
+    # sum exceeds 3^n·l1, a top-scale average, so m0 <= 3^n·l1 and a scale
+    # of zeros changes nothing
+    m0 = min(int(s.min(where=s != 0, initial=3**n * l1)) << n * (k - top)
+             for k, (s, _) in scales.items())
     k_bot = 0
     while m0 > threshold(k_bot + 1):
         k_bot += 1
     while not m0 > threshold(k_bot):
         k_bot -= 1
 
-    # ‖f‖₁·2^(n·top) > 2^{(n+1)k_bot}, with ‖f‖₁ = Σ|nums| / (D·2^(n·level))
-    l1 = abs(nums).sum()
+    # ‖f‖₁·2^(n·top) > 2^{(n+1)k_bot}
     while 3**n * l1 > threshold(k_bot):
         top -= 1
         if level - top > _LATTICE_DEPTH:
@@ -271,60 +277,57 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
                              f"{_LATTICE_DEPTH} = {level - _LATTICE_DEPTH}, the "
                              "coarsest scale of exact int64 lattice corners")
         table = f._abs_table((3 << (level - top)) ** n)
-        cubes.update(_grid_scale_sums(table, mesh, grid, [top]))
-    avg = {k: scaled(k) for k in cubes}
-    first = {k: c[1] for k, c in cubes.items()}
-    # a parent's average is the mean of its children's: the top scales
-    # added above do not raise the maximum
-    vmax = int(max(a.max() for a in avg.values()))
-    submax = _subtree_maxima(avg, first, grid, top, level)
+        scales.update(_grid_scale_sums(table, mesh, grid, [top]))
+    scales = {k: (s.astype(table.dtype, copy=False), j0) for k, (s, j0) in scales.items()}
+    vmax = int(scales[level][0].max()) << n * (level - top)
+    ts = []
+    while vmax > threshold(k_bot + len(ts)):
+        ts.append(threshold(k_bot + len(ts)))
+    ts = np.array(ts, dtype=table.dtype)
 
-    def select(t: int) -> list[Cube]:
-        out = []
+    # the depth-first key of the docstring, from the lattice corners
+    depth, top_first = level - top, scales[top][1]
+    base = _lattice_corner(mesh, top, Cube(grid, top, top_first)._corner_thirds())
 
-        def descend(k, pos):
-            if avg[k][pos] > t:
-                j = tuple(int(j0 + p) for j0, p in zip(first[k], pos))
-                out.append(Cube(grid, k, j))
-                return
-            if k == level:
-                return
-            # the children's first positions in scale k + 1's arrays
-            base = [_first_child(k, j0 + p, a != 0) - c0 for j0, p, a, c0
-                    in zip(first[k], pos, grid.alpha, first[k + 1])]
-            below = submax[k + 1]
-            for child in itertools.product(*((b, b + 1) for b in base)):
-                if all(0 <= c < m for c, m in zip(child, below.shape)) \
-                        and below[child] > t:
-                    descend(k + 1, child)
+    def dfs_key(q: Cube) -> tuple:
+        xs = [(x - b) // 3 for x, b in
+              zip(_lattice_corner(mesh, q.k, q._corner_thirds()), base)]
+        digits = zip(*(format(x & ((1 << depth) - 1), f"0{depth}b") for x in xs))
+        return tuple(x >> depth for x in xs), "".join(map("".join, digits))
 
-        for pos in zip(*np.nonzero(submax[top] > t)):
-            descend(top, pos)
-        return out
-
-    levels: dict[int, list[Cube]] = {}
-    k = k_bot
-    while vmax > threshold(k):
-        chosen = select(threshold(k))
-        if not chosen:
-            break
-        levels[k] = chosen
-        k += 1
-    return SparseFamily(grid, levels)
+    picked = [[] for _ in ts]
+    for k, avg, above in _descent(scales, grid, top, level):
+        lo, hi = np.searchsorted(ts, above), np.searchsorted(ts, avg)
+        first = scales[k][1]
+        for pos in zip(*np.nonzero(hi > lo)):
+            q = Cube(grid, k, tuple(int(j0 + p) for j0, p in zip(first, pos)))
+            for i in range(lo[pos], hi[pos]):
+                picked[i].append(q)
+    return SparseFamily(grid, {k_bot + i: sorted(cubes, key=dfs_key)
+                               for i, cubes in enumerate(picked)})
 
 
 def _accumulate(mesh: Mesh, terms) -> np.ndarray:
     """Σ num·χ_cells over the (cells, num) ``terms``, with cells a
     ``Mesh.cells`` block and num an integer numerator over the caller's
-    denominator: integer numerators shaped like the mesh."""
-    diff = np.zeros(tuple(n + 1 for n in mesh.shape), dtype=object)
+    denominator: integer numerators shaped like the mesh, Python ints.
+
+    Each term adds ±num at the 2^n corners of its block, and the cumulative
+    sums per axis add up boxes of those entries, so every value the
+    difference array takes, at every step, is a signed sum of a subset of
+    the 2^n·|terms| corner additions: at most 2^n·Σ|num| in magnitude.  It
+    is int64 when that bound fits (``stepfn._fits_int64``), object ints
+    otherwise."""
+    terms = list(terms)
+    fits = _fits_int64((sum(abs(num) for _, num in terms), 1 << mesh.dim))
+    diff = np.zeros(tuple(n + 1 for n in mesh.shape), dtype=np.int64 if fits else object)
     corners = _corners(mesh.dim)
     for cells, num in terms:
         for bits, odd in corners:
             diff[_corner(cells, bits)] += -num if odd else num
     for axis in range(mesh.dim):
         diff = diff.cumsum(axis)
-    return diff[(slice(None, -1),) * mesh.dim]
+    return diff[(slice(None, -1),) * mesh.dim].astype(object, copy=False)
 
 
 def _over_lcm(terms) -> tuple[list, int]:

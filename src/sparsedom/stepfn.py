@@ -38,23 +38,27 @@ CSV, the weights and the Hilbert transform's cell integrals.
 The distribution toolkit adds no Fractions before its one return value.
 On a box, f is a list of sorted integer runs (``_runs``): its distinct
 numerators over f's own D, each with its measure as an integer over one
-common denominator, partial cells and the zero padding included.  On the
-dyadic subcubes of a mesh-aligned cube q0 every cell has unit mass, so
+common denominator, partial cells and the zero padding included.  The
+box's clipped cell pieces (``_pieces``) are kept on its Mesh, whose
+readers ask for the same few boxes of many functions.  On the dyadic
+subcubes of a mesh-aligned cube q0 every cell has unit mass, so
 ``_dyadic_blocks`` gives the cells int64 ranks of their sorted distinct
 numerators U (over D) and sorts the ranks of every subcube of one side
 with one ``np.sort``, into a.  A subcube of N cells has the upper median
 U[a[N//2]] (the largest qualifying value), and its shortest window of
 t = ⌈(1−λ)N⌉ cells has the width 2ω·D = min(U[a[t−1:]] − U[a[:N−t+1]]),
 an integer.  ``sharp_maximal`` and the decomposition in ``sparse`` read
-those arrays.
+those arrays, sorted once per (q0, λ) and kept on f.
 
 ``dyadic_maximal`` and ``hl_maximal`` work on the numerators of |f| and on
 lengths on the h/3 lattice counted from the box's lower corner -1.
 There every grid-cube corner at a scale k <= level is an integer,
 (3j + b)·2^(level-k) + 3·2^level with b in {-1, 0, 1} (``_lattice_corner``).
 Averages are compared as integers over a shared denominator (the
-integer form of ``dyadic_maximal``'s output, a running maximum down the
-nested scales) or by cross-multiplication (``hl_maximal``, one Fraction
+integer form of ``dyadic_maximal``'s output; ``_descent`` walks a grid's
+nested scales once and gives each cube the largest average among its
+strict ancestors, which is also how ``sparse.cz_sparse`` selects its
+cubes) or by cross-multiplication (``hl_maximal``, one Fraction
 per distinct value: O(N log² N) in 1-D, one sweep over the cells against
 two convex hulls (``_hl_1d``), and O(n³) in 2-D, for n cells per axis).
 
@@ -93,7 +97,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Box, Cube, GridId, _parent_index
+from .geometry import Box, Cube, GridId, _first_child
 from .rational import parse_scalar, pow2, rat, rat_ceil, rat_floor
 
 __all__ = [
@@ -141,17 +145,25 @@ def _prefix_table(values: np.ndarray, dtype=object) -> np.ndarray:
     return p
 
 
-def _pieces(mesh: Mesh, box: Box):
+def _pieces(mesh: Mesh, box: Box) -> tuple[list, int, int]:
     """The cells of box ∩ domain as at most 3^n blocks, each a pair (cells,
-    overlap of each cell): per axis one block of whole cells and up to two
-    partial cells."""
-    axes = []
-    for axis in range(mesh.dim):
-        ia, ib, partials = mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
-        axes.append([(slice(ia, ib), mesh.h)] * (ia < ib)
-                    + [(slice(i, i + 1), w) for i, w in partials])
-    for block in itertools.product(*axes):
-        yield tuple(s for s, _ in block), math.prod(x for _, x in block)
+    overlap of each cell as an integer over u): per axis one block of whole
+    cells and up to two partial cells; then u, the lcm of the denominators
+    of the overlaps and of |box|, and |box| over u.  Kept per box on the
+    mesh, whose readers ask for the same few boxes of many functions."""
+    if box not in mesh._pieces:
+        axes = []
+        for axis in range(mesh.dim):
+            ia, ib, partials = mesh.axis_pieces(axis, box.lo[axis], box.hi[axis])
+            axes.append([(slice(ia, ib), mesh.h)] * (ia < ib)
+                        + [(slice(i, i + 1), w) for i, w in partials])
+        blocks = [(tuple(s for s, _ in block), math.prod(x for _, x in block))
+                  for block in itertools.product(*axes)]
+        measure = box.measure
+        u = math.lcm(measure.denominator, *(w.denominator for _, w in blocks))
+        mesh._pieces[box] = ([(cells, w.numerator * (u // w.denominator))
+                              for cells, w in blocks], u, int(measure * u))
+    return mesh._pieces[box]
 
 
 class Mesh:
@@ -172,6 +184,7 @@ class Mesh:
         self.cells_axis = 3 << level
         self.shape = (self.cells_axis,) * dim
         self.size = self.cells_axis**dim
+        self._pieces = {}  # box -> _pieces(self, box)
 
     @property
     def core(self) -> Box:
@@ -373,9 +386,9 @@ class StepFunction:
 
     def integral(self, box: Box | None = None) -> Fraction:
         """Exact integral over box ∩ domain (whole domain when box is None)."""
-        pieces = _pieces(self.mesh, self.mesh.domain if box is None else box)
-        total = sum((w * self._block_sum(cells) for cells, w in pieces), Fraction(0))
-        return total / self._num[1]
+        pieces, u, _ = _pieces(self.mesh, self.mesh.domain if box is None else box)
+        total = sum(w * self._block_sum(cells) for cells, w in pieces)
+        return Fraction(total, u * self._num[1])
 
     def atom_sum(self, box: Box) -> Fraction:
         """h^n times the sum of values over cells whose centers lie in box."""
@@ -424,22 +437,22 @@ class StepFunction:
 def _runs(f: StepFunction, box: Box) -> tuple[list[int], list[int], int, int]:
     """f on box as sorted integer runs: the ascending distinct numerators
     over f's own denominator D, the measure of each as an integer over one
-    common denominator u, u and D.  Counts the numerators of each block of
-    ``_pieces``; the callers in this package pass kernel outputs, whose D
-    is already at hand.  The part of the box outside the mesh domain is
-    counted as mass at value 0 (the zero extension)."""
+    common denominator u, u and D; the measures add up to |box|·u.  Counts
+    the numerators of each block of ``_pieces``; the callers in this
+    package pass kernel outputs, whose D is already at hand.  The part of
+    the box outside the mesh domain is counted as mass at value 0 (the
+    zero extension)."""
     nums, den = f._numerators()
-    pieces = [(nums[cells], w) for cells, w in _pieces(f.mesh, box)]
-    u = math.lcm(box.measure.denominator, *(w.denominator for _, w in pieces))
+    pieces, u, measure = _pieces(f.mesh, box)
     masses = Counter()
     covered = 0
-    for block, w in pieces:
-        wu = w.numerator * (u // w.denominator)
+    for cells, w in pieces:
+        block = nums[cells]
         for v, count in Counter(block.flat).items():
-            masses[v] += count * wu
-        covered += block.size * wu
-    if covered < box.measure * u:
-        masses[0] += int(box.measure * u) - covered
+            masses[v] += count * w
+        covered += block.size * w
+    if covered < measure:
+        masses[0] += measure - covered
     values = sorted(masses)
     return values, [masses[v] for v in values], u, den
 
@@ -469,8 +482,8 @@ def rearrangement(f: StepFunction, b: Box, t) -> Fraction:
 
 def median(f: StepFunction, q: Box) -> Fraction:
     """Largest m among attained values with |{f>m} ∩ q|, |{f<m} ∩ q| <= |q|/2."""
-    values, masses, u, den = _runs(f, q)
-    total = int(q.measure * u)
+    values, masses, _, den = _runs(f, q)
+    total = sum(masses)
     below, above = 0, total
     for v, m in zip(values, masses):
         above -= m
@@ -494,10 +507,9 @@ def local_mean_oscillation(f: StepFunction, q: Box, lam) -> Fraction:
     On the integer runs, the window starting at run i ends at the first run
     j whose cumulative mass reaches that of i plus the target, rounded up."""
     lam = _check_lambda(lam)
-    values, masses, u, den = _runs(f, q)
-    target = (1 - lam) * q.measure * u
-    cum = np.cumsum([0] + masses, dtype=object)
-    ends = np.searchsorted(cum, cum[:-1] + rat_ceil(target))
+    values, masses, _, den = _runs(f, q)
+    cum = np.cumsum([0] + masses, dtype=object)  # cum[-1] = |q| over u
+    ends = np.searchsorted(cum, cum[:-1] + rat_ceil((1 - lam) * cum[-1]))
     values = np.array(values, dtype=object)
     starts = np.flatnonzero(ends < len(cum))
     return Fraction((values[ends[starts] - 1] - values[starts]).min(), 2 * den)
@@ -531,12 +543,18 @@ def _blocks(a: np.ndarray, side: int) -> np.ndarray:
 
 def _dyadic_blocks(f: StepFunction, q0: Cube, lam: Fraction):
     """The median and ω_λ of every dyadic subcube of q0, from one sort of
-    the cells' ranks per side (see the module docstring).
+    the cells' ranks per side (see the module docstring), read once per
+    (q0, λ) and kept on f beside its grid sums: ``oscillation_decompose``,
+    ``verify_decomposition`` and ``sharp_maximal`` read the same blocks.
 
     Returns q0's block of cells (``Mesh.cells`` slices), f's numerators over
     D there, D, and per side s (in cells, a power of two up to the span) the
     upper medians and the widths 2ω_λ·D of the subcubes of side s, as two
-    arrays shaped (span // s,)^n indexed by the subcube's position."""
+    arrays shaped (span // s,)^n indexed by the subcube's position.  The
+    arrays are read-only."""
+    memo = f.__dict__.setdefault("_block_memo", {})
+    if (q0, lam) in memo:
+        return memo[q0, lam]
     starts, span = _aligned_cell_range(f.mesh, q0)
     cells = tuple(slice(s, s + span) for s in starts)
     nums, den = f._numerators()
@@ -555,7 +573,10 @@ def _dyadic_blocks(f: StepFunction, q0: Cube, lam: Fraction):
         stats[side] = (values[a[..., size // 2]],
                        (values[a[..., t - 1:]] - values[a[..., :size - t + 1]]).min(-1))
         side *= 2
-    return cells, nums, den, stats
+    for a in (nums, *(x for pair in stats.values() for x in pair)):
+        a.flags.writeable = False
+    memo[q0, lam] = cells, nums, den, stats
+    return memo[q0, lam]
 
 
 def sharp_maximal(f: StepFunction, q0: Cube, lam) -> StepFunction:
@@ -686,31 +707,59 @@ def _window_cells(lo, hi) -> tuple[slice, ...]:
     return tuple(slice((int(a) + 1) // 3, (int(b) + 1) // 3) for a, b in zip(lo, hi))
 
 
+def _descent(scales: dict, grid: GridId, top: int, level: int):
+    """Walk a grid's nested scales from ``top`` down to ``level``.
+
+    ``scales`` maps each scale k to its cube sums and first index, as
+    ``_grid_scale_sums`` gives them, all of one dtype.  Yields per scale
+    (k, avg, above): avg is the sums times 2^(n(k-top)), integers over one
+    denominator at every scale, and above is the largest avg among each
+    cube's strict ancestors, -1 at scale top, which has none.
+
+    A cube reads its parent's entry without index arrays.  On an axis the
+    scale-k cubes from the first child of the scale-(k-1) cube u0 on,
+    ``_first_child(k-1, u0)``, are the children of u0 and of the cubes after
+    it, two each, so the coarser array repeated twice per axis holds each
+    cube's parent at the cube's position plus j0 - _first_child(k-1, u0)."""
+    n, up = grid.dim, None
+    for k in range(top, level + 1):
+        sums, first = scales[k]
+        avg = sums * (1 << n * (k - top))
+        if up is None:
+            above = np.full(avg.shape, -1, dtype=avg.dtype)
+        else:
+            offsets = [j0 - _first_child(k - 1, u0, a != 0)
+                       for j0, u0, a in zip(first, up, grid.alpha)]
+            above = np.maximum(prev, above)
+            for axis in range(n):
+                above = np.repeat(above, 2, axis)
+            above = above[tuple(slice(o, o + m) for o, m in zip(offsets, avg.shape))]
+        yield k, avg, above
+        prev, up = avg, first
+
+
 def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     """M^{grid} f: max over grid cubes containing each cell center of the
     exact average of |f| (full cube measure in the denominator).
 
     Scale k's integer cube sums times 2^(n(k-top)) share the output's
-    denominator D·(3·2^(level-top))^n, and the maximum runs down the nested
-    cubes' ancestors, anc_k = max(avg_k, anc_(k-1) at the parent), to scale
-    level, where cell i's center lies in cube i - 2^level on every axis of
-    every grid: one gather.  The largest factor on a table entry is that
+    denominator D·(3·2^(level-top))^n, and the maximum over a cube and its
+    ancestors comes down the nested scales (``_descent``) to scale level,
+    where cell i's center lies in cube i - 2^level on every axis of every
+    grid: one gather.  The largest factor on a table entry is that
     (3·2^(level-top))^n: 3^n of the lattice times the scale factor at level.
     """
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
-    top, dim = _TOP_SCALE, mesh.dim
-    unit = (3 << (mesh.level - top)) ** dim
+    top, level = _TOP_SCALE, mesh.level
+    unit = (3 << (level - top)) ** mesh.dim
     scales = f._abs_grid_sums(grid, unit)[1]
-    anc, up = scales[top]
-    for k in range(top + 1, mesh.level + 1):
-        sums, first = scales[k]
-        parent = [_parent_index(k, j0 + np.arange(m), a != 0) - u0
-                  for j0, m, a, u0 in zip(first, sums.shape, grid.alpha, up)]
-        anc, up = np.maximum(sums * (1 << dim * (k - top)), anc[np.ix_(*parent)]), first
-    cells = [np.arange(mesh.cells_axis) - (1 << mesh.level) - j0 for j0 in up]
-    return StepFunction._from_ints(mesh, anc[np.ix_(*cells)].astype(object, copy=False),
+    for _, avg, above in _descent(scales, grid, top, level):
+        pass  # down to scale level
+    cells = [np.arange(mesh.cells_axis) - (1 << level) - j0 for j0 in scales[level][1]]
+    anc = np.maximum(avg, above)[np.ix_(*cells)]
+    return StepFunction._from_ints(mesh, anc.astype(object, copy=False),
                                    f._numerators()[1] * unit)
 
 

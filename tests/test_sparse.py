@@ -716,6 +716,41 @@ def test_cz_pointwise_gap_at_the_int64_edge(monkeypatch, mesh, over):
         assert got == forced == want
 
 
+@EDGE
+@EDGE_MESHES
+def test_accumulate_at_the_int64_edge(monkeypatch, mesh, over):
+    # Σ|num| of 61 - n bits, the most the int64 difference array takes with
+    # its 2^n corners, or one more bit: blocks of every shape, empty ones
+    # included, both signs, and cells holding over half of Σ|num|
+    rng = random.Random(mesh.size)
+    n = mesh.cells_axis
+    total = (1 << 61 - mesh.dim) - 1 + over
+    blocks = [(slice(0, n),) * mesh.dim, (slice(0, 1),) * mesh.dim]
+    for _ in range(10):
+        blocks.append(tuple(slice(a, rng.randint(a, n))
+                            for a in (rng.randint(0, n) for _ in range(mesh.dim))))
+    nums = [total // 3, total // 5] + [total // 40] * 10
+    nums[2] += total - sum(nums)
+    nums = [-v if i > 2 and i % 2 else v for i, v in enumerate(nums)]
+    terms = list(zip(blocks, nums))
+    fits = []
+
+    def spy(*products):
+        fits.append(_fits_int64(*products))
+        return fits[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sparse, "_fits_int64", spy)
+        got, _, forced = both_paths(monkeypatch, lambda: _accumulate(mesh, terms))
+    assert fits == [not over, False]
+    for i in range(mesh.size):
+        idx = unflat(mesh, i)
+        want = sum(v for cells, v in terms
+                   if all(s.start <= j < s.stop for s, j in zip(cells, idx)))
+        assert type(got[idx]) is int and got[idx] == forced[idx] == want
+    assert max(got.flat) > total // 2
+
+
 @pytest.mark.parametrize("dim, level", [(1, 6), (2, 3)], ids=["1d", "2d"])
 def test_cz_sparse_and_dyadic_maximal_agree_in_either_order(dim, level):
     # the grid sums f memoises serve both kernels: each result is the same

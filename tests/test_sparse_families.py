@@ -12,7 +12,10 @@ level, a cube outside the level below, a cube more than half covered by
 the next level, and a cube of another grid.  The gap and the operator
 also run on the four generator kinds at 1-D level 8 and 2-D level 4,
 whose spikes give the deepest families.  The window sums also run on a
-2-D input whose numerators pass 2^63.
+2-D input whose numerators pass 2^63.  ``cz_sparse`` must list each level
+as a depth-first descent on Fraction averages does, on every grid, every
+generator kind, signed rationals and an input that climbs above the top
+scale, at 1-D levels 1-6 and 2-D levels 1-3.
 """
 
 import itertools
@@ -24,8 +27,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparsedom import stepfn
 from sparsedom.geometry import Cube, GridId
 from sparsedom.harness import GENERATOR_KINDS, generate_function
+from sparsedom.rational import pow2
 from sparsedom.sparse import (
     SparseFamily,
     cz_pointwise_gap,
@@ -100,6 +105,47 @@ def ref_verify_sparse_family(fam: SparseFamily):
             if inner > big.measure / 2:
                 raise AssertionError(
                     f"level {k}: |Omega_(k+1) ∩ Q| = {inner} > |Q|/2 = {big.measure / 2}")
+
+
+def ref_cz_sparse(f: StepFunction, grid: GridId, levels: list) -> dict:
+    """Level k of ``levels`` and the level after it, by a depth-first
+    descent on Fraction averages of |f|: the top scale's cubes meeting the
+    domain in row-major order, then children in ``Cube.children`` order,
+    keeping the first cube on each path whose average exceeds 2^{(n+1)k}.
+    The top scale climbs from ``_TOP_SCALE`` while ‖f‖₁·2^(n·top) exceeds
+    the bottom threshold.  A subtree is skipped when no cell meeting its
+    cube holds |f| above the threshold, which bounds every average in it."""
+    mesh, g = f.mesh, abs(f)
+    n, h, lo = mesh.dim, mesh.h, mesh.domain.lo
+    cells = np.array(g.values, dtype=object).reshape(mesh.shape)
+    top = _TOP_SCALE
+    while g.norm_l1() * pow2(n * top) > pow2((n + 1) * levels[0]):
+        top -= 1
+    tops = [q for q in cubes_around(mesh, grid, top) if mesh.domain.intersect(q.box)]
+
+    def peak(q: Cube):
+        block = tuple(slice(max(0, math.floor((a - o) / h)),
+                            min(mesh.cells_axis, math.ceil((b - o) / h)))
+                      for a, b, o in zip(q.box.lo, q.box.hi, lo))
+        return max(cells[block].flat, default=0)
+
+    out = {}
+    for k in levels + [levels[-1] + 1]:
+        t, chosen = pow2((n + 1) * k), []
+
+        def descend(q: Cube):
+            if peak(q) <= t:
+                return
+            if average(g, q.box) > t:
+                chosen.append(q)
+            elif q.k < mesh.level:
+                for child in q.children():
+                    descend(child)
+
+        for q in tops:
+            descend(q)
+        out[k] = chosen
+    return out
 
 
 def ref_accumulate(mesh: Mesh, terms) -> tuple[np.ndarray, int]:
@@ -222,6 +268,42 @@ def test_window_sums_match_cube_averages(source):
                 larger += q.box.contains_box(mesh.domain) and q.box != mesh.domain
                 clipped += inside is not None and inside != q.box
     assert larger and clipped
+
+
+def signed_rationals(mesh: Mesh, seed: int) -> StepFunction:
+    rng = random.Random(seed)
+    return StepFunction(mesh, [
+        Fraction(rng.randint(-60, 60), rng.choice([1, 3, 7, 96, 97]))
+        if rng.random() < 0.7 else Fraction(0) for _ in range(mesh.size)])
+
+
+@pytest.mark.parametrize("dim, level", [(1, lv) for lv in range(1, 7)]
+                         + [(2, lv) for lv in range(1, 4)])
+def test_cz_sparse_matches_depth_first_reference(monkeypatch, dim, level):
+    # list for list, on every grid, every generator kind and signed
+    # rationals, as the kernel chooses its dtypes and with every table and
+    # the selection forced to object ints; the last input, a 1 beside
+    # 2^(8·level), climbs above the top scale
+    mesh = Mesh(dim, level)
+    core = mesh.cells(mesh.core)
+    climb = np.zeros(mesh.shape, dtype=object)
+    climb[tuple(s.start for s in core)] = 1
+    climb[tuple(s.stop - 1 for s in core)] = 1 << 8 * level
+    inputs = [generate_function(level, kind, mesh) for kind in GENERATOR_KINDS]
+    inputs += [signed_rationals(mesh, level), StepFunction(mesh, climb.flat)]
+    climbed = 0
+    for f in inputs:
+        for grid in GridId.all_grids(dim):
+            fam = cz_sparse(f, grid)
+            with monkeypatch.context() as m:
+                m.setattr(stepfn, "_INT64_BITS", 0)
+                forced = cz_sparse(f, grid)
+            levels = fam.level_keys()
+            ref = ref_cz_sparse(f, grid, levels)
+            assert ref.pop(levels[-1] + 1) == []
+            assert fam.levels == forced.levels == ref
+            climbed += min(q.k for _, q in fam.pairs()) < _TOP_SCALE
+    assert climbed
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparsedom import stepfn
 from sparsedom.geometry import Box, Cube, GridId
 from sparsedom.rational import pow2
 from sparsedom.sparse import oscillation_decompose, verify_decomposition
@@ -279,6 +280,38 @@ def test_sharp_maximal_matches_reference(mesh, q0, kind):
     for seed, lam in enumerate(lams):
         f = make(kind, mesh, q0, seed)
         assert sharp_maximal(f, q0, lam).values == ref_sharp(f, q0, lam)
+
+
+@pytest.mark.parametrize("mesh,q0", CONFIGS[:1] + CONFIGS[5:6], ids=["1d", "2d"])
+def test_dyadic_blocks_are_read_once_per_cube_and_lambda(monkeypatch, mesh, q0):
+    # one sort per side for the decomposition, its check and the sharp
+    # maximal function at the decomposition's λ; another λ, another f and
+    # another q0 read again; the kept arrays are read-only
+    sides, sort = [], stepfn._blocks
+
+    def spy(a, side):
+        sides.append(side)
+        return sort(a, side)
+
+    monkeypatch.setattr(stepfn, "_blocks", spy)
+    f = make("rational", mesh, q0, 0)
+    lam = pow2(-(mesh.dim + 2))
+    once = [1 << i for i in range(mesh.level - q0.k + 1)]
+    res = oscillation_decompose(f, q0)
+    verify_decomposition(f, res)
+    sharp_maximal(f, q0, lam)
+    assert sides == once
+    sharp_maximal(f, q0, Fraction(1, 3))
+    sharp_maximal(make("rational", mesh, q0, 0), q0, lam)
+    assert sides == once * 3
+    child = q0.children()[0]
+    sharp_maximal(f, child, lam)
+    assert sides == once * 3 + once[:-1]
+    _, nums, _, stats = stepfn._dyadic_blocks(f, q0, lam)
+    assert sides == once * 3 + once[:-1]
+    for a in (nums, *(x for pair in stats.values() for x in pair)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
 
 
 def random_box(rng, mesh):
