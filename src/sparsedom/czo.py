@@ -18,6 +18,7 @@ all radius pairs is then a running max-minus-min of prefix sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +27,14 @@ import numpy as np
 
 from .geometry import Box, Cube, GridId, dilate
 from .rational import pow2, rat
-from .sparse import _operator, _require_nonneg, oscillation_decompose, \
+from .sparse import _paint, _require_nonneg, oscillation_decompose, \
     verify_decomposition
 from .stepfn import (
     StepFunction,
     average,
     hl_maximal,
     local_mean_oscillation,
+    _cube_windows,
 )
 
 __all__ = [
@@ -125,15 +127,12 @@ def _dilate_series(f: StepFunction, q: Box):
     mesh = f.mesh
     rho = pow2(-(1 + mesh.dim))
     total = Fraction(0)
-    m = 0
-    box = q
-    while True:
+    for m in itertools.count():
+        box = dilate(q, m)
         term = pow2(-m) * average(f, box)
         total += term
         if box.contains_box(mesh.domain):
             break
-        m += 1
-        box = dilate(q, m)
     tail = term * rho / (1 - rho)
     return total + tail, tail, m
 
@@ -191,7 +190,8 @@ def dominate(f: StepFunction) -> DominationReport:
     by the full dilated-average series of f over its cube, and reports the
     smallest c with |g - m_g(q0)| ≤ c·(Mf + Σ_m 2^{-m} T_{S,m}f) on every
     cell of q0.  The median term is the compact-domain stand-in for the
-    vanishing median over growing cubes.
+    vanishing median over growing cubes.  The series, one value per cube
+    (``_dilate_series``), is painted over the lcm of its denominators.
     """
     _require_nonneg(f)
     mesh = f.mesh
@@ -200,8 +200,11 @@ def dominate(f: StepFunction) -> DominationReport:
     g = maximal_truncated(f)
     res = oscillation_decompose(g, q0)
     gap = verify_decomposition(g, res)
-    series = _operator(mesh, ((mesh.cells(qc.box), _dilate_series(f, qc.box)[0])
-                              for _, qc in res.family.pairs()))
+    cubes = [qc for _, qc in res.family.pairs()]
+    series = [_dilate_series(f, qc.box)[0] for qc in cubes]
+    d_ser = math.lcm(*(s.denominator for s in series))
+    series = _paint(mesh, _cube_windows(mesh, cubes), [
+        s.numerator * (d_ser // s.denominator) for s in series], d_ser)
     med = res.base_median
     lhs, d_lhs = abs(g - med)._numerators()
     majorant, d_maj = (hl_maximal(f) + series)._numerators()

@@ -8,54 +8,37 @@ cube) and implements the averaging operators over them: the plain sparse
 operator, its dilated variant, and the amalgam pair obtained by covering
 each dilate with a shifted-grid cube.
 
-Sampling conventions (chosen so every claimed inequality is exact):
+Sampling conventions (chosen so every claimed inequality is exact), on
+the h/3 lattice of ``stepfn``, where a grid cube at scale k <= level is a
+window [x, x + 3g) per axis, g = 2^(level-k) (``_cube_windows``):
 
-* ``sparse_operator`` averages geometrically, so it matches the exact
-  pointwise domination of the grid maximal function coming out of the
-  Calderon-Zygmund construction.
-* ``shifted_operator`` and the amalgam pair sample f at cell centers in
-  the numerator (denominators stay full geometric measures).  Cell-center
-  sets of nested boxes are nested, which makes the adjoint identity, the
-  L2 bound 8 and the 6^n majorization exact finite-sum identities.
-* every operator output is sampled at cell centers — outputs of shifted
-  cubes are not unions of mesh cells, their center sets are.
+* ``sparse_operator`` averages geometrically, over that window, so it
+  matches the exact pointwise domination of the grid maximal function
+  coming out of the Calderon-Zygmund construction.
+* ``shifted_operator`` and the amalgam pair sum f over the cells whose
+  centers lie in 2^m Q or in Q_α (``_center_windows``), over full
+  geometric measures.  Cell-center sets of nested boxes are nested, which
+  makes the adjoint identity, the L2 bound 8 and the 6^n majorization
+  exact finite-sum identities.  On mesh-aligned standard cubes the two
+  rules agree.
+* every output is sampled at cell centers: a window paints the cells
+  whose centers lie in it (``stepfn._window_cells``).
 
-On families of mesh-aligned standard cubes the two sampling conventions
-agree exactly.
-
-A cube's cells are the n-D block ``Mesh.cells(q.box)``, one slice per
-axis.  Every sum Σ c_Q χ_Q over a family -- the operators, the right side
-of ``verify_decomposition`` and the majorant of ``czo.dominate`` -- goes
-through one accumulator, ``_accumulate``: it takes integer numerators
-over the caller's denominator, adds each at the 2^n corners of its block
-in an n-D difference array, int64 while 2^n·Σ|num| fits the dtype rule of
-``stepfn``, and one cumulative sum per axis gives every cell's total.
-That is O(|S|·2^n + cells) instead of one Fraction
-addition per cell per cube, and the operators return those totals over
-the caller's denominator as the output's integer form
-(``StepFunction._from_ints``).  ``cz_pointwise_gap`` paints instead: its
-sets E_Q = Q \\ Ω_{k+1} are disjoint in a verified family, so a cell's
-sum is one term, the average of the deepest cube holding it.
-
-``sparse_operator`` and ``cz_pointwise_gap`` build no Fraction per cube.
-A grid cube at scale k <= level is a window [a, b) per axis on the h/3
-lattice of ``stepfn``, from its integer (k, j); its |f| sum S is read off
-the cell-corner prefix table of |f|, in int64 or object ints by the dtype
-rule of ``stepfn``, by ``stepfn._window_sums``, the reader for a list of
-cubes (``cz_sparse`` reads the grid sums f keeps for ``dyadic_maximal``
-and selects every level in the one walk down the scales they share,
-``stepfn._descent``), and its cells are (a+1)//3 up to (b+1)//3 per
-axis.  Its average is
-S·2^(n(k-k_min)) over the one denominator D·(3·2^(level-k_min))^n, with
-k_min the coarsest scale in the family.  Coefficients that are Fractions
-(the other operators, the decomposition, ``czo.dominate``) are brought to
-their lcm by ``_over_lcm`` first.
+A window's sum S of |f| (``stepfn._window_sums``), read at scale k, the
+scale of the measure dividing it, is the average S·2^(n(k-k_min)) over
+D·(3·2^(level-k_min))^n, k_min the coarsest scale read
+(``_family_averages``).  No operator builds a Fraction per cube, and each
+raises ValueError on a cube finer than the mesh.  Every Σ c_Q χ_Q -- the
+operators, ``verify_decomposition``'s Σ ω_Q χ_Q (each ω the integer 2ω·D
+over 2D of ``_dyadic_blocks``) and ``czo.dominate``'s series (over their
+lcm) -- is painted by ``_paint`` through the one accumulator
+``_accumulate``, in O(|S|·2^n + cells), as the output's integer form.
+``cz_pointwise_gap`` paints its disjoint sets E_Q instead.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -309,7 +292,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
 
 def _accumulate(mesh: Mesh, terms) -> np.ndarray:
     """Σ num·χ_cells over the (cells, num) ``terms``, with cells a
-    ``Mesh.cells`` block and num an integer numerator over the caller's
+    block of slices and num an integer numerator over the caller's
     denominator: integer numerators shaped like the mesh, Python ints.
 
     Each term adds ±num at the 2^n corners of its block, and the cumulative
@@ -330,27 +313,39 @@ def _accumulate(mesh: Mesh, terms) -> np.ndarray:
     return diff[(slice(None, -1),) * mesh.dim].astype(object, copy=False)
 
 
-def _over_lcm(terms) -> tuple[list, int]:
-    """(cells, value) terms with exact values as (cells, integer) terms
-    over the lcm of the values' denominators, and that lcm."""
-    terms = list(terms)
-    den = math.lcm(*(v.denominator for _, v in terms))
-    return [(cells, v.numerator * (den // v.denominator)) for cells, v in terms], den
+def _center_windows(mesh: Mesh, cubes, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The windows [3a, 3b) of the cells a <= i < b, per axis, whose centers
+    lie in the 2^m dilate of each grid cube at a scale k <= level.
+
+    On an axis a cube is [x, x + 3g) on the h/3 lattice, g = 2^(level-k),
+    and its dilate [x − p/2, x + 3g + p/2), p = (2^m − 1)·3g, has half-cell
+    corners off the lattice when k = level and m >= 1.  The cells whose
+    centers 3i + 3/2 lie in [y, z) are (2y + 2)//6 <= i < (2z + 2)//6, an
+    integer at every m since 2y, 2z = 2x + 3g ∓ 2^m·3g; clipped to [0, N]."""
+    x = np.array([_lattice_corner(mesh, q.k, q._corner_thirds()) for q in cubes],
+                 dtype=object).reshape(-1, mesh.dim)
+    side = np.array([3 << (mesh.level - q.k) for q in cubes], dtype=object).reshape(-1, 1)
+    return tuple(3 * np.clip((2 * x + side + d * (side << m) + 2) // 6, 0,
+                             mesh.cells_axis).astype(np.int64) for d in (-1, 1))
 
 
-def _family_averages(f: StepFunction, cubes: list) -> tuple[list, list, int]:
-    """The cells of each cube and its |f|-average as an integer over one
-    shared denominator D·(3·2^(level-k_min))^n, k_min the coarsest scale
-    among the cubes, from the lattice window sums (see the module
-    docstring).  The largest factor on a table entry is the 6^n of the
-    window reads; the sums are Python ints before the scale factor."""
+def _family_averages(f: StepFunction, windows, ks: list) -> tuple[list, int]:
+    """The |f|-average of each lattice window [lo, hi) of ``windows`` read at
+    its scale k in ``ks`` (module docstring).  The largest factor on a table
+    entry is the 6^n of the window reads, by the dtype rule of ``stepfn``."""
     mesh, n = f.mesh, f.mesh.dim
-    lo, hi = _cube_windows(mesh, cubes)
-    k_min = min((q.k for q in cubes), default=mesh.level)
-    sums = _window_sums(f._abs_table(6**n), lo, hi).tolist()
-    nums = [s << n * (q.k - k_min) for s, q in zip(sums, cubes)]
-    den = f._numerators()[1] * (3 << (mesh.level - k_min)) ** n
-    return [_window_cells(a, b) for a, b in zip(lo, hi)], nums, den
+    k_min = min(ks, default=mesh.level)
+    sums = _window_sums(f._abs_table(6**n), *windows).tolist()
+    nums = [s << n * (k - k_min) for s, k in zip(sums, ks)]
+    return nums, f._numerators()[1] * (3 << (mesh.level - k_min)) ** n
+
+
+def _paint(mesh: Mesh, windows, nums: list, den: int) -> StepFunction:
+    """Σ (num/den)·χ over the lattice windows and their integer numerators,
+    in integer form over den, on the cells whose centers lie in each window
+    (``_window_cells``): a grid cube's ``_cube_windows`` paints its cells."""
+    cells = map(_window_cells, *windows)
+    return StepFunction._from_ints(mesh, _accumulate(mesh, zip(cells, nums)), den)
 
 
 def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
@@ -366,12 +361,14 @@ def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
     nonnegative value certifies the pointwise domination of the grid
     maximal function by the sparse averages."""
     mesh = f.mesh
-    cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
+    cubes = [q for _, q in fam.pairs()]
+    windows = _cube_windows(mesh, cubes)
+    nums, den = _family_averages(f, windows, [q.k for q in cubes])
     m, m_den = maximal._numerators()
     scale = (2 << mesh.dim) * m_den
     fits = _fits_int64((max(nums, default=0), scale), (max(m.max(), -m.min()), den))
     rhs = np.zeros(mesh.shape, dtype=np.int64 if fits else object)
-    for block, num in zip(cells, nums):
+    for block, num in zip(map(_window_cells, *windows), nums):
         rhs[block] = num
     gap = (rhs * scale - m.astype(rhs.dtype, copy=False) * den).min()
     return Fraction(int(gap), den * m_den)
@@ -483,15 +480,19 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
 
         |f − m_f(q0)| ≤ 4 M^{#,d}_{λ;q0} f + 2 Σ ω(f;Q) χ_Q    on q0.
 
-    Nonnegative means the bound holds on every cell.  Both sides are
-    step-function arithmetic on integer forms, read over q0's cells."""
-    mesh = f.mesh
-    coeffs = _operator(mesh, ((mesh.cells(q.box), res.coefficients[q])
-                              for _, q in res.family.pairs()))
+    Nonnegative means the bound holds on every cell.  Σ ω χ_Q is painted
+    from the integers 2ω·D over 2D, D the denominator of ``_dyadic_blocks``;
+    both sides are step-function arithmetic on integer forms, read over
+    q0's cells."""
+    cells, _, den, _ = _dyadic_blocks(f, res.cube, res.lam)
+    cubes = [q for _, q in res.family.pairs()]
+    omegas = [res.coefficients[q] for q in cubes]
+    coeffs = _paint(f.mesh, _cube_windows(f.mesh, cubes), [
+        w.numerator * (2 * den // w.denominator) for w in omegas], 2 * den)
     gap = 4 * sharp_maximal(f, res.cube, res.lam) + 2 * coeffs \
         - abs(f - res.base_median)
     nums, den = gap._numerators()
-    return Fraction(nums[mesh.cells(res.cube.box)].min(), den)
+    return Fraction(nums[cells].min(), den)
 
 
 # ---------------------------------------------------------------------------
@@ -504,32 +505,24 @@ def _require_nonneg(f: StepFunction):
         raise ValueError("operator input must be nonnegative")
 
 
-def _operator(mesh: Mesh, terms) -> StepFunction:
-    """Σ value·χ_cells over (cells, exact value) terms, in integer form over
-    the values' lcm."""
-    terms, den = _over_lcm(terms)
-    return StepFunction._from_ints(mesh, _accumulate(mesh, terms), den)
-
-
 def sparse_operator(fam: SparseFamily, f: StepFunction) -> StepFunction:
-    """A_{D,S} f = Σ avg(f, Q) χ_Q with exact geometric averages, read
-    off the lattice window sums over one shared denominator."""
+    """A_{D,S} f = Σ avg(f, Q) χ_Q with exact geometric averages, reading Q's
+    window at Q's scale: over D·(3·2^(level-k_min))^n, k_min the coarsest."""
     _require_nonneg(f)
-    cells, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
-    return StepFunction._from_ints(f.mesh, _accumulate(f.mesh, zip(cells, nums)), den)
+    cubes = [q for _, q in fam.pairs()]
+    windows = _cube_windows(f.mesh, cubes)
+    return _paint(f.mesh, windows, *_family_averages(f, windows, [q.k for q in cubes]))
 
 
 def shifted_operator(fam: SparseFamily, m: int, f: StepFunction) -> StepFunction:
-    """T_{S,m} f = Σ avg(f, 2^m Q) χ_Q, cell-center sampled numerators."""
+    """T_{S,m} f = Σ avg(f, 2^m Q) χ_Q, reading the cells of 2^m Q at scale
+    k − m: over D·(3·2^(level-k_min+m))^n, k_min the family's coarsest."""
     _require_nonneg(f)
     if m < 0:
         raise ValueError("dilation exponent must be >= 0")
-    mesh = f.mesh
-    terms = []
-    for _, q in fam.pairs():
-        big = dilate(q, m)
-        terms.append((mesh.cells(q.box), f.atom_sum(big) / big.measure))
-    return _operator(mesh, terms)
+    cubes = [q for _, q in fam.pairs()]
+    return _paint(f.mesh, _cube_windows(f.mesh, cubes), *_family_averages(
+        f, _center_windows(f.mesh, cubes, m), [q.k - m for q in cubes]))
 
 
 @dataclass
@@ -566,19 +559,23 @@ def split_families(fam: SparseFamily, m: int) -> ShiftedFamily:
 
 
 def amalgam(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:
-    """A_{m,α} f = Σ_{F_α} (cell-center ∫_{Q_α} f / |Q_α|) χ_Q."""
+    """A_{m,α} f = Σ_{F_α} (cell-center ∫_{Q_α} f / |Q_α|) χ_Q, reading Q_α's
+    cells at its scale: over D·(3·2^(level-k_min))^n, k_min the coarsest."""
     _require_nonneg(f)
-    mesh = f.mesh
-    return _operator(mesh, ((mesh.cells(q.box), f.atom_sum(cover.box) / cover.measure)
-                            for _, q, cover in sh.family_of(alpha)))
+    members = list(sh.family_of(alpha))
+    cubes, covers = [q for _, q, _ in members], [c for *_, c in members]
+    return _paint(f.mesh, _cube_windows(f.mesh, cubes), *_family_averages(
+        f, _center_windows(f.mesh, covers), [c.k for c in covers]))
 
 
 def amalgam_adjoint(sh: ShiftedFamily, alpha: GridId, f: StepFunction) -> StepFunction:
-    """A*_{m,α} f = Σ_{F_α} (cell-center ∫_Q f / |Q_α|) χ_{Q_α}."""
+    """A*_{m,α} f = Σ_{F_α} (cell-center ∫_Q f / |Q_α|) χ_{Q_α}, reading Q's
+    cells at Q_α's scale: over D·(3·2^(level-k_min))^n, k_min the coarsest."""
     _require_nonneg(f)
-    mesh = f.mesh
-    return _operator(mesh, ((mesh.cells(cover.box), f.atom_sum(q.box) / cover.measure)
-                            for _, q, cover in sh.family_of(alpha)))
+    members = list(sh.family_of(alpha))
+    cubes, covers = [q for _, q, _ in members], [c for *_, c in members]
+    return _paint(f.mesh, _cube_windows(f.mesh, covers), *_family_averages(
+        f, _center_windows(f.mesh, cubes), [c.k for c in covers]))
 
 
 def weak_norm(g: StepFunction) -> Fraction:

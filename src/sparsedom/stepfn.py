@@ -81,7 +81,7 @@ units of h/3 (``_lattice_reads``), a window [a, b) sums to T(b) - T(a),
 and each access pattern has one reader: ``_grid_scale_sums`` for every
 cube of a grid at many scales, one read per clipped corner per axis (kept
 per f, grid and dtype by ``StepFunction._abs_grid_sums``); ``_window_sums``
-for a list of cubes (``_cube_windows``), 4^n reads per window;
+for windows of cubes (``_cube_windows``) or whole cells, 4^n reads each;
 ``_cube_sums``, cell corners differenced, for every mesh cube of one side.
 """
 
@@ -616,7 +616,9 @@ def _shared_fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
 def _lattice_corner(mesh: Mesh, k: int, thirds) -> list[int]:
     """The h/3-lattice point of a scale-k <= level grid-cube corner given
     per axis in thirds 3j + b of the side: (3j + b)·2^(level-k) + 3·2^level,
-    counted from the box's lower corner -1."""
+    counted from the box's lower corner -1.  A finer cube raises ValueError."""
+    if k > mesh.level:
+        raise ValueError("cube is finer than the mesh")
     g = 1 << (mesh.level - k)
     return [u * g - x for u, x in zip(thirds, mesh.lattice_lo)]
 
@@ -671,8 +673,6 @@ def _grid_scale_sums(p: np.ndarray, mesh: Mesh, grid: GridId, ks) -> dict:
 def _cube_windows(mesh: Mesh, cubes) -> tuple[np.ndarray, np.ndarray]:
     """The windows [lo, hi) of grid cubes at scales k <= level on the h/3
     lattice, clipped to [0, 3N]: two int arrays shaped (len(cubes), n)."""
-    if any(q.k > mesh.level for q in cubes):
-        raise ValueError("cube is finer than the mesh")
     lo = [_lattice_corner(mesh, q.k, q._corner_thirds()) for q in cubes]
     hi = [[x + (3 << (mesh.level - q.k)) for x in a] for a, q in zip(lo, cubes)]
     return tuple(np.clip(np.array(x, dtype=object).reshape(-1, mesh.dim), 0,

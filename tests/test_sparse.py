@@ -7,6 +7,7 @@ by direct rational summation on both sides.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsedom import sparse
-from sparsedom.geometry import Box, Cube, GridId
+from sparsedom.geometry import Box, Cube, GridId, dilate
 from sparsedom.harness import GENERATOR_KINDS, generate_function
 from sparsedom.stepfn import (
     Mesh,
@@ -25,6 +26,7 @@ from sparsedom.stepfn import (
     local_mean_oscillation,
     sharp_maximal,
     _fits_int64,
+    _cube_windows,
     _grid_scale_sums,
     _TOP_SCALE,
 )
@@ -43,7 +45,6 @@ from sparsedom.sparse import (
     weak_norm,
     _accumulate,
     _family_averages,
-    _over_lcm,
 )
 
 from meshtools import (assert_python_ints, both_paths, cell_of_point, cube_at, edge_input,
@@ -241,8 +242,9 @@ def test_accumulate_matches_cellwise_sums(mesh):
             cells.append(slice(a, rng.randint(a, n)))
         terms.append((tuple(cells), Fraction(rng.randint(-9, 9),
                                              rng.choice([1, 3, 8, 97]))))
-    ints, den = _over_lcm(terms)
-    nums = _accumulate(mesh, ints)
+    den = math.lcm(*(v.denominator for _, v in terms))
+    nums = _accumulate(mesh, [(cells, v.numerator * (den // v.denominator))
+                              for cells, v in terms])
     assert nums.shape == mesh.shape
     for i in range(mesh.size):
         idx = unflat(mesh, i)
@@ -251,7 +253,6 @@ def test_accumulate_matches_cellwise_sums(mesh):
                    Fraction(0))
         assert Fraction(nums[idx], den) == want
     assert _accumulate(mesh, []).shape == mesh.shape
-    assert _over_lcm([]) == ([], 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -602,10 +603,18 @@ def test_operators_hand_on_their_integer_form():
     assert "values" not in vars(out)
     assert out.values == _cellwise(mesh, ((q.box, average(f, q.box))
                                           for _, q in fam.pairs()))
+    shifted = shifted_operator(fam, 2, f)
+    assert "values" not in vars(shifted)
+    assert shifted.values == _cellwise(
+        mesh, ((q.box, f.atom_sum(dilate(q, 2)) / dilate(q, 2).measure)
+               for _, q in fam.pairs()))
     sh = split_families(fam, 2)
     for alpha in GridId.all_grids(1):
-        adj = amalgam_adjoint(sh, alpha, f)
-        assert "values" not in vars(adj)
+        amal, adj = amalgam(sh, alpha, f), amalgam_adjoint(sh, alpha, f)
+        assert "values" not in vars(amal) and "values" not in vars(adj)
+        assert amal.values == _cellwise(
+            mesh, ((q.box, f.atom_sum(cover.box) / cover.measure)
+                   for _, q, cover in sh.family_of(alpha)))
         assert adj.values == _cellwise(
             mesh, ((cover.box, f.atom_sum(q.box) / cover.measure)
                    for _, q, cover in sh.family_of(alpha)))
@@ -693,7 +702,9 @@ def test_cz_pointwise_gap_at_the_int64_edge(monkeypatch, mesh, over):
         fam = cz_sparse(f0, grid)
 
         def bits(f):
-            _, nums, den = _family_averages(f, [q for _, q in fam.pairs()])
+            cubes = [q for _, q in fam.pairs()]
+            nums, den = _family_averages(f, _cube_windows(mesh, cubes),
+                                         [q.k for q in cubes])
             m, m_den = dyadic_maximal(f, grid)._numerators()
             return max(max(nums).bit_length() + ((2 << mesh.dim) * m_den).bit_length(),
                        max(m.flat).bit_length() + den.bit_length())

@@ -2,9 +2,10 @@
 earlier Fraction implementations.
 
 ``verify_sparse_family`` must raise, or not, with the message of the
-Box-by-Box check below; ``cz_pointwise_gap`` and ``sparse_operator`` must
-return what the per-cube ``average`` formulas below return; and every
-lattice-window sum of |f| must equal the cube's ``average``.  Inputs are
+Box-by-Box check below; ``cz_pointwise_gap``, ``sparse_operator``,
+``shifted_operator`` and the amalgam pair must return what the per-cube
+``average`` and ``atom_sum`` formulas below return, added cell by cell;
+and every lattice-window sum of |f| must equal the cube's ``average``.  Inputs are
 the signed rational CSV files in ``tests/data`` (1-D level 5, 2-D level 3)
 on every grid, the families ``cz_sparse`` and ``oscillation_decompose``
 build from them, and corruptions of those families: an overlap within a
@@ -15,7 +16,10 @@ whose spikes give the deepest families.  The window sums also run on a
 2-D input whose numerators pass 2^63.  ``cz_sparse`` must list each level
 as a depth-first descent on Fraction averages does, on every grid, every
 generator kind, signed rationals and an input that climbs above the top
-scale, at 1-D levels 1-6 and 2-D levels 1-3.
+scale, at 1-D levels 1-6 and 2-D levels 1-3.  The dilated and amalgam
+operators also run on hand-made families of finest-scale cubes, whose
+dilates have half-cell corners, and of cubes whose dilates or covers
+leave the domain, under both table dtypes.
 """
 
 import itertools
@@ -28,15 +32,20 @@ import numpy as np
 import pytest
 
 from sparsedom import stepfn
-from sparsedom.geometry import Cube, GridId
+from sparsedom.geometry import Cube, GridId, dilate
 from sparsedom.harness import GENERATOR_KINDS, generate_function
 from sparsedom.rational import pow2
 from sparsedom.sparse import (
     SparseFamily,
+    amalgam,
+    amalgam_adjoint,
     cz_pointwise_gap,
     cz_sparse,
     oscillation_decompose,
+    shifted_operator,
     sparse_operator,
+    split_families,
+    verify_decomposition,
     verify_sparse_family,
 )
 from sparsedom.stepfn import (
@@ -52,7 +61,7 @@ from sparsedom.stepfn import (
     _window_sums,
 )
 
-from meshtools import cube_at
+from meshtools import both_paths, cube_at
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 INPUTS = {1: ("rationals-1d-level5.csv", 5), 2: ("rationals-2d-level3.csv", 3)}
@@ -189,6 +198,57 @@ def ref_sparse_operator(fam: SparseFamily, f: StepFunction) -> list:
     nums, den = ref_accumulate(mesh, ((mesh.cells(q.box), average(f, q.box))
                                       for _, q in fam.pairs()))
     return [Fraction(v, den) for v in nums.flat]
+
+
+def ref_cellwise(mesh: Mesh, terms) -> list:
+    """Σ value·χ_box over (box, value) terms, one Fraction sum per cell."""
+    out = np.full(mesh.shape, Fraction(0), dtype=object)
+    for box, value in terms:
+        out[mesh.cells(box)] += value
+    return list(out.flat)
+
+
+def ref_operators(fam: SparseFamily, f: StepFunction, ms) -> list:
+    """The sparse operator, then per m the shifted operator and the two
+    amalgams of every grid, by the per-cube Fraction formulas."""
+    mesh, pairs = f.mesh, list(fam.pairs())
+    out = [ref_cellwise(mesh, ((q.box, average(f, q.box)) for _, q in pairs))]
+    for m in ms:
+        out.append(ref_cellwise(mesh, ((q.box, f.atom_sum(dilate(q, m))
+                                        / dilate(q, m).measure) for _, q in pairs)))
+        sh = split_families(fam, m)
+        for alpha in GridId.all_grids(mesh.dim):
+            members = list(sh.family_of(alpha))
+            out.append(ref_cellwise(mesh, ((q.box, f.atom_sum(c.box) / c.measure)
+                                           for _, q, c in members)))
+            out.append(ref_cellwise(mesh, ((c.box, f.atom_sum(q.box) / c.measure)
+                                           for _, q, c in members)))
+    return out
+
+
+def operators(fam: SparseFamily, f: StepFunction, ms) -> list:
+    """What ``ref_operators`` lists, from the package's operators."""
+    out = [sparse_operator(fam, f)]
+    for m in ms:
+        out.append(shifted_operator(fam, m, f))
+        sh = split_families(fam, m)
+        for alpha in GridId.all_grids(f.mesh.dim):
+            out += [amalgam(sh, alpha, f), amalgam_adjoint(sh, alpha, f)]
+    return out
+
+
+def hand_family(mesh: Mesh, grid: GridId) -> SparseFamily:
+    """Cubes of ``grid`` the stopping times never pick: finest-scale cubes
+    at both ends of the domain and inside it, whose 2^m dilates have
+    half-cell corners; a unit cube at the lower end, a side-4 cube holding
+    the domain and a cube beyond it, whose dilates or covers leave it."""
+    n, h = mesh.dim, mesh.h
+    points = [(-1,) * n, (2 - h,) * n, (Fraction(1, 3),) + (2 - h,) * (n - 1),
+              (Fraction(1, 2),) * n]
+    cubes = [cube_at(grid, mesh.level, x) for x in points]
+    cubes += [cube_at(grid, 0, (-1,) * n), cube_at(grid, -2, (0,) * n),
+              cube_at(grid, mesh.level - 1, (3,) * n)]
+    return SparseFamily(grid, {0: cubes})
 
 
 def outcome(check, fam: SparseFamily):
@@ -333,11 +393,78 @@ def test_gap_and_operator_match_fraction_formulas(dim):
     assert sparse_operator(empty, abs(csv)).values == [0] * csv.mesh.size
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operators_match_fraction_formulas(monkeypatch, dim):
+    # the rational input's |f| on the cz_sparse family of every grid and on
+    # the hand-made ones, with the int64 tables and with object ints forced
+    f = abs(rational_input(dim))
+    ms = range(4)
+    for grid in GridId.all_grids(dim):
+        for fam in (cz_sparse(f, grid), hand_family(f.mesh, grid)):
+            assert not fam.is_empty
+            got, dtypes, forced = both_paths(monkeypatch, lambda: operators(fam, f, ms))
+            assert np.dtype(np.int64) in dtypes
+            want = ref_operators(fam, f, ms)
+            assert [g.values for g in got] == [g.values for g in forced] == want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operators_read_no_fraction_boxes(monkeypatch, dim):
+    # the operators and the decomposition check read the |f| table and the
+    # dyadic blocks alone: no cell range of a Fraction box, no atom sum and
+    # no Fraction average
+    csv = rational_input(dim)
+    f = abs(csv)
+    q0 = Cube(GridId.standard(dim), 0, (0,) * dim)
+    res = oscillation_decompose(csv, q0)
+    cases = [(cz_sparse(f, grid), m) for grid in GridId.all_grids(dim) for m in (0, 1, 2)]
+    shifted = [(fam, split_families(fam, m), m) for fam, m in cases]
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Mesh, "axis_atoms", spy("axis_atoms", Mesh.axis_atoms))
+    monkeypatch.setattr(StepFunction, "atom_sum", spy("atom_sum", StepFunction.atom_sum))
+    monkeypatch.setattr(StepFunction, "integral", spy("integral", StepFunction.integral))
+    monkeypatch.setattr(stepfn, "average", spy("average", stepfn.average))
+    for fam, sh, m in shifted:
+        assert not fam.is_empty
+        sparse_operator(fam, f)
+        shifted_operator(fam, m, f)
+        for alpha in GridId.all_grids(dim):
+            amalgam(sh, alpha, f)
+            amalgam_adjoint(sh, alpha, f)
+    assert not res.family.is_empty
+    assert verify_decomposition(csv, res) >= 0
+    assert calls == []
+    # the spies are live: the Fraction route calls every one of them
+    stepfn.average(f, q0.box)
+    f.atom_sum(q0.box)
+    assert {"average", "integral", "atom_sum", "axis_atoms"} <= set(calls)
+
+
 def test_operator_rejects_cube_finer_than_mesh():
     f = StepFunction.constant(Mesh(1, 2), 1)
     fam = SparseFamily(GridId.standard(1), {0: [Cube(GridId.standard(1), 3, (0,))]})
     with pytest.raises(ValueError, match="finer than the mesh"):
         sparse_operator(fam, f)
+    # f ≡ 1 and one cube at scale 4 on a level-3 mesh: every operator
+    # raises, where the dilated and amalgam ones once returned 2 or 1/2
+    f = StepFunction.constant(Mesh(1, 3), 1)
+    q = Cube(GridId.standard(1), 4, (0,))
+    fam = SparseFamily(q.grid, {0: [q]})
+    sh = split_families(fam, 0)
+    (grid, _), = sh.assignment.values()
+    runs = [lambda: sparse_operator(fam, f), lambda: shifted_operator(fam, 0, f),
+            lambda: shifted_operator(fam, 2, f), lambda: amalgam(sh, grid, f),
+            lambda: amalgam_adjoint(sh, grid, f)]
+    for run in runs:
+        with pytest.raises(ValueError, match="finer than the mesh"):
+            run()
 
 
 # ---------------------------------------------------------------------------
