@@ -206,8 +206,8 @@ def dominate(f: StepFunction) -> DominationReport:
     series = _paint(mesh, _cube_windows(mesh, cubes), [
         s.numerator * (d_ser // s.denominator) for s in series], d_ser)
     med = res.base_median
-    lhs, d_lhs = abs(g - med)._numerators()
-    majorant, d_maj = (hl_maximal(f) + series)._numerators()
+    lhs, d_lhs = abs(g - med)._num
+    majorant, d_maj = (hl_maximal(f) + series)._num
     lhs, majorant = lhs[cells], majorant[cells]
     some = majorant != 0
     # rounding is monotone: the largest rounded quotient rounds the maximum

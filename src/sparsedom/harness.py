@@ -248,8 +248,8 @@ def _crit_maximal_sandwich(cfg: ExperimentConfig) -> tuple:
             fam = cz_sparse(g, grid)
             if not fam.is_empty:
                 sum_sparse = sum_sparse + sparse_operator(fam, g)
-        gap_g, den_g = (6 ** n * sum_dyadic - big)._numerators()
-        gap_s, den_s = (2 * 12 ** n * sum_sparse - big)._numerators()
+        gap_g, den_g = (6 ** n * sum_dyadic - big)._num
+        gap_s, den_s = (2 * 12 ** n * sum_sparse - big)._num
         low_g, low_s = Fraction(gap_g.min(), den_g), Fraction(gap_s.min(), den_s)
         worst_grid = low_g if worst_grid is None else min(worst_grid, low_g)
         worst_sparse = low_s if worst_sparse is None else min(worst_sparse, low_s)
@@ -401,7 +401,7 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> tuple:
         if fam.is_empty:
             continue
         sh = split_families(fam, 1)
-        nums, den = f._numerators()
+        nums, den = f._num
         for alpha in GridId.all_grids(1):
             adj = amalgam_adjoint(sh, alpha, f)
             pairs = list(sh.family_of(alpha))
@@ -418,7 +418,7 @@ def _crit_adjoint_oscillation(cfg: ExperimentConfig) -> tuple:
                 adj_q = amalgam_adjoint(sh, alpha,
                                         StepFunction._from_ints(mesh, fq, den))
                 display_checked += 1
-                gap = (adj_q - abs(adj - c))._numerators()[0][cells]
+                gap = (adj_q - abs(adj - c))._num[0][cells]
                 failing = np.flatnonzero(gap < 0)
                 if failing.size:
                     witness = witness or {"trial": t, "cube": q.to_json(),

@@ -32,8 +32,8 @@ raises ValueError on a cube finer than the mesh.  Every Σ c_Q χ_Q -- the
 operators, ``verify_decomposition``'s Σ ω_Q χ_Q (each ω the integer 2ω·D
 over 2D of ``_dyadic_blocks``) and ``czo.dominate``'s series (over their
 lcm) -- is painted by ``_paint`` through the one accumulator
-``_accumulate``, in O(|S|·2^n + cells), as the output's integer form.
-``cz_pointwise_gap`` paints its disjoint sets E_Q instead.
+``_accumulate``, in O(|S|·2^n + cells), as the output's integer form in
+Python ints.  ``cz_pointwise_gap`` compares per disjoint set E_Q instead.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .stepfn import (
     _cube_windows,
     _descent,
     _dyadic_blocks,
-    _fits_int64,
     _grid_scale_sums,
     _lattice_corner,
     _LATTICE_DEPTH,
@@ -226,7 +225,7 @@ def cz_sparse(f: StepFunction, grid: GridId) -> SparseFamily:
     mesh = f.mesh
     if grid.dim != mesh.dim:
         raise ValueError("grid dimension mismatch")
-    n, level, den = mesh.dim, mesh.level, f._numerators()[1]
+    n, level, den = mesh.dim, mesh.level, f._num[1]
     top = _TOP_SCALE
     table, scales = f._abs_grid_sums(grid, (3 << (level - top)) ** n)
     scales = dict(scales)
@@ -294,23 +293,16 @@ def _accumulate(mesh: Mesh, terms) -> np.ndarray:
     """Σ num·χ_cells over the (cells, num) ``terms``, with cells a
     block of slices and num an integer numerator over the caller's
     denominator: integer numerators shaped like the mesh, Python ints.
-
-    Each term adds ±num at the 2^n corners of its block, and the cumulative
-    sums per axis add up boxes of those entries, so every value the
-    difference array takes, at every step, is a signed sum of a subset of
-    the 2^n·|terms| corner additions: at most 2^n·Σ|num| in magnitude.  It
-    is int64 when that bound fits (``stepfn._fits_int64``), object ints
-    otherwise."""
-    terms = list(terms)
-    fits = _fits_int64((sum(abs(num) for _, num in terms), 1 << mesh.dim))
-    diff = np.zeros(tuple(n + 1 for n in mesh.shape), dtype=np.int64 if fits else object)
+    Each term adds ±num at the 2^n corners of its block of a difference
+    array, whose cumulative sums per axis give the cell values."""
+    diff = np.zeros(tuple(n + 1 for n in mesh.shape), dtype=object)
     corners = _corners(mesh.dim)
     for cells, num in terms:
         for bits, odd in corners:
             diff[_corner(cells, bits)] += -num if odd else num
     for axis in range(mesh.dim):
         diff = diff.cumsum(axis)
-    return diff[(slice(None, -1),) * mesh.dim].astype(object, copy=False)
+    return diff[(slice(None, -1),) * mesh.dim]
 
 
 def _center_windows(mesh: Mesh, cubes, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +329,7 @@ def _family_averages(f: StepFunction, windows, ks: list) -> tuple[list, int]:
     k_min = min(ks, default=mesh.level)
     sums = _window_sums(f._abs_table(6**n), *windows).tolist()
     nums = [s << n * (k - k_min) for s, k in zip(sums, ks)]
-    return nums, f._numerators()[1] * (3 << (mesh.level - k_min)) ** n
+    return nums, f._num[1] * (3 << (mesh.level - k_min)) ** n
 
 
 def _paint(mesh: Mesh, windows, nums: list, den: int) -> StepFunction:
@@ -355,23 +347,31 @@ def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
 
     ``fam`` must pass ``verify_sparse_family``: its levels nest and each
     level's cubes are disjoint, so the sum at a cell is the average of the
-    deepest cube holding it, which painting in level order (``pairs``)
-    writes.  Every average is an integer over the family's one
-    denominator, compared with M^{grid}f on integer numerators.  A
-    nonnegative value certifies the pointwise domination of the grid
-    maximal function by the sparse averages."""
+    deepest cube holding it, the last to paint it in level order
+    (``pairs``), and the cells a cube Q paints last are E_Q.  So each cell
+    is painted with that cube's index, or len(cubes) where no cube holds
+    it and the sum is 0, and the minimum over E_Q is avg(|f|,Q) against
+    the largest M^{grid}f numerator on E_Q, taken per index by integer
+    comparison: one Python-int product per cube, plus one for the cells no
+    cube holds, every average an integer over the family's one
+    denominator.  A nonnegative value certifies the pointwise domination
+    of the grid maximal function by the sparse averages."""
     mesh = f.mesh
     cubes = [q for _, q in fam.pairs()]
     windows = _cube_windows(mesh, cubes)
     nums, den = _family_averages(f, windows, [q.k for q in cubes])
-    m, m_den = maximal._numerators()
+    m, m_den = maximal._num
+    owner = np.full(mesh.shape, len(cubes))
+    for i, block in enumerate(map(_window_cells, *windows)):
+        owner[block] = i
+    order = np.argsort(owner, axis=None, kind="stable")
+    owners = owner.ravel()[order]
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    tops = np.maximum.reduceat(m.ravel()[order], starts)
+    nums.append(0)
     scale = (2 << mesh.dim) * m_den
-    fits = _fits_int64((max(nums, default=0), scale), (max(m.max(), -m.min()), den))
-    rhs = np.zeros(mesh.shape, dtype=np.int64 if fits else object)
-    for block, num in zip(map(_window_cells, *windows), nums):
-        rhs[block] = num
-    gap = (rhs * scale - m.astype(rhs.dtype, copy=False) * den).min()
-    return Fraction(int(gap), den * m_den)
+    gap = min(nums[i] * scale - top * den for i, top in zip(owners[starts].tolist(), tops))
+    return Fraction(gap, den * m_den)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
         w.numerator * (2 * den // w.denominator) for w in omegas], 2 * den)
     gap = 4 * sharp_maximal(f, res.cube, res.lam) + 2 * coeffs \
         - abs(f - res.base_median)
-    nums, den = gap._numerators()
+    nums, den = gap._num
     return Fraction(nums[cells].min(), den)
 
 
@@ -501,7 +501,7 @@ def verify_decomposition(f: StepFunction, res: DecompositionResult) -> Fraction:
 
 def _require_nonneg(f: StepFunction):
     # on the integer form, which every operator below reads anyway
-    if (f._numerators()[0] < 0).any():
+    if (f._num[0] < 0).any():
         raise ValueError("operator input must be nonnegative")
 
 
@@ -582,6 +582,6 @@ def weak_norm(g: StepFunction) -> Fraction:
     """sup_{β>0} β |{|g| > β}| computed exactly over the attained levels:
     with |nums| sorted in descending order as a_1 >= a_2 >= ..., the
     maximum of a_i·i, times h^n/D."""
-    nums, den = g._numerators()
+    nums, den = g._num
     ranked = enumerate(sorted(map(abs, nums.flat), reverse=True), 1)
     return g.mesh.h**g.mesh.dim * Fraction(max(v * i for i, v in ranked), den)

@@ -22,7 +22,7 @@ that needs a cube's cells indexes that array with the slices.
 
 A StepFunction holds one of two forms and derives the other on first
 read.  The integer form is signed numerators over one denominator D, an
-object array shaped like the mesh (``_numerators``): D is the kernel's
+object array shaped like the mesh (``_num``): D is the kernel's
 own denominator for a kernel's output (``_from_ints``), and the lcm of
 the cell denominators for a function built from Fractions.  That lcm is
 built lazily because it can dwarf the values: the reciprocal of the
@@ -65,8 +65,9 @@ two convex hulls (``_hl_1d``), and O(n³) in 2-D, for n cells per axis).
 Every cube sum reads one table format, the cell-corner prefix table P of
 ``_prefix_table`` (P[q] sums the cells below q on every axis), in any
 dtype: float64 and long double in the A2 search, and for the exact
-tables one dtype rule.  A kernel reading the table of |f|
-(``StepFunction._abs_table``) names in its docstring its largest factor
+tables one dtype rule, the package's one int64-or-object choice (the
+accumulators of ``sparse`` run on Python ints).  A kernel reading the
+table of |f| (``StepFunction._abs_table``) names its largest factor
 M on a table entry (lattice coefficients, a scale factor, an area it
 cross-multiplies by), and gets the table in int64 when bits(P_max) +
 bits(M) <= 62, P_max = Σ|nums| being the last corner, in object ints
@@ -113,14 +114,9 @@ __all__ = [
 ]
 
 
-# A kernel reads the int64 table of |f| when every product of a table entry
+# A kernel reads the int64 table of |f| when the product of a table entry
 # with its largest factor has at most this many bits (``_abs_table``)
 _INT64_BITS = 62
-
-
-def _fits_int64(*products: tuple[int, int]) -> bool:
-    """Whether bits(a) + bits(b) <= ``_INT64_BITS`` for every bound (a, b)."""
-    return all(a.bit_length() + b.bit_length() <= _INT64_BITS for a, b in products)
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,10 +289,6 @@ class StepFunction:
                            dtype=object, count=self.mesh.size)
         return nums.reshape(self.mesh.shape), den
 
-    def _numerators(self) -> tuple[np.ndarray, int]:
-        """The integer form (nums, D) of the module docstring."""
-        return self._num
-
     def _floats(self) -> np.ndarray:
         """The cell values as float64 shaped like the mesh, each the one
         correctly rounded int/int true division that ``float`` of its
@@ -320,10 +312,12 @@ class StepFunction:
         """The prefix table of the numerators of |f|, built once, in the
         dtype of the module docstring's rule for a kernel whose largest
         factor on a table entry is ``multiplier``: int64 when
-        bits(P_max) + bits(multiplier) <= 62, object ints otherwise."""
+        bits(P_max) + bits(multiplier) <= 62, object ints otherwise.  The
+        package's only reader of ``_INT64_BITS``."""
         table = self._abs_prefix
         p_max = int(table[(-1,) * table.ndim])  # |f| >= 0: the last corner
-        return self._abs_prefix64 if _fits_int64((p_max, multiplier)) else table
+        fits = p_max.bit_length() + multiplier.bit_length() <= _INT64_BITS
+        return self._abs_prefix64 if fits else table
 
     def _abs_grid_sums(self, grid: GridId, multiplier: int) -> tuple[np.ndarray, dict]:
         """``_abs_table(multiplier)`` and its ``_grid_scale_sums`` over scales
@@ -442,7 +436,7 @@ def _runs(f: StepFunction, box: Box) -> tuple[list[int], list[int], int, int]:
     package pass kernel outputs, whose D is already at hand.  The part of
     the box outside the mesh domain is counted as mass at value 0 (the
     zero extension)."""
-    nums, den = f._numerators()
+    nums, den = f._num
     pieces, u, measure = _pieces(f.mesh, box)
     masses = Counter()
     covered = 0
@@ -557,7 +551,7 @@ def _dyadic_blocks(f: StepFunction, q0: Cube, lam: Fraction):
         return memo[q0, lam]
     starts, span = _aligned_cell_range(f.mesh, q0)
     cells = tuple(slice(s, s + span) for s in starts)
-    nums, den = f._numerators()
+    nums, den = f._num
     nums = nums[cells]
     n = nums.ndim
     values = sorted(set(nums.flat))
@@ -760,7 +754,7 @@ def dyadic_maximal(f: StepFunction, grid: GridId) -> StepFunction:
     cells = [np.arange(mesh.cells_axis) - (1 << level) - j0 for j0 in scales[level][1]]
     anc = np.maximum(avg, above)[np.ix_(*cells)]
     return StepFunction._from_ints(mesh, anc.astype(object, copy=False),
-                                   f._numerators()[1] * unit)
+                                   f._num[1] * unit)
 
 
 # -- Hardy-Littlewood surrogate ---------------------------------------------
@@ -883,7 +877,7 @@ def hl_maximal(f: StepFunction) -> StepFunction:
     per axis.  The largest factor on a table entry is the measure n^dim of
     the largest cube, in cells, by which sums are cross-multiplied.
     """
-    mesh, D = f.mesh, f._numerators()[1]
+    mesh, D = f.mesh, f._num[1]
     table = f._abs_table(mesh.size)
     if mesh.dim == 1:
         out = _hl_1d(table.tolist())

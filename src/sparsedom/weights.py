@@ -657,6 +657,9 @@ def a2_scan(kinds, exponents, level: int, seed: int = 0) -> list[ScanTable]:
     Each exponent must lie in (−1, 1) (the weight is A₂ in the continuum).
     Each weight and its A₂ constant are computed once and shared by every
     operator; row idx runs 80 power iterations with seed ``seed ^ idx``.
+    A table's slope and intercept fit the norms against the A₂ constants
+    when at least two constants differ (w_a and w_{−a} share one), and
+    stay 0.0 otherwise.
     """
     exponents = list(exponents)
     for a in exponents:
@@ -678,10 +681,9 @@ def a2_scan(kinds, exponents, level: int, seed: int = 0) -> list[ScanTable]:
     tables = []
     for kind, out in zip(kinds, rows):
         table = ScanTable(kind=kind, level=level, rows=out)
-        if len(out) >= 2:
-            xs = np.array([r.a2 for r in out])
-            ys = np.array([r.opnorm for r in out])
-            slope, intercept = np.polyfit(xs, ys, 1)
+        xs = np.array([r.a2 for r in out])
+        if len(set(xs)) >= 2:  # else the line is not determined: 0.0 and 0.0
+            slope, intercept = np.polyfit(xs, [r.opnorm for r in out], 1)
             table.slope, table.intercept = float(slope), float(intercept)
         tables.append(table)
     return tables

@@ -101,9 +101,9 @@ def edge_input(mesh: Mesh, multiplier: int, over: bool) -> StepFunction:
 
 def both_paths(monkeypatch, run):
     """run() as the kernels choose, the dtypes of the |f| tables it read,
-    and run() again with every table, and every other int64 choice of
-    ``stepfn._fits_int64``, forced to object ints.  A run that reads no
-    table must read none when forced."""
+    and run() again with every table forced to object ints
+    (``stepfn._INT64_BITS`` set to 0).  A run that reads no table must read
+    none when forced."""
     seen = []
     choose = StepFunction._abs_table
 
@@ -124,7 +124,7 @@ def both_paths(monkeypatch, run):
 
 def assert_python_ints(g: StepFunction):
     """The integer form and the Fractions of g hold Python ints only."""
-    nums, den = g._numerators()
+    nums, den = g._num
     assert nums.dtype == object and type(den) is int
     assert {type(v) for v in nums.flat} == {int}
     assert {(type(v.numerator), type(v.denominator)) for v in g.values} == {(int, int)}

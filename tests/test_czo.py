@@ -276,7 +276,7 @@ def test_maximal_truncated_returns_the_integer_form():
     for g in (f, dyadic_maximal(f, GridId.shifted(1))):
         want = [rat(t) for t in float_samples(g)]
         tf = maximal_truncated(g)
-        nums, den = tf._numerators()
+        nums, den = tf._num
         assert "values" not in vars(tf)
         assert den & (den - 1) == 0  # one power of two
         assert [Fraction(v, den) for v in nums] == want
@@ -289,7 +289,7 @@ def test_maximal_truncated_matches_gather_oracle_at_level_8(kind):
     # bit for bit, on 768 cells
     f = generate_function(4, kind, Mesh(dim=1, level=8))
     tf = maximal_truncated(f)
-    nums, den = tf._numerators()
+    nums, den = tf._num
     want = float_samples(f)
     assert want.max() > 0
     assert [Fraction(v, den) for v in nums] == [rat(t) for t in want]

@@ -138,7 +138,7 @@ def test_power_profile_eighths():
 def test_generator_builds_the_integer_form(kind):
     f = generate_function(3, kind, Mesh(dim=1, level=5))
     assert "values" not in vars(f)
-    assert f._numerators()[1] == (8 if kind == "power-profile" else 1)
+    assert f._num[1] == (8 if kind == "power-profile" else 1)
 
 
 def test_generator_unknown_spec():

@@ -61,8 +61,32 @@ def test_only_stepfn_builds_shared_fractions():
     assert importers == set()
 
 
+def test_only_abs_table_reads_the_int64_bound():
+    # the dtype of the |f| table is the package's one int64-or-object
+    # choice: a kernel reads ``StepFunction._abs_table`` and keeps its dtype
+    readers = []
+
+    def visit(node, module: str, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        reads = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 and node.id == "_INT64_BITS") \
+            or (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr == "_INT64_BITS") \
+            or (isinstance(node, ast.ImportFrom)
+                and "_INT64_BITS" in {a.name for a in node.names})
+        if reads:
+            readers.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path, tree in _package_sources():
+        visit(tree, os.path.basename(path), "")
+    assert readers == [("stepfn.py", "StepFunction._abs_table")]
+
+
 def test_step_functions_have_no_cell_array():
-    # exact cell values are read through the integer form (``_numerators``)
+    # exact cell values are read through the integer form (``_num``)
     assert not hasattr(stepfn.StepFunction, "_cell_array")
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedom import sparse
 from sparsedom.geometry import Box, Cube, GridId, dilate
 from sparsedom.harness import GENERATOR_KINDS, generate_function
 from sparsedom.stepfn import (
@@ -25,7 +24,6 @@ from sparsedom.stepfn import (
     dyadic_maximal,
     local_mean_oscillation,
     sharp_maximal,
-    _fits_int64,
     _cube_windows,
     _grid_scale_sums,
     _TOP_SCALE,
@@ -173,7 +171,7 @@ def test_scale_averages_match_cube_integrals(mesh):
         Fraction(rng.randint(-50, 50), rng.choice([1, 3, 7, 96, 97]))
         if rng.random() < 0.7 else Fraction(0) for _ in range(mesh.size)])
     g = abs(f)
-    den = f._numerators()[1]
+    den = f._num[1]
     ks = range(_TOP_SCALE - 2, mesh.level + 1)
     for grid in GridId.all_grids(mesh.dim):
         scales = _grid_scale_sums(f._abs_table(3 ** mesh.dim), mesh, grid, ks)
@@ -694,9 +692,9 @@ def test_family_averages_at_the_int64_edge(monkeypatch, mesh, over):
 @EDGE
 @EDGE_MESHES
 def test_cz_pointwise_gap_at_the_int64_edge(monkeypatch, mesh, over):
-    # the comparison's products rhs·(2^(n+1)·m_den) and m·den: one family
-    # against f scaled by the power of two that puts the larger at 62 bits,
-    # or one more; the gap scales with f
+    # the comparison's products avg·(2^(n+1)·m_den) and m·den, in Python
+    # ints: one family against f scaled by the power of two that puts the
+    # larger at 62 bits, or one more; the gap scales with f
     f0 = mk_random(mesh, 3, lo=-8)
     for grid in GridId.all_grids(mesh.dim):
         fam = cz_sparse(f0, grid)
@@ -705,7 +703,7 @@ def test_cz_pointwise_gap_at_the_int64_edge(monkeypatch, mesh, over):
             cubes = [q for _, q in fam.pairs()]
             nums, den = _family_averages(f, _cube_windows(mesh, cubes),
                                          [q.k for q in cubes])
-            m, m_den = dyadic_maximal(f, grid)._numerators()
+            m, m_den = dyadic_maximal(f, grid)._num
             return max(max(nums).bit_length() + ((2 << mesh.dim) * m_den).bit_length(),
                        max(m.flat).bit_length() + den.bit_length())
 
@@ -713,26 +711,18 @@ def test_cz_pointwise_gap_at_the_int64_edge(monkeypatch, mesh, over):
         f = f0 * (1 << shift)
         assert bits(f) == 62 + over
         want = cz_pointwise_gap(f0, fam, dyadic_maximal(f0, grid)) * (1 << shift)
-        fits = []
-
-        def spy(*products):
-            fits.append(_fits_int64(*products))
-            return fits[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(sparse, "_fits_int64", spy)
-            got, _, forced = both_paths(
-                monkeypatch, lambda: cz_pointwise_gap(f, fam, dyadic_maximal(f, grid)))
-        assert fits == [not over, False]
+        got, _, forced = both_paths(
+            monkeypatch, lambda: cz_pointwise_gap(f, fam, dyadic_maximal(f, grid)))
         assert got == forced == want
 
 
 @EDGE
 @EDGE_MESHES
 def test_accumulate_at_the_int64_edge(monkeypatch, mesh, over):
-    # Σ|num| of 61 - n bits, the most the int64 difference array takes with
-    # its 2^n corners, or one more bit: blocks of every shape, empty ones
-    # included, both signs, and cells holding over half of Σ|num|
+    # Σ|num| of 61 - n bits, the most an int64 difference array could take
+    # with its 2^n corners, or one more bit, in Python ints: blocks of every
+    # shape, empty ones included, both signs, and cells holding over half of
+    # Σ|num|
     rng = random.Random(mesh.size)
     n = mesh.cells_axis
     total = (1 << 61 - mesh.dim) - 1 + over
@@ -744,16 +734,7 @@ def test_accumulate_at_the_int64_edge(monkeypatch, mesh, over):
     nums[2] += total - sum(nums)
     nums = [-v if i > 2 and i % 2 else v for i, v in enumerate(nums)]
     terms = list(zip(blocks, nums))
-    fits = []
-
-    def spy(*products):
-        fits.append(_fits_int64(*products))
-        return fits[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(sparse, "_fits_int64", spy)
-        got, _, forced = both_paths(monkeypatch, lambda: _accumulate(mesh, terms))
-    assert fits == [not over, False]
+    got, _, forced = both_paths(monkeypatch, lambda: _accumulate(mesh, terms))
     for i in range(mesh.size):
         idx = unflat(mesh, i)
         want = sum(v for cells, v in terms

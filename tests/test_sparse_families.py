@@ -12,7 +12,8 @@ build from them, and corruptions of those families: an overlap within a
 level, a cube outside the level below, a cube more than half covered by
 the next level, and a cube of another grid.  The gap and the operator
 also run on the four generator kinds at 1-D level 8 and 2-D level 4,
-whose spikes give the deepest families.  The window sums also run on a
+whose spikes give the deepest families, and the gap on seeded random
+rationals p/q, |p|, q < 10^6, at those levels.  The window sums also run on a
 2-D input whose numerators pass 2^63.  ``cz_sparse`` must list each level
 as a depth-first descent on Fraction averages does, on every grid, every
 generator kind, signed rationals and an input that climbs above the top
@@ -188,7 +189,7 @@ def ref_pointwise_gap(f: StepFunction, fam: SparseFamily,
         lcm = math.lcm(den, d)
         rhs = rhs * (lcm // den) + np.where(outside, acc * (lcm // d), 0)
         den = lcm
-    m, m_den = maximal._numerators()
+    m, m_den = maximal._num
     gap = (rhs * (2 << mesh.dim) * m_den - m * den).min()
     return Fraction(gap, den * m_den)
 
@@ -304,7 +305,7 @@ def test_window_sums_match_cube_averages(source):
     f = wide_input() if source == "wide" else rational_input(source)
     mesh, dim = f.mesh, f.mesh.dim
     g = abs(f)
-    den = f._numerators()[1]
+    den = f._num[1]
     if source == "wide":
         # the table must hold Python ints, not int64 (np.pad would insert
         # an np.int64 zero and the cumulative sums would overflow)
@@ -391,6 +392,29 @@ def test_gap_and_operator_match_fraction_formulas(dim):
     assert max(depths) >= 6
     empty = SparseFamily(q0.grid, {})
     assert sparse_operator(empty, abs(csv)).values == [0] * csv.mesh.size
+
+
+def random_rationals(mesh: Mesh, seed: int) -> StepFunction:
+    """Every cell p/q with |p|, q < 10^6: the lcm of the cell denominators
+    has thousands of bits."""
+    rng = random.Random(seed)
+    return StepFunction(mesh, [Fraction(rng.randrange(1 - 10**6, 10**6),
+                                        rng.randrange(1, 10**6))
+                               for _ in range(mesh.size)])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gap_per_block_on_random_rationals(dim):
+    # the per-block minimum against the per-level sum, on every grid, where
+    # every product of the comparison is far past int64
+    mesh = Mesh(dim, {1: 8, 2: 4}[dim])
+    f = random_rationals(mesh, dim)
+    assert f._num[1].bit_length() > 1000
+    for grid in GridId.all_grids(dim):
+        fam, maximal = cz_sparse(f, grid), dyadic_maximal(f, grid)
+        assert not fam.is_empty
+        gap = cz_pointwise_gap(f, fam, maximal)
+        assert gap == ref_pointwise_gap(f, fam, maximal) >= 0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

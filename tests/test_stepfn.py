@@ -721,7 +721,7 @@ def test_hl_sweep_matches_integer_oracle(cells):
 def test_hl_matches_integer_oracle_at_level_7(kind, seed):
     # 384 cells, past the reach of the O(N^3) Fraction oracle
     f = generate_function(seed, kind, Mesh(1, 7))
-    nums, den = f._numerators()
+    nums, den = f._num
     want = oracle_hl_pairs(_prefix_table(abs(nums)).tolist())
     assert hl_maximal(f).values == [Fraction(s, l * den) for s, l in want]
 
@@ -740,7 +740,7 @@ def test_table_dtype_rule():
         for over in (False, True):
             f = edge_input(mesh, multiplier, over)
             table = f._abs_table(multiplier)
-            assert table[-1] == sum(abs(v) for v in f._numerators()[0])
+            assert table[-1] == sum(abs(v) for v in f._num[0])
             assert table.dtype == (object if over else np.int64)
             assert table.tolist() == f._abs_table(2**62).tolist()
 
@@ -754,8 +754,8 @@ def test_dyadic_maximal_at_the_int64_edge(monkeypatch, mesh, over):
     for grid in GridId.all_grids(mesh.dim):
         got, dtypes, forced = both_paths(monkeypatch, lambda: dyadic_maximal(f, grid))
         assert dtypes == [np.dtype(object if over else np.int64)]
-        assert got._numerators()[1] == forced._numerators()[1]
-        assert got._numerators()[0].tolist() == forced._numerators()[0].tolist()
+        assert got._num[1] == forced._num[1]
+        assert got._num[0].tolist() == forced._num[0].tolist()
         assert got.values == oracle_dyadic(f, grid)
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -902,6 +903,25 @@ def test_a2_scan_small():
     assert len(csv_text.splitlines()) == 3
     data = tab.to_json()
     assert data["kind"] == "sparse" and len(data["rows"]) == 2
+
+
+@pytest.mark.parametrize("exponents", [(0.3, -0.3), (0.5, 0.5)])
+def test_a2_scan_leaves_a_one_value_column_unfitted(exponents):
+    # w_a and w_{-a} have one A2 constant, as do two equal exponents: no
+    # line is determined, so slope and intercept keep their 0.0 defaults
+    # and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab, = a2_scan(["sparse"], exponents, level=5)
+    assert tab.rows[0].a2 == tab.rows[1].a2
+    assert (tab.slope, tab.intercept) == (0.0, 0.0)
+
+
+def test_a2_scan_fits_criterion_11_rows():
+    # criterion 11's exponents: distinct A2 constants, fitted as before
+    tab, = a2_scan(["sparse"], [0, 0.3, 0.6, 0.8, 0.9, 0.95], level=5)
+    want = np.polyfit([r.a2 for r in tab.rows], [r.opnorm for r in tab.rows], 1)
+    assert (tab.slope, tab.intercept) == tuple(map(float, want)) != (0.0, 0.0)
 
 
 def test_a2_scan_rejects_bad_exponent_and_kind():
