@@ -77,13 +77,6 @@ def _pow2_le(t: int, n: int, d: int) -> bool:
     return d <= (n << (-t))
 
 
-def ldexp_ratio(num: int, den: int, e: int) -> float:
-    """num/den·2^-e as one correctly rounded float: the power of two goes
-    into the integers before their one true division, so neither leaves
-    the float range on the way."""
-    return (num << max(-e, 0)) / (den << max(e, 0))
-
-
 def pow2(t: int) -> Fraction:
     """2**t as an exact Fraction, for any integer t."""
     if t >= 0:

@@ -39,6 +39,7 @@ Python ints.  ``cz_pointwise_gap`` compares per disjoint set E_Q instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -354,8 +355,10 @@ def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
     the largest M^{grid}f numerator on E_Q, taken per index by integer
     comparison: one Python-int product per cube, plus one for the cells no
     cube holds, every average an integer over the family's one
-    denominator.  A nonnegative value certifies the pointwise domination
-    of the grid maximal function by the sparse averages."""
+    denominator.  Both denominators are f's D times a power of 3·2, so
+    their gcd, divided out once, leaves each product bits(D) × small.  A
+    nonnegative value certifies the pointwise domination of the grid
+    maximal function by the sparse averages."""
     mesh = f.mesh
     cubes = [q for _, q in fam.pairs()]
     windows = _cube_windows(mesh, cubes)
@@ -369,9 +372,10 @@ def cz_pointwise_gap(f: StepFunction, fam: SparseFamily,
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     tops = np.maximum.reduceat(m.ravel()[order], starts)
     nums.append(0)
-    scale = (2 << mesh.dim) * m_den
-    gap = min(nums[i] * scale - top * den for i, top in zip(owners[starts].tolist(), tops))
-    return Fraction(gap, den * m_den)
+    g = math.gcd(den, m_den)
+    scale, den_g = (2 << mesh.dim) * (m_den // g), den // g
+    gap = min(nums[i] * scale - top * den_g for i, top in zip(owners[starts].tolist(), tops))
+    return Fraction(gap, den * (m_den // g))
 
 
 # ---------------------------------------------------------------------------

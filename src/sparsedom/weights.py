@@ -28,8 +28,8 @@ mesh cubes of only those sides.
 
 The float images v̂ of a factor are its values times 2^-e, e the largest
 bit-length difference of numerator and denominator, each rounded once
-(relative error 2⁻⁵³) from the exact quotient, once per ``Weight``.
-They lie in (0, 2), so no
+(relative error 2⁻⁵³) from the exact quotient, built on a factor's first
+read (``_Factor``; the norms read w's alone).  They lie in (0, 2), so no
 table entry overflows; one power of two per factor scales every score by
 2^-(e_w + e_v), which cancels in every comparison below; and the largest
 is at least 1/2, so the gate on b_L (Σv̂/min v̂ < 2⁴⁵) keeps them normal.
@@ -126,11 +126,25 @@ side is scored.  With x86's 80-bit long double that cannot follow the gate
 on b_L, which keeps b₆₄ below 2¹¹·10⁻⁴ + 16·2⁻⁵³ < 0.21; with a wider one
 it can.
 
-Every region whose long-double score is at least B·(1 - b_L) is confirmed
-exactly, mesh cubes by side d and row-major position first, then grid
-cubes by grid, scale (fine to coarse) and row-major position.  An exact
-window sum weights each cell by the lattice cells it holds, groups the
-cells by the odd part o of their denominator o·2^t, adds each group's
+Every region whose long-double score is at least B·(1 - b_L) is a
+candidate, mesh cubes by side d and row-major position first, then grid
+cubes by grid, scale (fine to coarse) and row-major position.
+
+The bracket.  Each v̂ is normal and is v·2^-e·(1 + δ), |δ| <= u = 2⁻⁵³.
+A float64 is m·2^x with m·2^53 an integer, so a factor's v̂ are integers
+over one power of two, whose object prefix table gives each candidate's
+window sum Ŝ of the v̂ exactly.  Every term is positive,
+so Ŝ lies in 2^-e·S·[1 - u, 1 + u], S the exact sum, and P̂ = Ŝ_w·Ŝ_v in
+2^-(e_w + e_v)·S_w·S_v·[(1 - u)², (1 + u)²].  Up to a factor common to
+all candidates, candidate c of area a_c thus scores exactly within
+[P̂_c/(a_c²(1 + u)²), P̂_c/(a_c²(1 - u)²)].  A maximiser scores at least
+every lower end, so the candidates whose upper end reaches the largest
+lower end (``_bracket``) hold every maximiser and its ties, in candidate
+order.  Only they get an exact sum; ``candidates_confirmed`` counts them.
+
+An exact window sum weights each cell by the lattice cells it holds,
+groups the cells by the odd part o of their denominator o·2^t (a stable
+argsort of the rank of o, then ``reduceat``), adds each group's
 numerators shifted to its largest t, and adds the groups pairwise in a
 balanced tree that multiplies odd parts and keeps the larger power of
 two: a float-frozen w sums to one integer over 2^t (under 80 bits at
@@ -162,10 +176,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .rational import ldexp_ratio, rat, rat_str
+from .rational import rat, rat_str
 from .geometry import Box, Cube, GridId
 from .stepfn import (Mesh, StepFunction, _cube_sums, _cube_windows,
-                     _grid_scale_sums, _prefix_table, _TOP_SCALE)
+                     _grid_scale_sums, _prefix_table, _window_sums, _TOP_SCALE)
 from .sparse import SparseFamily, verify_sparse_family
 
 __all__ = [
@@ -188,9 +202,30 @@ __all__ = [
 # weights
 # ---------------------------------------------------------------------------
 
+class _Factor:
+    """w or w⁻¹ cell by cell in flat order: numerators and denominators in
+    object arrays, and each denominator o·2^t (o odd) as t and the rank of o
+    among the increasing odd parts ``odds``, in int64 arrays."""
+
+    def __init__(self, nums: np.ndarray, dens: np.ndarray, shape: tuple):
+        self.nums, self.dens, self.shape = nums, dens, shape
+        self.twos = np.array([(d & -d).bit_length() - 1 for d in dens.tolist()])
+        self.odds, self.rank = np.unique(dens >> self.twos, return_inverse=True)
+
+    @cached_property
+    def image(self) -> tuple[np.ndarray, int]:
+        """(v̂, e) of the module docstring, mesh-shaped: 2^-e goes into the
+        integers, so neither leaves the float range, before their one true
+        division, which Python rounds correctly."""
+        e = max(n.bit_length() - d.bit_length()
+                for n, d in zip(self.nums.tolist(), self.dens.tolist()))
+        v = (self.nums << max(-e, 0)) / (self.dens << max(e, 0))
+        return v.astype(np.float64).reshape(self.shape), e
+
+
 class Weight:
-    """Strictly positive step function; its reciprocal, (num, den) pairs
-    and float images are built on first use."""
+    """Strictly positive step function; its reciprocal and its two factors
+    (``_Factor``) are built on first use."""
 
     def __init__(self, fn: StepFunction):
         if any(v.numerator <= 0 for v in fn.values):
@@ -206,20 +241,11 @@ class Weight:
         return StepFunction(self.fn.mesh, [1 / v for v in self.fn.values])
 
     @cached_property
-    def _terms(self) -> tuple[list, list]:
-        """The per-cell (num, den) pairs of w and of w⁻¹."""
-        w = [(v.numerator, v.denominator) for v in self.fn.values]
-        return w, [(d, n) for n, d in w]
-
-    @cached_property
-    def _images(self) -> list:
-        """(v̂, e) for w and for w⁻¹ (module docstring), v̂ mesh-shaped."""
-        out = []
-        for t in self._terms:
-            e = max(n.bit_length() - d.bit_length() for n, d in t)
-            out.append((np.array([ldexp_ratio(n, d, e) for n, d in t])
-                        .reshape(self.mesh.shape), e))
-        return out
+    def _factors(self) -> tuple[_Factor, _Factor]:
+        """w and w⁻¹, which share the arrays of numerators and denominators."""
+        num, den = (np.array([getattr(v, part) for v in self.fn.values], dtype=object)
+                    for part in ("numerator", "denominator"))
+        return _Factor(num, den, self.mesh.shape), _Factor(den, num, self.mesh.shape)
 
     @staticmethod
     def power(mesh: Mesh, a: float) -> "Weight":
@@ -262,7 +288,9 @@ def _side_score(tw: np.ndarray, tv: np.ndarray, d: int) -> tuple:
     """(R̂_d, m_d) of the module docstring: the largest float64 raw product
     of the mesh cubes of side d, read from the float64 prefix tables of
     the images of w and w⁻¹, and that over d^{2D}, the side's score."""
-    raw = (_cube_sums(tw, d) * _cube_sums(tv, d)).max()
+    prods = _cube_sums(tw, d)
+    prods *= _cube_sums(tv, d)
+    raw = float(prods.max())
     return raw, raw / float(d) ** (2 * tw.ndim)
 
 
@@ -279,7 +307,7 @@ def _side_search(factors, band: float) -> tuple:
     keep, dim = 1 - band, tw.ndim
     lam = (band / 4) / (1 - band / 4)
     grow = 1 + 4 * lam + 2.0 ** -32  # e^{2λ₆₄} and the rounding margins
-    raw, score = np.zeros(n + 1), np.full(n + 1, -np.inf)  # -inf: not scored
+    raw, score = [0.0] * (n + 1), [-math.inf] * (n + 1)  # -inf: not scored
     raw[1], score[1] = _side_score(tw, tv, 1)
     raw[n], score[n] = _side_score(tw, tv, n)
     top = max(score[1], score[n])
@@ -298,7 +326,7 @@ def _side_search(factors, band: float) -> tuple:
         top = max(top, score[mid])
         push(a, mid)
         push(mid, c)
-    return top, np.flatnonzero(score >= top * keep).tolist()
+    return top, [d for d in range(1, n + 1) if score[d] >= top * keep]
 
 
 def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
@@ -310,25 +338,24 @@ def _certified_band(dim: int, cells_axis: int, factors, u: float) -> float:
     return 4.0 * 6 ** dim * k * u * cond + 16 * 2.0 ** -53
 
 
-def _window_sum_exact(terms, n: int, lo, hi, memo: dict) -> tuple[int, int]:
+def _window_sum_exact(factor: _Factor, lo, hi, memo: dict) -> tuple[int, int]:
     """Exact Σ over the lattice window [lo, hi) in lattice units, as an
-    unreduced pair (num, den), from the cells' (num, den) ``terms``, grouped
-    by odd denominator as in the module docstring; ``memo`` maps each
-    window's sorted group terms to their sum."""
-    axes = [[(c, min(b, 3 * c + 3) - max(a, 3 * c))
-             for c in range(a // 3, (b + 2) // 3)] for a, b in zip(lo, hi)]
-    groups = {}
-    for cells in iter_product(*axes):
-        flat, wt = 0, 1
-        for c, x in cells:
-            flat, wt = flat * n + c, wt * x
-        num, den = terms[flat]
-        t = (den & -den).bit_length() - 1
-        g = groups.setdefault(den >> t, [t, 0])
-        if t > g[0]:
-            g[0], g[1] = t, g[1] << (t - g[0])
-        g[1] += wt * num << (g[0] - t)
-    key = tuple(sorted((odd, t, s) for odd, (t, s) in groups.items()))
+    unreduced pair (num, den), from the cells of ``factor``, grouped by odd
+    denominator as in the module docstring; ``memo`` maps each window's
+    sorted group terms to their sum."""
+    cells = [np.arange(a // 3, (b + 2) // 3) for a, b in zip(lo, hi)]
+    wt = math.prod(np.ix_(*(np.minimum(b, 3 * c + 3) - np.maximum(a, 3 * c)
+                            for c, a, b in zip(cells, lo, hi))))
+    flat = np.ravel_multi_index(np.ix_(*cells), factor.shape).ravel()
+    order = np.argsort(factor.rank[flat], kind="stable")
+    flat, wt = flat[order], wt.ravel()[order]
+    rank, t = factor.rank[flat], factor.twos[flat]
+    starts = np.flatnonzero(np.diff(rank, prepend=-1))
+    top = np.maximum.reduceat(t, starts)
+    shift = np.repeat(top, np.diff(starts, append=len(t))) - t
+    sums = np.add.reduceat(factor.nums[flat] * wt << shift, starts)
+    # ranks increase with the odd parts, so the groups come sorted
+    key = tuple(zip(factor.odds[rank[starts]].tolist(), top.tolist(), sums.tolist()))
     if key not in memo:
         parts = [(s, odd, t) for odd, t, s in key]
         while len(parts) > 1:
@@ -342,12 +369,24 @@ def _window_sum_exact(terms, n: int, lo, hi, memo: dict) -> tuple[int, int]:
     return memo[key]
 
 
+def _bracket(prods: list, areas: list) -> list[int]:
+    """The indices, in order, of the candidates (image products P̂ and
+    areas a) whose upper end P̂/(a²(1 - u)²) reaches the largest lower end
+    P̂/(a²(1 + u)²), u = 2⁻⁵³ (module docstring), compared in integers."""
+    j = 0  # the largest P̂/a²
+    for c in range(1, len(prods)):
+        if prods[c] * areas[j] ** 2 > prods[j] * areas[c] ** 2:
+            j = c
+    low, high = (2 ** 53 + 1) ** 2 * areas[j] ** 2, (2 ** 53 - 1) ** 2 * prods[j]
+    return [c for c, (p, a) in enumerate(zip(prods, areas)) if p * low >= high * a * a]
+
+
 def a2_constant(w: Weight) -> A2Report:
     """Exact max of avg(w,R)·avg(w⁻¹,R) over the search family: all
     mesh-corner-aligned cubes and all grid cubes of all 2ⁿ shifted grids
     (clipped to the domain).  See the module docstring for the search."""
-    mesh, terms = w.mesh, w._terms
-    if all(p == terms[0][0] for p in terms[0]):
+    mesh, exact = w.mesh, w._factors
+    if all((x == x[0]).all() for x in (exact[0].nums, exact[0].dens)):
         # every average is the cell value, so every product is exactly 1
         return A2Report(
             constant=Fraction(1),
@@ -357,7 +396,7 @@ def a2_constant(w: Weight) -> A2Report:
             candidates_confirmed=1,
         )
     dim, n = mesh.dim, mesh.cells_axis
-    factors = [image for image, _ in w._images]
+    factors = [f.image[0] for f in exact]
     band = _certified_band(dim, n, factors,
                            float(np.finfo(np.longdouble).eps) / 2)
     if band > 1e-4:
@@ -402,14 +441,21 @@ def a2_constant(w: Weight) -> A2Report:
         lo, hi = (x.tolist() for x in _cube_windows(mesh, cubes))
         windows += [(a, b, "grid-cube") for a, b in zip(lo, hi)]
 
+    ends = [np.array([win[i] for win in windows]).reshape(-1, dim) for i in (0, 1)]
+    areas = np.prod(ends[1] - ends[0], axis=1).tolist()
+    # the bracket (module docstring): a factor's v̂ over one power of two
+    ints = [(m * 2.0 ** 53).astype(np.int64).astype(object) << (x - x.min())
+            for m, x in map(np.frexp, factors)]
+    prods = math.prod(_window_sums(_prefix_table(t), *ends) for t in ints).tolist()
+    confirm = _bracket(prods, areas)
     sums = {}
     best_num, best_den, best_win = 0, 1, None
-    for lo, hi, kind in windows:
-        (nw, dw), (nv, dv) = (_window_sum_exact(t, n, lo, hi, sums) for t in terms)
-        area = math.prod(b - a for a, b in zip(lo, hi))
-        num, den = nw * nv, dw * dv * area * area
+    for c in confirm:
+        lo, hi, _ = windows[c]
+        (nw, dw), (nv, dv) = (_window_sum_exact(f, lo, hi, sums) for f in exact)
+        num, den = nw * nv, dw * dv * areas[c] ** 2
         if (num, den) != (best_num, best_den) and num * best_den > best_num * den:
-            best_num, best_den, best_win = num, den, (lo, hi, kind)
+            best_num, best_den, best_win = num, den, windows[c]
     lo, hi, kind = best_win
     corner, third = mesh.domain.lo, mesh.h / 3
     # strip the common power of two before the gcd: for float-frozen
@@ -422,7 +468,7 @@ def a2_constant(w: Weight) -> A2Report:
         witness_kind=kind,
         search="search-family constant: mesh-corner-aligned cubes + "
                "all shifted-grid cubes clipped to the domain",
-        candidates_confirmed=len(windows),
+        candidates_confirmed=len(confirm),
     )
 
 
@@ -558,7 +604,7 @@ def operator_norm_weighted(op: CellOperator, w: Weight, iters: int = 60,
         raise ValueError("need at least 10 iterations")
     if op.size != w.mesh.size:
         raise ValueError("operator/weight size mismatch")
-    image, e = w._images[0]  # w over an even power of two (module docstring)
+    image, e = w._factors[0].image  # w over an even power of two (module docstring)
     wv = image.ravel() * (1 + e % 2)
     h = float(w.mesh.h) ** w.mesh.dim
 

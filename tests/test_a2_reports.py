@@ -5,6 +5,9 @@ the recorded ones.  The oracle of ``test_weights`` shares the production
 table reads, so this file is what holds the constants to those of an
 earlier implementation.
 
+``test_a2_level_13_power_pinned`` holds the level-13 report of
+|x - 1/2|^0.95 the same way, in this file.
+
 The constant and the witness are stored as sha256 digests (the constants
 of power weights run to thousands of digits): of "numerator/denominator"
 in hexadecimal, and of the witness Box's JSON.
@@ -17,7 +20,9 @@ Regenerate (only when a constant is meant to change) with
 import hashlib
 import json
 import pathlib
+from fractions import Fraction
 
+from sparsedom.geometry import Box
 from sparsedom.stepfn import Mesh
 from sparsedom.weights import Weight, a2_constant
 from test_weights import _oracle_weights
@@ -53,6 +58,18 @@ def test_a2_reports_match_pinned():
         names.append(name)
         assert _pin(w) == pinned[name], name
     assert sorted(names) == sorted(pinned)
+
+
+def test_a2_level_13_power_pinned():
+    # recorded before the bracket in front of the exact sums, which then
+    # confirmed 22 candidates here and now 2
+    rep = a2_constant(Weight.power(Mesh(dim=1, level=13), 0.95))
+    q = rep.constant
+    assert _digest("%x/%x" % (q.numerator, q.denominator)) \
+        == "64d525ae43364dea44cbc4196e59cf605dbe26bc40eb8753b0dfdb4560a3a7e6"
+    assert float(q) == 6.859097430786007
+    assert (rep.witness, rep.witness_kind) \
+        == (Box((Fraction(-1),), (Fraction(2243, 4096),)), "mesh-aligned")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from sparsedom.weights import (
     operator_norm_weighted,
     sparse_family_operator,
     tower_family,
+    _bracket,
     _certified_band,
     _side_score,
     _side_search,
@@ -449,12 +450,31 @@ def _oracle_weights():
 
 
 def test_a2_matches_one_pass_search():
+    # the oracle confirms every long-double candidate, a2_constant only
+    # those its bracket keeps
     for w in _oracle_weights():
         got, want = a2_constant(w), _a2_one_pass(w)
         # compared before asserting: the constants can be too long to print
-        same = got == want
-        assert same, (w.mesh.dim, w.mesh.level, got.witness, want.witness,
-                      got.candidates_confirmed, want.candidates_confirmed)
+        same = (got.constant, got.witness, got.witness_kind, got.search) \
+            == (want.constant, want.witness, want.witness_kind, want.search)
+        assert same and got.candidates_confirmed <= want.candidates_confirmed, (
+            w.mesh.dim, w.mesh.level, got.witness, want.witness,
+            got.candidates_confirmed, want.candidates_confirmed)
+
+
+def test_bracket_rule_on_hand_made_sums():
+    up, down = (2 ** 53 + 1) ** 2, (2 ** 53 - 1) ** 2
+    # exact ties of P̂/a² keep both, in order; the lower third is dropped
+    assert _bracket([12, 3, 2], [2, 1, 1]) == [0, 1]
+    # closer than the bracket's width: both kept, whichever is first
+    assert _bracket([10 ** 20, 10 ** 20 + 1], [1, 1]) == [0, 1]
+    assert _bracket([10 ** 20 + 1, 10 ** 20], [1, 1]) == [0, 1]
+    # the upper end of the first exactly reaches the lower end of the second
+    assert _bracket([7 * down, 7 * up], [1, 1]) == [0, 1]
+    assert _bracket([7 * up, 4 * 7 * down], [1, 2]) == [0, 1]
+    # one below that: farther apart than the width, the lower is dropped
+    assert _bracket([7 * down - 1, 7 * up], [1, 1]) == [1]
+    assert _bracket([7 * up, 4 * 7 * down - 1], [1, 2]) == [0]
 
 
 def _fraction_window_sum(values, mesh, lo, hi):
@@ -488,8 +508,8 @@ def test_grouped_window_sum_matches_fraction_sum(make):
         ends = [sorted(rng.sample(range(3 * mesh.cells_axis + 1), 2))
                 for _ in range(mesh.dim)]
         lo, hi = [a for a, _ in ends], [b for _, b in ends]
-        for terms, g in zip(w._terms, (w.fn, w.reciprocal)):
-            num, den = _window_sum_exact(terms, mesh.cells_axis, lo, hi, {})
+        for factor, g in zip(w._factors, (w.fn, w.reciprocal)):
+            num, den = _window_sum_exact(factor, lo, hi, {})
             assert Fraction(num, den) == _fraction_window_sum(g.values, mesh, lo, hi)
 
 
@@ -499,12 +519,12 @@ def test_window_sum_memo_serves_mirror_windows():
     w = Weight.power(Mesh(dim=1, level=5), 0.9)
     n = w.mesh.cells_axis
     lo, hi = 3 * n // 2 - 40, 3 * n // 2 + 7
-    for terms in w._terms:
+    for factor in w._factors:
         memo = {}
-        first = _window_sum_exact(terms, n, [lo], [hi], memo)
-        assert _window_sum_exact(terms, n, [3 * n - hi], [3 * n - lo], memo) is first
+        first = _window_sum_exact(factor, [lo], [hi], memo)
+        assert _window_sum_exact(factor, [3 * n - hi], [3 * n - lo], memo) is first
         assert len(memo) == 1
-        assert _window_sum_exact(terms, n, [lo + 1], [hi], memo) is not first
+        assert _window_sum_exact(factor, [lo + 1], [hi], memo) is not first
 
 
 def test_weight_builds_reciprocal_on_first_read():
@@ -626,7 +646,7 @@ def _every_side(factors, band):
 
 
 def _search_and_sweep(w):
-    factors = [image for image, _ in w._images]
+    factors = [f.image[0] for f in w._factors]
     band = _certified_band(w.mesh.dim, w.mesh.cells_axis, factors, 2.0 ** -53)
     return band, _side_search(factors, band), _every_side(factors, band)
 
